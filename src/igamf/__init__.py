@@ -9,17 +9,16 @@ quadrature), a fast-diagonalization preconditioner and Krylov solvers.
 from .splines import (KnotVector, TensorSpace, collocation_matrix,
                       make_uniform_knots, multi_to_scalar, scalar_to_multi,
                       tensor_space)
-from .kron import (CostMeter, KronOperator, kron_apply, kron_materialize,
-                   tensor_grid)
+from .kron import CostMeter, kron_apply, kron_materialize, tensor_grid
 from .wq import (EXACTNESS_TOL, TensorRule, WQConstructionError, WQRule1D,
                  build_tensor_rule, build_wq_rule, exact_gram,
                  gauss_points_weights, wq_points, wq_weights)
-from .geometry import (GeometryMap, affine_map, identity_map,
-                       quarter_ring_map, quarter_ring_rational_map,
-                       spline_control_net_map)
-from .operators import (COEFF_EVAL_FLOPS, DegenerateGeometryError,
-                        MassOperator, StiffnessOperator, SystemOperator,
-                        apply_system, setup_mass, setup_stiffness)
+from .geometry import (DegenerateGeometryError, GeometryMap, affine_map,
+                       identity_map, pullback, quarter_ring_map,
+                       quarter_ring_rational_map, spline_control_net_map)
+from .operators import (COEFF_EVAL_FLOPS, MassOperator, StiffnessOperator,
+                        coefficient_grids, setup_mass, setup_stiffness,
+                        wq_terms)
 from .assembly import (AssembledMatrix, MemoryGuardError, assemble_rhs,
                        assemble_sgq, assemble_wq_explicit,
                        estimate_matrix_nnz, max_row_nnz)

@@ -7,17 +7,24 @@ factorization (generally nonsymmetric on curved geometries).  Both exist
 for correctness checks and baseline comparisons, not performance.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
+from .geometry import pullback
 from .kron import kron_apply, kron_materialize, tensor_grid
+from .operators import coefficient_grids, wq_terms
 from .splines import collocation_matrix
 from .wq import gauss_points_weights
 
 #: conservative default guard on assembled nonzeros
 NNZ_GUARD = 5 * 10**7
+
+#: quadrature points per slab of :func:`tensor_gauss_sum`; bounds the
+#: scratch memory of right-hand-side assembly and error evaluation
+SLAB_POINTS = 2 * 10**6
 
 
 class MemoryGuardError(MemoryError):
@@ -87,30 +94,37 @@ def _gauss_factors(space, pts_per_span):
     return pts, wts, B0, B1
 
 
-def _grid_coeffs_sgq(space, geom, coeff, kind, pts, wts):
-    """Quadrature-scaled coefficient grids at the tensor Gauss points."""
-    d = space.dim
-    grids = tensor_grid(pts)
-    xi = np.stack(grids, axis=1)
-    wgrid = tensor_grid(wts)
-    wtot = np.ones(len(xi))
-    for w in wgrid:
-        wtot = wtot * w
-    J = geom.jacobian(xi)
-    det = np.linalg.det(J)
-    if kind == "mass":
-        alpha = coeff if coeff is not None else 1.0
-        vals = (alpha(geom.evaluate(xi)) if callable(alpha) else float(alpha)) * det
-        return {None: wtot * vals}
-    Jinv = np.linalg.inv(J)
-    if callable(coeff):
-        Kvals = coeff(geom.evaluate(xi))
-    elif coeff is None:
-        Kvals = np.broadcast_to(np.eye(d), (len(xi), d, d))
-    else:
-        Kvals = np.broadcast_to(np.asarray(coeff, dtype=float), (len(xi), d, d))
-    C = np.einsum("qij,qjk,qlk->qil", Jinv, Kvals, Jinv) * det[:, None, None]
-    return {(a, b): wtot * C[:, a, b] for a in range(d) for b in range(d)}
+def _gauss_grid(pts, wts):
+    """Tensor Gauss points as an (npts, d) array and their product weights."""
+    xi = np.stack(tensor_grid(pts), axis=1)
+    return xi, functools.reduce(np.multiply, tensor_grid(wts))
+
+
+def tensor_gauss_sum(space, geom, pts_per_span, integrand):
+    """Sum ``integrand`` over slabs of the tensor Gauss grid of ``space``.
+
+    The grid (``pts_per_span`` points per knot span and direction) is split
+    along the last direction into slabs of at most about
+    :data:`SLAB_POINTS` points.  Per slab the call is
+    ``integrand(x, measure, det, cof, B0, B1)``: physical points, Gauss
+    weight times det J_F, the :func:`~igamf.geometry.pullback` of the slab,
+    and the per-direction interior value and derivative collocation
+    factors, the last direction's restricted to the slab's rows.
+    """
+    pts, wts, B0, B1 = _gauss_factors(space, pts_per_span)
+    n_last = len(pts[-1])
+    lower = int(np.prod([len(q) for q in pts[:-1]]))
+    block = max(1, min(n_last, SLAB_POINTS // max(lower, 1)))
+    total = 0.0
+    for start in range(0, n_last, block):
+        s = slice(start, start + block)
+        xi, w = _gauss_grid(pts[:-1] + [pts[-1][s]], wts[:-1] + [wts[-1][s]])
+        det, cof = pullback(geom, xi)
+        x = geom.evaluate(xi)
+        del xi  # not needed by the integrand; free it before that runs
+        total = total + integrand(x, w * det, det, cof, B0[:-1] + [B0[-1][s]],
+                                  B1[:-1] + [B1[-1][s]])
+    return total
 
 
 def assemble_sgq(space, geom, coeff=None, kind="mass", gauss_pts_per_span=None,
@@ -130,21 +144,22 @@ def assemble_sgq(space, geom, coeff=None, kind="mass", gauss_pts_per_span=None,
     bk_nnz = int(np.prod([b.nnz for b in B0]))
     if est > nnz_guard or bk_nnz > nnz_guard:
         raise MemoryGuardError(max(est, bk_nnz), nnz_guard)
-    coeffs = _grid_coeffs_sgq(space, geom, coeff, kind, pts, wts)
+    xi, w = _gauss_grid(pts, wts)
+    coeffs = {key: w * c for key, c in
+              coefficient_grids(kind, geom, xi, coeff).items()}
     if kind == "mass":
         Bk = kron_materialize(B0, max_entries=np.inf)
         A = (Bk.T @ sp.diags(coeffs[None]) @ Bk).tocsr()
     else:
         d = space.dim
         A = None
-        Bkron = {}
-        for b in range(d):
-            Bkron[b] = kron_materialize(
-                [B1[l] if l == b else B0[l] for l in range(d)], max_entries=np.inf
-            )
+        Bkron = [kron_materialize([B1[l] if l == b else B0[l] for l in range(d)],
+                                  max_entries=np.inf)
+                 for b in range(d)]
         for a in range(d):
             for b in range(d):
-                term = Bkron[a].T @ sp.diags(coeffs[(a, b)]) @ Bkron[b]
+                c = coeffs[(min(a, b), max(a, b))]
+                term = Bkron[a].T @ sp.diags(c) @ Bkron[b]
                 A = term if A is None else A + term
         A = A.tocsr()
     A.eliminate_zeros()
@@ -155,76 +170,33 @@ def assemble_sgq(space, geom, coeff=None, kind="mass", gauss_pts_per_span=None,
 def assemble_wq_explicit(space, rule, geom, coeff=None, kind="mass",
                          nnz_guard=NNZ_GUARD) -> AssembledMatrix:
     """Materialize the weighted-quadrature matrix from its sparse factors."""
-    if kind not in ("mass", "stiffness"):
-        raise ValueError(f"unknown kind {kind!r}")
-    from .operators import _eval_mass_coeff, _eval_stiffness_coeffs
-
+    terms = wq_terms(rule, kind)
     est = estimate_matrix_nnz(space)
     if est > nnz_guard:
         raise MemoryGuardError(est, nnz_guard)
-    if kind == "mass":
-        B = kron_materialize([r.colloc[0][:, 1:-1] for r in rule.rules],
-                             max_entries=np.inf)
-        W = kron_materialize([r.weights[(0, 0)][1:-1, :] for r in rule.rules],
-                             max_entries=np.inf)
-        c = _eval_mass_coeff(rule, geom, coeff if coeff is not None else 1.0)
-        A = (W @ sp.diags(c) @ B).tocsr()
-    else:
-        d = space.dim
-        grids = _eval_stiffness_coeffs(rule, geom, coeff)
-        A = None
-        for a in range(d):
-            for b in range(d):
-                W = kron_materialize(
-                    [
-                        r.weights[(1 if l == a else 0, 1 if l == b else 0)][1:-1, :]
-                        for l, r in enumerate(rule.rules)
-                    ],
-                    max_entries=np.inf,
-                )
-                B = kron_materialize(
-                    [
-                        r.colloc[1 if l == b else 0][:, 1:-1]
-                        for l, r in enumerate(rule.rules)
-                    ],
-                    max_entries=np.inf,
-                )
-                c = grids[(min(a, b), max(a, b))]
-                term = W @ sp.diags(c) @ B
-                A = term if A is None else A + term
-        A = A.tocsr()
+    xi = np.stack(rule.point_arrays(), axis=1)
+    coeffs = coefficient_grids(kind, geom, xi, coeff)
+    A = None
+    for W, key, B in terms:
+        term = (kron_materialize(W, max_entries=np.inf) @ sp.diags(coeffs[key])
+                @ kron_materialize(B, max_entries=np.inf))
+        A = term if A is None else A + term
+    A = A.tocsr()
     A.eliminate_zeros()
     return AssembledMatrix(matrix=A, provenance="WQ-explicit",
                            quadrature="weighted")
 
 
-def assemble_rhs(space, geom, f, gauss_pts_per_span=None,
-                 chunk_points=2 * 10**6) -> np.ndarray:
+def assemble_rhs(space, geom, f, gauss_pts_per_span=None) -> np.ndarray:
     """Load vector f_i = int det(J_F) b_i (f o F) dxi by tensor Gauss quadrature.
 
     ``f`` is a physical-space field taking an (npts, d) coordinate array.
-    Large grids are processed in slabs along the last direction.
     """
-    p = max(kv.degree for kv in space.knotvectors)
     if gauss_pts_per_span is None:
-        gauss_pts_per_span = p + 1
-    pts, wts, B0, _ = _gauss_factors(space, gauss_pts_per_span)
-    d = space.dim
-    n_last = len(pts[-1])
-    lower = int(np.prod([len(q) for q in pts[:-1]]))
-    block = max(1, min(n_last, chunk_points // max(lower, 1)))
-    rhs = np.zeros(space.n_dofs)
-    for start in range(0, n_last, block):
-        stop = min(start + block, n_last)
-        sub_pts = pts[:-1] + [pts[-1][start:stop]]
-        sub_wts = wts[:-1] + [wts[-1][start:stop]]
-        grids = tensor_grid(sub_pts)
-        xi = np.stack(grids, axis=1)
-        wtot = np.ones(len(xi))
-        for w in tensor_grid(sub_wts):
-            wtot = wtot * w
-        det = np.linalg.det(geom.jacobian(xi))
-        vals = wtot * det * np.asarray(f(geom.evaluate(xi)), dtype=float)
-        factors_t = [b.T.tocsr() for b in B0[:-1]] + [B0[-1][start:stop, :].T.tocsr()]
-        rhs += kron_apply(factors_t, vals)
-    return rhs
+        gauss_pts_per_span = max(kv.degree for kv in space.knotvectors) + 1
+
+    def integrand(x, measure, det, cof, B0, B1):
+        vals = measure * np.asarray(f(x), dtype=float)
+        return kron_apply([b.T.tocsr() for b in B0], vals)
+
+    return tensor_gauss_sum(space, geom, gauss_pts_per_span, integrand)

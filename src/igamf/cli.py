@@ -55,7 +55,6 @@ class RunConfig:
     solver: str | None = None
     eta: float = 0.1
     maxit: int = 1000
-    on_the_fly: bool = False
     allow_large: bool = False
     nnz_guard: float = NNZ_GUARD
 
@@ -139,8 +138,7 @@ def _setup(cfg: RunConfig, geom, case):
         n_q = rule.n_points
         coeff_flops = 6 * n_q * COEFF_EVAL_FLOPS
         if cfg.method == "mfwq":
-            stiff = setup_stiffness(space, rule, geom,
-                                    on_the_fly=cfg.on_the_fly)
+            stiff = setup_stiffness(space, rule, geom)
             apply_A = stiff.apply
             rec.coeff_scalars = stiff.coeff_scalars
             rec.setup_flops = coeff_flops
@@ -272,7 +270,11 @@ def _parse_int_list(text):
 def _read_config_file(path):
     """key = value lines, '#' comments; keys match the long flag names."""
     values = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -280,14 +282,16 @@ def _read_config_file(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key not in _DEFAULTS:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = val.strip()
     return values
 
 
-_BOOL_KEYS = ("on_the_fly", "allow_large")
+_BOOL_KEYS = ("allow_large",)
 _DEFAULTS = dict(geometry="ring", method="mfwq", solver=None, eta=0.1,
-                 maxit=1000, on_the_fly=False, allow_large=False,
-                 nnz_guard=NNZ_GUARD, out=None)
+                 maxit=1000, allow_large=False, nnz_guard=NNZ_GUARD, out=None)
 
 
 def _merge(args, key, cast=str):
@@ -300,7 +304,10 @@ def _merge(args, key, cast=str):
         raw = cfg_file[key]
         if key in _BOOL_KEYS:
             return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+        try:
+            return cast(raw)
+        except ValueError:
+            raise ConfigError(f"bad value {raw!r} for {key}") from None
     return _DEFAULTS.get(key)
 
 
@@ -310,8 +317,6 @@ def _add_common(sub):
     sub.add_argument("--solver", choices=["bicgstab", "cg"])
     sub.add_argument("--eta", type=float)
     sub.add_argument("--maxit", type=int)
-    sub.add_argument("--on-the-fly", dest="on_the_fly", action="store_true",
-                     default=None)
     sub.add_argument("--allow-large", dest="allow_large", action="store_true",
                      default=None)
     sub.add_argument("--nnz-guard", dest="nnz_guard", type=float)
@@ -351,7 +356,6 @@ def _config_from_args(args, p, k):
         solver=_merge(args, "solver"),
         eta=_merge(args, "eta", float),
         maxit=_merge(args, "maxit", int),
-        on_the_fly=bool(_merge(args, "on_the_fly")),
         allow_large=bool(_merge(args, "allow_large")),
         nnz_guard=float(_merge(args, "nnz_guard", float)),
     )
@@ -359,9 +363,9 @@ def _config_from_args(args, p, k):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args._file_values = _read_config_file(args.config) if args.config else {}
-    out = _merge(args, "out")
     try:
+        args._file_values = _read_config_file(args.config) if args.config else {}
+        out = _merge(args, "out")
         if args.command == "solve":
             rec = run_solve(_config_from_args(args, args.degree,
                                               args.mesh_exp))

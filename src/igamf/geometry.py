@@ -5,12 +5,25 @@ A :class:`GeometryMap` evaluates F and J_F at batches of parametric points
 given as an array of shape (npts, d).  The quarter-ring map is analytic
 (polar coordinates) and parametrizes the thick quarter annulus
 {1 <= x1^2 + x2^2 <= 4, x1 >= 0, x2 >= 0, 0 <= x3 <= 1} exactly.
+
+:func:`pullback` is the one place where Jacobians are turned into the
+quantities integrals need (det J_F and its cofactors), and the one place
+where a degenerate map is detected.
 """
 
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+
+class DegenerateGeometryError(RuntimeError):
+    def __init__(self, point, det):
+        self.point = point
+        self.det = det
+        super().__init__(
+            f"non-positive Jacobian determinant {det:.3e} at parametric point {point}"
+        )
 
 
 @dataclass(frozen=True)
@@ -42,6 +55,41 @@ class GeometryMap:
             xm[:, l] -= eps
             J[:, :, l] = (self.evaluate(xp) - self.evaluate(xm)) / (2 * eps)
         return J
+
+
+def pullback(geom: GeometryMap, xi: np.ndarray):
+    """det J_F and the cofactor matrix of J_F at parametric points (d <= 3).
+
+    Returns ``(det, cof)`` of shapes (npts,) and (npts, d, d), in closed
+    form, so that J_F^-1 = cof^T / det and J_F^-T grad = cof @ grad / det.
+    J_F itself is not kept.  Raises :class:`DegenerateGeometryError` at the
+    first point where det J_F <= 0.
+    """
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    J = geom.jacobian(xi)
+    d = J.shape[1]
+    if d > 3:
+        raise ValueError(f"closed-form pullback needs dimension <= 3, got {d}")
+    cof = np.empty_like(J)
+    if d == 1:
+        cof[:, 0, 0] = 1.0
+    elif d == 2:
+        cof[:, 0, 0] = J[:, 1, 1]
+        cof[:, 0, 1] = -J[:, 1, 0]
+        cof[:, 1, 0] = -J[:, 0, 1]
+        cof[:, 1, 1] = J[:, 0, 0]
+    else:
+        for i in range(3):
+            i1, i2 = (i + 1) % 3, (i + 2) % 3
+            for j in range(3):
+                j1, j2 = (j + 1) % 3, (j + 2) % 3
+                cof[:, i, j] = J[:, i1, j1] * J[:, i2, j2] - J[:, i1, j2] * J[:, i2, j1]
+    det = np.einsum("qj,qj->q", J[:, 0, :], cof[:, 0, :])
+    bad = det <= 0
+    if np.any(bad):
+        q = int(np.argmax(bad))
+        raise DegenerateGeometryError(tuple(xi[q]), float(det[q]))
+    return det, cof
 
 
 def identity_map(d: int = 3) -> GeometryMap:

@@ -1,10 +1,12 @@
 # -*- coding: utf-8 -*-
 """Kronecker-product matrix-vector products by sum-factorization.
 
-A :class:`KronOperator` holds d rectangular factors A^(1), ..., A^(d)
-(direction order; the operator is A^(d) x ... x A^(1) under the convention
-that direction 1 is the fastest-running index).  ``apply`` contracts one
-mode at a time, starting from direction d, and never forms the full matrix.
+A Kronecker operator is given as a list of d rectangular factors
+A^(1), ..., A^(d) in direction order; the operator is A^(d) x ... x A^(1)
+under the convention that direction 1 is the fastest-running index.
+:func:`kron_apply` contracts one mode at a time, starting from direction d,
+and never forms the full matrix; :func:`kron_materialize` forms it, as an
+oracle.
 """
 
 import numpy as np
@@ -31,40 +33,6 @@ class CostMeter:
     def reset(self):
         self.flops = 0
         self.bytes_peak = 0
-
-
-def _factor_shape(a):
-    return a.shape
-
-
-class KronOperator:
-    """Kronecker product of per-direction factors, applied matrix-free."""
-
-    def __init__(self, factors):
-        self.factors = [
-            f if sp.issparse(f) else np.asarray(f, dtype=float) for f in factors
-        ]
-        if not self.factors:
-            raise ValueError("need at least one factor")
-        for f in self.factors:
-            if f.ndim != 2:
-                raise ValueError("factors must be matrices")
-
-    @property
-    def dim(self) -> int:
-        return len(self.factors)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        rows = int(np.prod([f.shape[0] for f in self.factors]))
-        cols = int(np.prod([f.shape[1] for f in self.factors]))
-        return rows, cols
-
-    def apply(self, x, meter: CostMeter | None = None) -> np.ndarray:
-        return kron_apply(self.factors, x, meter)
-
-    def materialize(self, max_entries: int = 10**7):
-        return kron_materialize(self.factors, max_entries)
 
 
 def kron_apply(factors, x, meter: CostMeter | None = None) -> np.ndarray:
@@ -117,20 +85,6 @@ def kron_materialize(factors, max_entries: int = 10**7):
         f = sp.csr_matrix(f)
         out = f if out is None else sp.kron(out, f, format="csr")
     return sp.csr_matrix(out)
-
-
-def dense_kron_flops(s: int, t: int, d: int) -> int:
-    """Flop count of sum-factorization with d dense s-by-t factors."""
-    return 2 * s * t * sum(s**k * t ** (d - 1 - k) for k in range(d))
-
-
-def sparse_kron_flop_bound(factors) -> int:
-    """Upper bound on sum-factorization flops for sparse factors."""
-    d = len(factors)
-    s = max(f.shape[0] for f in factors)
-    t = max(f.shape[1] for f in factors)
-    max_nnz = max(f.nnz if sp.issparse(f) else f.size for f in factors)
-    return 2 * max_nnz * sum(s**k * t ** (d - 1 - k) for k in range(d))
 
 
 def tensor_grid(points_per_dir):

@@ -1,257 +1,155 @@
 # -*- coding: utf-8 -*-
 """Matrix-free mass and stiffness operators built on weighted quadrature.
 
-The mass operator applies W D B in three stages (collocation Kronecker
-apply, diagonal coefficient scale, weight Kronecker apply); the stiffness
-operator accumulates the d*d derivative-pair terms with shared symmetric
-coefficient grids.  Factors are restricted to the Dirichlet-interior basis;
-boundary rows/columns are never formed.
-
-Coefficient grids can be precomputed (default) or recomputed on the fly at
-every apply, trading flops for O(N_q) peak memory.
+A weighted-quadrature operator is a short sum of Kronecker terms
+W diag(c) B: per-direction weight factors W, a coefficient grid c at the
+tensor quadrature points and per-direction collocation factors B.
+:func:`wq_terms` lists the terms and :func:`coefficient_grids` evaluates
+the grids; the matrix-free operators here and the explicit assembly oracle
+both consume them.  The mass operator is one term; the stiffness operator
+has d*d derivative-pair terms over d(d+1)/2 symmetric grids, and its apply
+shares the d collocation contractions among them.  Factors are restricted
+to the Dirichlet-interior basis; boundary rows/columns are never formed.
+Coefficient grids are evaluated once, at setup.
 """
 
 import numpy as np
 
-from .kron import CostMeter, kron_apply, tensor_grid
+from .geometry import pullback
+from .kron import CostMeter, kron_apply
 from .wq import TensorRule
 
-#: nominal flop charge per coefficient value evaluated during setup or
-#: on-the-fly apply (geometry Jacobian, inverse and determinant); used for
-#: cost accounting only.
+#: nominal flop charge per coefficient value evaluated during setup
+#: (geometry Jacobian, cofactors and determinant); used for cost accounting
+#: only.
 COEFF_EVAL_FLOPS = 60
 
 
-class DegenerateGeometryError(RuntimeError):
-    def __init__(self, point, det):
-        self.point = point
-        self.det = det
-        super().__init__(
-            f"non-positive Jacobian determinant {det:.3e} at parametric point {point}"
-        )
+def _check_kind(kind):
+    if kind not in ("mass", "stiffness"):
+        raise ValueError(f"unknown kind {kind!r}")
 
 
-def _coeff_matrix_field(K, npts, d):
-    """Evaluate the diffusion field K as an (npts, d, d) array."""
-    if K is None:
-        return np.broadcast_to(np.eye(d), (npts, d, d))
-    K = np.asarray(K, dtype=float) if not callable(K) else K
-    if callable(K):
-        raise TypeError("callable K fields must be evaluated by the caller")
-    if K.shape == (d, d):
-        return np.broadcast_to(K, (npts, d, d))
-    return K
+def wq_terms(rule: TensorRule, kind: str):
+    """The interior-restricted WQ operator as (W-factors, key, B-factors) terms.
 
-
-def _eval_mass_coeff(rule: TensorRule, geom, alpha):
-    """alpha * det(J_F) at every tensor quadrature point."""
-    grids = rule.point_arrays()
-    xi = np.stack(grids, axis=1)
-    J = geom.jacobian(xi)
-    det = np.linalg.det(J)
-    if np.any(det <= 0):
-        q = int(np.argmax(det <= 0))
-        raise DegenerateGeometryError(tuple(xi[q]), float(det[q]))
-    if callable(alpha):
-        vals = alpha(geom.evaluate(xi)) * det
-    else:
-        vals = float(alpha) * det
-        if np.isscalar(vals):
-            vals = np.full(rule.n_points, vals)
-    return np.asarray(vals, dtype=float)
-
-
-def _eval_stiffness_coeffs(rule: TensorRule, geom, K):
-    """Symmetric pullback coefficient grids C = det(J) J^-1 K J^-T.
-
-    Returns a dict keyed by (a, b) with a <= b (0-based directions).
+    The operator is the sum over terms of
+    kron(W-factors) diag(grids[key]) kron(B-factors), with the grids of
+    :func:`coefficient_grids` and factors listed in direction order.
+    ``"mass"``: one term W^(0,0), key None, values B.  ``"stiffness"``: for
+    each direction pair (a, b), W^(a_l,b_l) with a_l = [l == a] and
+    b_l = [l == b], key (min(a, b), max(a, b)), and B differentiated in
+    direction b.  Terms of one b are adjacent and share one B-factor list.
     """
-    d = rule.dim
-    grids = rule.point_arrays()
-    xi = np.stack(grids, axis=1)
-    J = geom.jacobian(xi)
-    det = np.linalg.det(J)
-    if np.any(det <= 0):
-        q = int(np.argmax(det <= 0))
-        raise DegenerateGeometryError(tuple(xi[q]), float(det[q]))
-    Jinv = np.linalg.inv(J)
-    if callable(K):
-        Kvals = K(geom.evaluate(xi))
+    _check_kind(kind)
+
+    def W(a, b):
+        return [r.weights[(1 if l == a else 0, 1 if l == b else 0)][1:-1, :].tocsr()
+                for l, r in enumerate(rule.rules)]
+
+    def B(b):
+        return [r.colloc[1 if l == b else 0][:, 1:-1].tocsr()
+                for l, r in enumerate(rule.rules)]
+
+    if kind == "mass":
+        return [(W(None, None), None, B(None))]
+    terms = []
+    for b in range(rule.dim):
+        Bb = B(b)
+        terms += [(W(a, b), (min(a, b), max(a, b)), Bb) for a in range(rule.dim)]
+    return terms
+
+
+def coefficient_grids(kind: str, geom, xi, coeff=None):
+    """Pulled-back coefficient values at parametric points, keyed as in :func:`wq_terms`.
+
+    ``"mass"``: {None: alpha det J_F}, with ``coeff`` = alpha a scalar or a
+    physical field (default 1).  ``"stiffness"``: {(a, b): C_ab for a <= b}
+    with C = det J_F J_F^-1 K J_F^-T = cof^T K cof / det J_F, where
+    ``coeff`` = K is None (identity), a symmetric d x d matrix, or a
+    physical field returning (npts, d, d) values.  Raises
+    :class:`~igamf.geometry.DegenerateGeometryError` where det J_F <= 0.
+    """
+    _check_kind(kind)
+    det, cof = pullback(geom, xi)
+    if kind == "mass":
+        alpha = 1.0 if coeff is None else coeff
+        scale = alpha(geom.evaluate(xi)) if callable(alpha) else float(alpha)
+        return {None: np.asarray(scale * det, dtype=float)}
+    if coeff is None:
+        Kcof = cof
     else:
-        Kvals = _coeff_matrix_field(K, len(xi), d)
-    # integrand (grad b_i)^T K grad b_j pulls back with J^-1 K J^-T
-    C = np.einsum("qij,qjk,qlk->qil", Jinv, Kvals, Jinv) * det[:, None, None]
-    return {(a, b): np.ascontiguousarray(C[:, a, b]) for a in range(d) for b in range(a, d)}
+        K = coeff(geom.evaluate(xi)) if callable(coeff) else coeff
+        Kcof = np.matmul(np.asarray(K, dtype=float), cof)
+    d = cof.shape[1]
+    return {(a, b): np.einsum("qi,qi->q", cof[:, :, a], Kcof[:, :, b]) / det
+            for a in range(d) for b in range(a, d)}
 
 
-class MassOperator:
-    """Matrix-free weighted-quadrature mass operator on the interior space."""
+class _WQOperator:
+    """Term list and stored coefficient grids of one WQ operator."""
 
-    def __init__(self, space, rule: TensorRule, geom, alpha=1.0, on_the_fly=False):
+    def __init__(self, space, rule: TensorRule, geom, kind, coeff):
         self.space = space
         self.rule = rule
         self.geom = geom
-        self.alpha = alpha
-        self.on_the_fly = on_the_fly
-        self.n = space.n_per_dir
         self.n_dofs = space.n_dofs
-        # interior restriction: drop first/last basis function per direction
-        self.B = [r.colloc[0][:, 1:-1].tocsr() for r in rule.rules]
-        self.W = [r.weights[(0, 0)][1:-1, :].tocsr() for r in rule.rules]
-        self.coeff = None if on_the_fly else _eval_mass_coeff(rule, geom, alpha)
-        self.setup_flops = 0 if on_the_fly else COEFF_EVAL_FLOPS * rule.n_points
+        self.terms = wq_terms(rule, kind)
+        xi = np.stack(rule.point_arrays(), axis=1)
+        self.coeffs = coefficient_grids(kind, geom, xi, coeff)
+        self.setup_flops = COEFF_EVAL_FLOPS * rule.n_points * len(self.coeffs)
 
     @property
     def coeff_scalars(self) -> int:
         """Stored coefficient-grid scalars."""
-        return 0 if self.coeff is None else self.coeff.size
-
-    def set_on_the_fly(self, enabled: bool):
-        """Toggle on-the-fly coefficient evaluation (drops or fills the grid)."""
-        if enabled and not self.on_the_fly:
-            self.coeff = None
-        elif not enabled and self.on_the_fly:
-            self.coeff = _eval_mass_coeff(self.rule, self.geom, self.alpha)
-        self.on_the_fly = enabled
-
-    def apply(self, v, meter: CostMeter | None = None) -> np.ndarray:
-        v = np.asarray(v, dtype=float).ravel()
-        if v.size != self.n_dofs:
-            raise ValueError(f"expected vector of length {self.n_dofs}, got {v.size}")
-        vt = kron_apply(self.B, v, meter)
-        if self.on_the_fly:
-            coeff = _eval_mass_coeff(self.rule, self.geom, self.alpha)
-            if meter is not None:
-                meter.add_flops(COEFF_EVAL_FLOPS * self.rule.n_points)
-            vt *= coeff
-            del coeff
-        else:
-            vt *= self.coeff
-        if meter is not None:
-            meter.add_flops(self.rule.n_points)
-        return kron_apply(self.W, vt, meter)
-
-
-class StiffnessOperator:
-    """Matrix-free weighted-quadrature stiffness operator (interior space)."""
-
-    def __init__(self, space, rule: TensorRule, geom, K=None, on_the_fly=False):
-        self.space = space
-        self.rule = rule
-        self.geom = geom
-        self.K = K
-        self.on_the_fly = on_the_fly
-        self.d = rule.dim
-        self.n_dofs = space.n_dofs
-        self.B = {
-            b: [
-                r.colloc[1 if l == b else 0][:, 1:-1].tocsr()
-                for l, r in enumerate(rule.rules)
-            ]
-            for b in range(self.d)
-        }
-        self.W = {
-            (a, b): [
-                r.weights[(1 if l == a else 0, 1 if l == b else 0)][1:-1, :].tocsr()
-                for l, r in enumerate(rule.rules)
-            ]
-            for a in range(self.d)
-            for b in range(self.d)
-        }
-        self.coeffs = None if on_the_fly else _eval_stiffness_coeffs(rule, geom, K)
-        n_grids = self.d * (self.d + 1) // 2
-        self.setup_flops = 0 if on_the_fly else COEFF_EVAL_FLOPS * rule.n_points * n_grids
-
-    @property
-    def coeff_scalars(self) -> int:
-        if self.coeffs is None:
-            return 0
         return sum(g.size for g in self.coeffs.values())
 
-    def set_on_the_fly(self, enabled: bool):
-        if enabled and not self.on_the_fly:
-            self.coeffs = None
-        elif not enabled and self.on_the_fly:
-            self.coeffs = _eval_stiffness_coeffs(self.rule, self.geom, self.K)
-        self.on_the_fly = enabled
-
-    def _coeff(self, a, b, fly_cache):
-        key = (min(a, b), max(a, b))
-        if not self.on_the_fly:
-            return self.coeffs[key]
-        # recompute a single grid and discard it after use
-        return _eval_stiffness_coeff_single(self.rule, self.geom, self.K, key)
-
-    def apply(self, v, meter: CostMeter | None = None) -> np.ndarray:
+    def _vector(self, v):
         v = np.asarray(v, dtype=float).ravel()
         if v.size != self.n_dofs:
             raise ValueError(f"expected vector of length {self.n_dofs}, got {v.size}")
+        return v
+
+
+class MassOperator(_WQOperator):
+    """Matrix-free weighted-quadrature mass operator on the interior space."""
+
+    def __init__(self, space, rule: TensorRule, geom, alpha=1.0):
+        super().__init__(space, rule, geom, "mass", alpha)
+
+    def apply(self, v, meter: CostMeter | None = None) -> np.ndarray:
+        (W, key, B), = self.terms
+        vt = kron_apply(B, self._vector(v), meter)
+        vt *= self.coeffs[key]
+        if meter is not None:
+            meter.add_flops(self.rule.n_points)
+        return kron_apply(W, vt, meter)
+
+
+class StiffnessOperator(_WQOperator):
+    """Matrix-free weighted-quadrature stiffness operator (interior space)."""
+
+    def __init__(self, space, rule: TensorRule, geom, K=None):
+        super().__init__(space, rule, geom, "stiffness", K)
+
+    def apply(self, v, meter: CostMeter | None = None) -> np.ndarray:
+        v = self._vector(v)
         w = np.zeros(self.n_dofs)
         nq = self.rule.n_points
-        for b in range(self.d):
-            vt = kron_apply(self.B[b], v, meter)
-            for a in range(self.d):
-                c = self._coeff(a, b, None)
-                if self.on_the_fly and meter is not None:
-                    meter.add_flops(COEFF_EVAL_FLOPS * nq)
-                vtt = c * vt
-                del c
-                if meter is not None:
-                    meter.add_flops(nq)
-                w += kron_apply(self.W[(a, b)], vtt, meter)
-                if meter is not None:
-                    meter.add_flops(2 * self.n_dofs)
+        B_done = vt = None
+        for W, key, B in self.terms:
+            if B is not B_done:
+                vt = kron_apply(B, v, meter)
+                B_done = B
+            w += kron_apply(W, self.coeffs[key] * vt, meter)
+            if meter is not None:
+                meter.add_flops(nq + 2 * self.n_dofs)
         return w
 
 
-def _eval_stiffness_coeff_single(rule, geom, K, key):
-    """One C_ab grid, evaluated on demand (on-the-fly mode)."""
-    a, b = key
-    d = rule.dim
-    grids = rule.point_arrays()
-    xi = np.stack(grids, axis=1)
-    J = geom.jacobian(xi)
-    det = np.linalg.det(J)
-    Jinv = np.linalg.inv(J)
-    if callable(K):
-        Kvals = K(geom.evaluate(xi))
-    else:
-        Kvals = _coeff_matrix_field(K, len(xi), d)
-    return np.einsum("qj,qjk,qk->q", Jinv[:, a, :], Kvals, Jinv[:, b, :]) * det
+def setup_mass(space, rule, geom, alpha=1.0) -> MassOperator:
+    return MassOperator(space, rule, geom, alpha=alpha)
 
 
-def setup_mass(space, rule, geom, alpha=1.0, on_the_fly=False) -> MassOperator:
-    return MassOperator(space, rule, geom, alpha=alpha, on_the_fly=on_the_fly)
-
-
-def setup_stiffness(space, rule, geom, K=None, on_the_fly=False) -> StiffnessOperator:
-    return StiffnessOperator(space, rule, geom, K=K, on_the_fly=on_the_fly)
-
-
-def apply_system(mass_op, stiff_op, v, meter: CostMeter | None = None) -> np.ndarray:
-    """Apply the full system operator (stiffness plus mass).
-
-    When the mass operator is absent or has a zero reaction coefficient, the
-    mass term is skipped entirely.
-    """
-    w = stiff_op.apply(v, meter)
-    skip_mass = mass_op is None or (
-        not callable(mass_op.alpha) and float(mass_op.alpha) == 0.0
-    )
-    if not skip_mass:
-        w = w + mass_op.apply(v, meter)
-        if meter is not None:
-            meter.add_flops(2 * stiff_op.n_dofs)
-    return w
-
-
-class SystemOperator:
-    """Convenience wrapper exposing (stiffness + mass) as a single apply."""
-
-    def __init__(self, stiff_op, mass_op=None):
-        self.stiff_op = stiff_op
-        self.mass_op = mass_op
-        self.n_dofs = stiff_op.n_dofs
-
-    def apply(self, v, meter: CostMeter | None = None) -> np.ndarray:
-        return apply_system(self.mass_op, self.stiff_op, v, meter)
+def setup_stiffness(space, rule, geom, K=None) -> StiffnessOperator:
+    return StiffnessOperator(space, rule, geom, K=K)

@@ -16,10 +16,9 @@ from functools import lru_cache
 import numpy as np
 import sympy
 
+from .assembly import tensor_gauss_sum
 from .geometry import identity_map, quarter_ring_map  # noqa: F401  (re-export)
-from .kron import kron_apply, tensor_grid
-from .splines import collocation_matrix
-from .wq import gauss_points_weights
+from .kron import kron_apply
 
 #: reference relative H1 errors of the fully solved quarter-ring benchmark,
 #: keyed by (degree, mesh exponent); used to derive stopping tolerances.
@@ -94,58 +93,33 @@ def cube_sine_case() -> ManufacturedCase:
     return _lambdify_case("cube-sine", u, (x1, x2, x3), 0.0, {})
 
 
-def _error_integrals(space, geom, u_coeffs, case, gauss_pts, with_gradient,
-                     chunk_points=2 * 10**6):
-    """Chunked tensor-Gauss accumulation of error and reference norms."""
+def _error_integrals(space, geom, u_coeffs, case, gauss_pts, with_gradient):
+    """Tensor-Gauss sums of the squared error and reference norms."""
     u_coeffs = np.asarray(u_coeffs, dtype=float).ravel()
     if u_coeffs.size != space.n_dofs:
         raise ValueError(
             f"expected coefficient vector of length {space.n_dofs}, got {u_coeffs.size}"
         )
     d = space.dim
-    pts, wts, B0, B1 = [], [], [], []
-    for kv in space.knotvectors:
-        x, w = gauss_points_weights(kv, gauss_pts)
-        pts.append(x)
-        wts.append(w)
-        B0.append(collocation_matrix(kv, x, 0)[:, 1:-1].tocsr())
-        B1.append(collocation_matrix(kv, x, 1)[:, 1:-1].tocsr())
-    n_last = len(pts[-1])
-    lower = int(np.prod([len(q) for q in pts[:-1]]))
-    block = max(1, min(n_last, chunk_points // max(lower, 1)))
-    err2 = 0.0
-    ref2 = 0.0
-    for start in range(0, n_last, block):
-        stop = min(start + block, n_last)
-        sub_pts = pts[:-1] + [pts[-1][start:stop]]
-        xi = np.stack(tensor_grid(sub_pts), axis=1)
-        wtot = np.ones(len(xi))
-        for w in tensor_grid(wts[:-1] + [wts[-1][start:stop]]):
-            wtot = wtot * w
-        J = geom.jacobian(xi)
-        det = np.linalg.det(J)
-        measure = wtot * det
-        x_phys = geom.evaluate(xi)
-        fac0 = B0[:-1] + [B0[-1][start:stop, :]]
-        uh = kron_apply(fac0, u_coeffs)
-        ue = case.u(x_phys)
-        err2 += measure @ (ue - uh) ** 2
-        ref2 += measure @ ue**2
+
+    def integrand(x, measure, det, cof, B0, B1):
+        ue = case.u(x)
+        e = ue - kron_apply(B0, u_coeffs)
+        err2 = measure @ e**2
+        ref2 = measure @ ue**2
         if with_gradient:
-            gp = np.empty((len(xi), d))
-            for b in range(d):
-                fac = [
-                    (B1[l] if l == b else B0[l]) if l < d - 1
-                    else (B1[l][start:stop, :] if l == b else B0[l][start:stop, :])
-                    for l in range(d)
-                ]
-                gp[:, b] = kron_apply(fac, u_coeffs)
-            Jinv = np.linalg.inv(J)
-            gh = np.einsum("qji,qj->qi", Jinv, gp)
-            ge = case.grad_u(x_phys)
-            err2 += measure @ np.sum((ge - gh) ** 2, axis=1)
-            ref2 += measure @ np.sum(ge**2, axis=1)
-    return err2, ref2
+            gp = np.stack([kron_apply([B1[l] if l == b else B0[l] for l in range(d)],
+                                      u_coeffs) for b in range(d)], axis=1)
+            # physical gradient J_F^-T grad = cof grad / det
+            gh = np.einsum("qij,qj->qi", cof, gp)
+            gh /= det[:, None]
+            ge = case.grad_u(x)
+            gh -= ge
+            err2 += measure @ np.einsum("qi,qi->q", gh, gh)
+            ref2 += measure @ np.einsum("qi,qi->q", ge, ge)
+        return np.array([err2, ref2])
+
+    return tensor_gauss_sum(space, geom, gauss_pts, integrand)
 
 
 def h1_relative_error(space, geom, u_coeffs, case, gauss_pts=None) -> float:

@@ -195,15 +195,6 @@ class TensorRule:
 
         return tensor_grid([r.points for r in self.rules])
 
-    def weight_entry(self, multi_i, multi_q, a_per_dir, b_per_dir) -> float:
-        """One entry of the implicit multivariate weight matrix (tensorized)."""
-        out = 1.0
-        for rule, i, q, a, b in zip(
-            self.rules, multi_i, multi_q, a_per_dir, b_per_dir
-        ):
-            out *= rule.weights[(a, b)][i, q]
-        return out
-
 
 def build_tensor_rule(space) -> TensorRule:
     """Weighted-quadrature rules for every direction of a tensor space."""

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from igamf import (MemoryGuardError, assemble_rhs, assemble_sgq,
-                   assemble_wq_explicit, build_tensor_rule, exact_gram,
+                   assemble_wq_explicit, assembly, build_tensor_rule, exact_gram,
                    estimate_matrix_nnz, identity_map, kron_materialize,
                    make_uniform_knots, max_row_nnz, oscillating_case,
                    quarter_ring_map, tensor_space)
@@ -100,12 +100,13 @@ class TestRHS:
         r2 = assemble_rhs(space, geom, case.f, gauss_pts_per_span=24)
         assert np.linalg.norm(r1 - r2) <= 1e-10 * np.linalg.norm(r2)
 
-    def test_chunking_invariance(self):
+    def test_chunking_invariance(self, monkeypatch):
         space = tensor_space(2, 4, 3)
         case = oscillating_case()
         geom = quarter_ring_map()
         r1 = assemble_rhs(space, geom, case.f)
-        r2 = assemble_rhs(space, geom, case.f, chunk_points=1000)
+        monkeypatch.setattr(assembly, "SLAB_POINTS", 1000)
+        r2 = assemble_rhs(space, geom, case.f)
         assert np.allclose(r1, r2, atol=1e-14)
 
 

@@ -140,12 +140,35 @@ class TestConfigFile:
         assert rec["method"] == "mfwq"  # flag beats file
         assert rec["nnz"] == ""  # matrix-free: no stored matrix
 
-    def test_bad_config_line(self, tmp_path):
+    def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("geometry cube\n")
-        with pytest.raises(ConfigError):
-            main(["solve", "--degree", "1", "--mesh-exp", "2",
-                  "--config", str(cfg)])
+        rc = main(["solve", "--degree", "1", "--mesh-exp", "2",
+                   "--config", str(cfg)])
+        assert rc == 2
+        assert "bad.cfg:1: expected key = value" in capsys.readouterr().err
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "stale.cfg"
+        cfg.write_text("geometry = cube\non-the-fly = true\n")
+        rc = main(["solve", "--degree", "1", "--mesh-exp", "2",
+                   "--config", str(cfg)])
+        assert rc == 2
+        assert "stale.cfg:2: unknown key 'on_the_fly'" in capsys.readouterr().err
+
+    def test_bad_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "value.cfg"
+        cfg.write_text("eta = small\n")
+        rc = main(["solve", "--degree", "1", "--mesh-exp", "2",
+                   "--config", str(cfg)])
+        assert rc == 2
+        assert "bad value 'small' for eta" in capsys.readouterr().err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        rc = main(["solve", "--degree", "1", "--mesh-exp", "2",
+                   "--config", str(tmp_path / "absent.cfg")])
+        assert rc == 2
+        assert "cannot read config file" in capsys.readouterr().err
 
 
 class TestEntryPoint:

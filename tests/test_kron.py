@@ -4,8 +4,21 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igamf import CostMeter, KronOperator, kron_apply, kron_materialize
-from igamf.kron import dense_kron_flops, sparse_kron_flop_bound, tensor_grid
+from igamf import CostMeter, kron_apply, kron_materialize, tensor_grid
+
+
+def dense_kron_flops(s, t, d):
+    """Flop count of sum-factorization with d dense s-by-t factors."""
+    return 2 * s * t * sum(s**k * t ** (d - 1 - k) for k in range(d))
+
+
+def sparse_kron_flop_bound(factors):
+    """Upper bound on sum-factorization flops for sparse factors."""
+    d = len(factors)
+    s = max(f.shape[0] for f in factors)
+    t = max(f.shape[1] for f in factors)
+    max_nnz = max(f.nnz for f in factors)
+    return 2 * max_nnz * sum(s**k * t ** (d - 1 - k) for k in range(d))
 
 
 def random_factors(rng, d, smax=6):
@@ -138,15 +151,6 @@ class TestCostAccounting:
         assert mid.shape == (343,)
         out = kron_apply(W, mid)
         assert out.shape == (64,)
-
-
-class TestKronOperator:
-    def test_shape_and_apply(self):
-        rng = np.random.default_rng(0)
-        op = KronOperator([rng.standard_normal((3, 5)) for _ in range(2)])
-        assert op.shape == (9, 25)
-        x = rng.standard_normal(25)
-        assert np.allclose(op.apply(x), op.materialize() @ x, atol=1e-13)
 
 
 class TestTensorGrid:

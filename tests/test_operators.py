@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from igamf import (CostMeter, DegenerateGeometryError, GeometryMap,
-                   MassOperator, SystemOperator, apply_system,
-                   assemble_sgq, assemble_wq_explicit, build_tensor_rule,
-                   identity_map, kron_apply, quarter_ring_map, setup_mass,
-                   setup_stiffness, tensor_space)
-from igamf.operators import (_eval_mass_coeff, _eval_stiffness_coeffs)
+                   affine_map, assemble_rhs, assemble_sgq,
+                   assemble_wq_explicit, build_tensor_rule, coefficient_grids,
+                   cube_sine_case, h1_relative_error, identity_map, kron_apply,
+                   pullback, quarter_ring_map, quarter_ring_rational_map,
+                   setup_mass, setup_stiffness, tensor_space)
 
 
 def make(p, n_el, geom=None, d=3):
@@ -15,22 +17,35 @@ def make(p, n_el, geom=None, d=3):
     return space, rule, geom if geom is not None else identity_map(d)
 
 
+def grids(kind, rule, geom, coeff=None):
+    return coefficient_grids(kind, geom, np.stack(rule.point_arrays(), axis=1),
+                             coeff)
+
+
+def folded_map():
+    """A map whose Jacobian determinant is negative everywhere."""
+    return GeometryMap(
+        dim=3, kind="folded",
+        _map=lambda xi: xi.copy(),
+        _jacobian=lambda xi: np.broadcast_to(
+            np.diag([1.0, -1.0, 1.0]), (len(xi), 3, 3)).copy())
+
+
 class TestCoefficientGrids:
     def test_mass_identity_geometry(self):
         space, rule, geom = make(2, 3)
-        vals = _eval_mass_coeff(rule, geom, 1.0)
+        vals = grids("mass", rule, geom, 1.0)[None]
         assert np.allclose(vals, 1.0)
 
     def test_mass_quarter_ring_determinant(self):
         space, rule, geom = make(2, 3, quarter_ring_map())
-        vals = _eval_mass_coeff(rule, geom, 1.0)
+        vals = grids("mass", rule, geom, 1.0)[None]
         xi1 = rule.point_arrays()[0]
         assert np.allclose(vals, (np.pi / 2) * (1 + xi1), atol=1e-13)
 
     def test_stiffness_identity_is_kronecker_delta(self):
         space, rule, geom = make(2, 3)
-        grids = _eval_stiffness_coeffs(rule, geom, None)
-        for (a, b), g in grids.items():
+        for (a, b), g in grids("stiffness", rule, geom).items():
             assert np.allclose(g, 1.0 if a == b else 0.0, atol=1e-14)
 
     def test_symmetric_storage_count(self):
@@ -45,23 +60,65 @@ class TestCoefficientGrids:
 
     def test_stiffness_coeff_spd_on_ring(self):
         space, rule, geom = make(1, 3, quarter_ring_map())
-        grids = _eval_stiffness_coeffs(rule, geom, None)
         nq = rule.n_points
         C = np.empty((nq, 3, 3))
-        for (a, b), g in grids.items():
+        for (a, b), g in grids("stiffness", rule, geom).items():
             C[:, a, b] = g
             C[:, b, a] = g
         assert np.linalg.eigvalsh(C).min() > 0
 
     def test_degenerate_geometry_reported(self):
-        folded = GeometryMap(
-            dim=3, kind="folded",
-            _map=lambda xi: xi,
-            _jacobian=lambda xi: np.broadcast_to(
-                np.diag([1.0, -1.0, 1.0]), (len(xi), 3, 3)))
         space, rule, _ = make(1, 2)
         with pytest.raises(DegenerateGeometryError):
-            _eval_mass_coeff(rule, folded, 1.0)
+            grids("mass", rule, folded_map(), 1.0)
+
+    def test_pullback_matches_dense_linear_algebra(self):
+        # the closed-form cofactors against numpy's det and inverse
+        space, rule, geom = make(2, 3, quarter_ring_rational_map())
+        xi = np.stack(rule.point_arrays(), axis=1)
+        J = geom.jacobian(xi)
+        det, cof = pullback(geom, xi)
+        assert np.allclose(det, np.linalg.det(J), rtol=1e-14, atol=0)
+        assert np.allclose(np.swapaxes(cof, 1, 2) / det[:, None, None],
+                           np.linalg.inv(J), rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("A", [[[2.0]], [[1.5, 0.4], [-0.3, 0.8]]])
+    def test_pullback_low_dimensions(self, A):
+        A = np.array(A)
+        xi = np.random.default_rng(0).uniform(size=(5, len(A)))
+        det, cof = pullback(affine_map(A, np.zeros(len(A))), xi)
+        assert np.allclose(det, np.linalg.det(A), rtol=1e-15)
+        assert np.allclose(np.swapaxes(cof, 1, 2) / det[:, None, None],
+                           np.linalg.inv(A), rtol=1e-15)
+
+    def test_stiffness_grids_match_dense_pullback(self):
+        # C = det J^-1 K J^-T with a constant anisotropic K
+        space, rule, geom = make(2, 3, quarter_ring_rational_map())
+        K = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+        xi = np.stack(rule.point_arrays(), axis=1)
+        J = geom.jacobian(xi)
+        Jinv = np.linalg.inv(J)
+        C = np.einsum("qij,jk,qlk->qil", Jinv, K, Jinv) * np.linalg.det(J)[:, None, None]
+        for (a, b), g in grids("stiffness", rule, geom, K).items():
+            assert np.allclose(g, C[:, a, b], rtol=1e-13, atol=1e-14)
+
+
+class TestDegenerateGeometry:
+    def test_every_path_raises(self):
+        # a folded map (det J < 0) is reported by every path that integrates
+        space, rule, _ = make(1, 2)
+        geom = folded_map()
+        case = cube_sine_case()
+        calls = [
+            lambda: setup_stiffness(space, rule, geom),
+            lambda: setup_mass(space, rule, geom),
+            lambda: assemble_sgq(space, geom, kind="stiffness"),
+            lambda: assemble_rhs(space, geom, case.f),
+            lambda: h1_relative_error(space, geom, np.zeros(space.n_dofs), case),
+        ]
+        for call in calls:
+            with pytest.raises(DegenerateGeometryError):
+                call()
 
 
 class TestMassApply:
@@ -121,7 +178,7 @@ class TestStiffnessApply:
         # stiffness operator kills the constant: it lies in the space and
         # has zero gradient
         space, rule, geom = make(3, 4, quarter_ring_map())
-        grids = _eval_stiffness_coeffs(rule, geom, None)
+        coeffs = grids("stiffness", rule, geom)
         m = [r.kv.n_funcs for r in rule.rules]
         ones = np.ones(int(np.prod(m)))
         w = np.zeros_like(ones)
@@ -132,69 +189,25 @@ class TestStiffnessApply:
                 W = [r.weights[(1 if l == a else 0, 1 if l == b else 0)]
                      for l, r in enumerate(rule.rules)]
                 key = (min(a, b), max(a, b))
-                w += kron_apply(W, grids[key] * vt)
+                w += kron_apply(W, coeffs[key] * vt)
         assert np.abs(w).max() <= 1e-11
 
 
-class TestOnTheFly:
-    def test_agrees_with_precomputed(self):
-        space, rule, geom = make(3, 8, quarter_ring_map())
-        op = setup_stiffness(space, rule, geom)
-        fly = setup_stiffness(space, rule, geom, on_the_fly=True)
-        v = np.random.default_rng(3).standard_normal(space.n_dofs)
-        ref = op.apply(v)
-        assert np.linalg.norm(fly.apply(v) - ref) <= 1e-14 * np.linalg.norm(ref)
-
-    def test_no_stored_grids(self):
-        space, rule, geom = make(2, 4, quarter_ring_map())
-        fly = setup_stiffness(space, rule, geom, on_the_fly=True)
-        assert fly.coeff_scalars == 0
-
-    def test_toggle_round_trip(self):
-        space, rule, geom = make(2, 3, quarter_ring_map())
-        op = setup_mass(space, rule, geom)
-        stored = op.coeff_scalars
-        op.set_on_the_fly(True)
-        assert op.coeff_scalars == 0
-        op.set_on_the_fly(False)
-        assert op.coeff_scalars == stored
-
-    def test_costs_more_flops(self):
-        space, rule, geom = make(2, 4, quarter_ring_map())
-        op = setup_stiffness(space, rule, geom)
-        fly = setup_stiffness(space, rule, geom, on_the_fly=True)
-        v = np.random.default_rng(4).standard_normal(space.n_dofs)
-        m1, m2 = CostMeter(), CostMeter()
-        op.apply(v, m1)
-        fly.apply(v, m2)
-        assert m2.flops > m1.flops
-
-
-class TestSystem:
-    def test_alpha_zero_equals_stiffness(self):
-        space, rule, geom = make(2, 4, quarter_ring_map())
-        stiff = setup_stiffness(space, rule, geom)
-        mass = setup_mass(space, rule, geom, alpha=0.0)
-        v = np.random.default_rng(5).standard_normal(space.n_dofs)
-        assert np.array_equal(apply_system(mass, stiff, v), stiff.apply(v))
-
-    def test_zero_vector(self):
-        space, rule, geom = make(1, 3)
-        sys_op = SystemOperator(setup_stiffness(space, rule, geom),
-                                setup_mass(space, rule, geom))
-        assert np.array_equal(sys_op.apply(np.zeros(space.n_dofs)),
-                              np.zeros(space.n_dofs))
-
-    def test_matches_assembled_sum(self):
-        space, rule, geom = make(2, 4, quarter_ring_map())
-        stiff = setup_stiffness(space, rule, geom)
-        mass = setup_mass(space, rule, geom, alpha=1.0)
-        Km = assemble_wq_explicit(space, rule, geom, kind="stiffness").matrix
-        Mm = assemble_wq_explicit(space, rule, geom, kind="mass").matrix
-        v = np.random.default_rng(6).standard_normal(space.n_dofs)
-        ref = (Km + Mm) @ v
-        got = apply_system(mass, stiff, v)
-        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+class TestSetupMemory:
+    def test_stiffness_setup_peak(self):
+        # coefficient setup holds the Jacobian, its cofactors and the six
+        # grids, never a Jacobian inverse: peak <= 30 float64 scalars per
+        # quadrature point (43 with batched det/inv)
+        space = tensor_space(3, 16)
+        rule = build_tensor_rule(space)
+        geom = quarter_ring_rational_map()
+        tracemalloc.start()
+        try:
+            setup_stiffness(space, rule, geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * rule.n_points) <= 30
 
 
 class TestCostLaws:

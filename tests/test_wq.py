@@ -131,23 +131,6 @@ class TestTensorRule:
         assert rule.dim == 1
         assert rule.n_points == rule.rules[0].n_points
 
-    def test_weight_entry_is_product(self):
-        space = tensor_space(2, 3, 3)
-        rule = build_tensor_rule(space)
-        rng = np.random.default_rng(0)
-        dims_i = [r.kv.n_funcs for r in rule.rules]
-        dims_q = list(rule.n_points_per_dir)
-        for _ in range(20):
-            mi = [rng.integers(0, s) for s in dims_i]
-            mq = [rng.integers(0, s) for s in dims_q]
-            ab = [(rng.integers(0, 2), rng.integers(0, 2)) for _ in range(3)]
-            got = rule.weight_entry(mi, mq, [x[0] for x in ab],
-                                    [x[1] for x in ab])
-            expect = 1.0
-            for l in range(3):
-                expect *= rule.rules[l].weights[ab[l]][mi[l], mq[l]]
-            assert got == pytest.approx(expect, abs=1e-15)
-
     def test_grid_ordering(self):
         space = tensor_space(1, 2, 2)
         rule = build_tensor_rule(space)
