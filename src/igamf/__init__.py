@@ -18,7 +18,7 @@ from .geometry import (DegenerateGeometryError, GeometryMap, affine_map,
                        quarter_ring_rational_map, spline_control_net_map)
 from .operators import (COEFF_EVAL_FLOPS, MassOperator, StiffnessOperator,
                         coefficient_grids, setup_mass, setup_stiffness,
-                        wq_terms)
+                        wq_load_vector, wq_terms)
 from .assembly import (AssembledMatrix, MemoryGuardError, assemble_rhs,
                        assemble_sgq, assemble_wq_explicit,
                        estimate_matrix_nnz, max_row_nnz)
@@ -27,7 +27,7 @@ from .solvers import (FDPreconditioner, IndefiniteOperatorError, KrylovReport,
                       univariate_parametric_matrices)
 from .problems import (ManufacturedCase, QUARTER_RING_H1_REFERENCE,
                        cube_sine_case, h1_relative_error, l2_relative_error,
-                       oscillating_case)
+                       oscillating_case, relative_errors)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

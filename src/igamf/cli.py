@@ -25,9 +25,8 @@ from .assembly import (NNZ_GUARD, MemoryGuardError, assemble_rhs, assemble_sgq,
                        assemble_wq_explicit, estimate_matrix_nnz)
 from .geometry import identity_map, quarter_ring_map, quarter_ring_rational_map
 from .kron import CostMeter
-from .operators import COEFF_EVAL_FLOPS, setup_mass, setup_stiffness
-from .problems import (cube_sine_case, h1_relative_error, l2_relative_error,
-                       oscillating_case)
+from .operators import COEFF_EVAL_FLOPS, setup_stiffness, wq_load_vector
+from .problems import cube_sine_case, oscillating_case, relative_errors
 from .solvers import FDPreconditioner, bicgstab, cg, stopping_tolerance
 from .splines import tensor_space
 from .wq import build_tensor_rule
@@ -42,6 +41,18 @@ _DEFAULT_MAX_K = 6
 
 class ConfigError(ValueError):
     pass
+
+
+def _checked_solver(method, geometry, solver):
+    """The solver for ``method`` after checking the (p, k)-independent names."""
+    if method not in _METHOD_SOLVER:
+        raise ConfigError(f"unknown method {method!r}")
+    if geometry not in ("cube", "ring", "ring-polar"):
+        raise ConfigError(f"unknown geometry {geometry!r}")
+    forced = _METHOD_SOLVER[method]
+    if solver is not None and solver != forced:
+        raise ConfigError(f"method {method} requires solver {forced}, got {solver}")
+    return forced
 
 
 @dataclass
@@ -59,18 +70,7 @@ class RunConfig:
     nnz_guard: float = NNZ_GUARD
 
     def __post_init__(self):
-        if self.method not in _METHOD_SOLVER:
-            raise ConfigError(f"unknown method {self.method!r}")
-        if self.geometry not in ("cube", "ring", "ring-polar"):
-            raise ConfigError(f"unknown geometry {self.geometry!r}")
-        forced = _METHOD_SOLVER[self.method]
-        if self.solver is None:
-            self.solver = forced
-        elif self.solver != forced:
-            raise ConfigError(
-                f"method {self.method} requires solver {forced}, "
-                f"got {self.solver}"
-            )
+        self.solver = _checked_solver(self.method, self.geometry, self.solver)
         if self.degree < 1:
             raise ConfigError("degree must be >= 1")
         if self.mesh_exp < 1:
@@ -152,6 +152,7 @@ def _setup(cfg: RunConfig, geom, case):
             rec.nnz = mat.nnz
             rec.coeff_scalars = 6 * n_q
             rec.setup_flops = coeff_flops + 9 * 4 * mat.nnz
+        rhs = wq_load_vector(rule, geom, case.f)
     else:
         est = estimate_matrix_nnz(space)
         if est > cfg.nnz_guard:
@@ -163,8 +164,8 @@ def _setup(cfg: RunConfig, geom, case):
         rec.nnz = mat.nnz
         rec.coeff_scalars = 6 * n_gauss
         rec.setup_flops = 6 * n_gauss * COEFF_EVAL_FLOPS + 9 * 4 * mat.nnz
+        rhs = assemble_rhs(space, geom, case.f)
 
-    rhs = assemble_rhs(space, geom, case.f)
     precond = FDPreconditioner(space)
     rec.setup_s = time.perf_counter() - t0
 
@@ -193,7 +194,7 @@ def run_solve(cfg: RunConfig) -> RunRecord:
         # No tabulated discretization error for this configuration: solve
         # tightly once to estimate it, then re-solve at the scaled tolerance.
         x, _ = krylov(apply_A, rhs, precond.apply, tol=1e-8, maxit=cfg.maxit)
-        err = h1_relative_error(space, geom, x, case)
+        err, _ = relative_errors(space, geom, x, case)
         t0 = time.perf_counter()
         x, report = krylov(apply_A, rhs, precond.apply,
                            tol=stopping_tolerance(err, cfg.eta),
@@ -202,8 +203,7 @@ def run_solve(cfg: RunConfig) -> RunRecord:
     rec.iters = report.iterations
     rec.converged = report.converged
     rec.total_s = rec.setup_s + rec.solve_s
-    rec.error_h1 = h1_relative_error(space, geom, x, case)
-    rec.error_l2 = l2_relative_error(space, geom, x, case)
+    rec.error_h1, rec.error_l2 = relative_errors(space, geom, x, case)
     return rec
 
 
@@ -246,16 +246,17 @@ def _write_time_error(rows, out):
                                  f"{rec.total_s:.6e}", f"{rec.error_h1:.6e}"])
 
 
-def _sweep(p_list, k_list, make_cfg, runner):
+def _sweep(p_list, k_list, options, runner):
+    """One row per (p, k); a row whose config or run fails is kept empty."""
     rows = []
     for p in p_list:
         for k in k_list:
             try:
-                rows.append(runner(make_cfg(p, k)))
+                rows.append(runner(RunConfig(degree=p, mesh_exp=k, **options)))
             except (MemoryGuardError, ConfigError, RuntimeError,
                     MemoryError) as exc:
                 print(f"run p={p} k={k} failed: {exc}", file=sys.stderr)
-                rows.append(RunRecord(method=make_cfg.__method__, p=p, k=k,
+                rows.append(RunRecord(method=options["method"], p=p, k=k,
                                       N=0, converged=False))
     return rows
 
@@ -348,9 +349,14 @@ def build_parser():
     return parser
 
 
-def _config_from_args(args, p, k):
-    return RunConfig(
-        degree=p, mesh_exp=k,
+def _run_options(args):
+    """RunConfig fields other than (p, k), each resolved by :func:`_merge`.
+
+    Resolved and checked once per command, so a bad flag or file value is
+    a command error, not a failed sweep row; only the (p, k) checks of
+    :class:`RunConfig` are left to each row.
+    """
+    options = dict(
         geometry=_merge(args, "geometry"),
         method=_merge(args, "method"),
         solver=_merge(args, "solver"),
@@ -359,6 +365,9 @@ def _config_from_args(args, p, k):
         allow_large=bool(_merge(args, "allow_large")),
         nnz_guard=float(_merge(args, "nnz_guard", float)),
     )
+    options["solver"] = _checked_solver(options["method"], options["geometry"],
+                                        options["solver"])
+    return options
 
 
 def main(argv=None) -> int:
@@ -366,21 +375,20 @@ def main(argv=None) -> int:
     try:
         args._file_values = _read_config_file(args.config) if args.config else {}
         out = _merge(args, "out")
+        options = _run_options(args)
         if args.command == "solve":
-            rec = run_solve(_config_from_args(args, args.degree,
-                                              args.mesh_exp))
+            rec = run_solve(RunConfig(degree=args.degree,
+                                      mesh_exp=args.mesh_exp, **options))
             _write_csv([rec], out)
             return 0 if rec.converged else 1
 
-        make_cfg = lambda p, k: _config_from_args(args, p, k)
-        make_cfg.__method__ = _merge(args, "method")
         if args.command == "convergence":
-            rows = _sweep(args.degree, args.mesh_exp, make_cfg, run_solve)
+            rows = _sweep(args.degree, args.mesh_exp, options, run_solve)
             _write_csv(rows, out)
             if out:
                 _write_time_error(rows, out)
         else:
-            rows = _sweep(args.degree, [args.mesh_exp], make_cfg, run_profile)
+            rows = _sweep(args.degree, [args.mesh_exp], options, run_profile)
             _write_csv(rows, out)
         return 0
     except (ConfigError, MemoryGuardError) as exc:

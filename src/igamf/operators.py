@@ -8,9 +8,11 @@ tensor quadrature points and per-direction collocation factors B.
 the grids; the matrix-free operators here and the explicit assembly oracle
 both consume them.  The mass operator is one term; the stiffness operator
 has d*d derivative-pair terms over d(d+1)/2 symmetric grids, and its apply
-shares the d collocation contractions among them.  Factors are restricted
-to the Dirichlet-interior basis; boundary rows/columns are never formed.
-Coefficient grids are evaluated once, at setup.
+shares the d collocation contractions among them.  The load vector is the
+mass term's weight factors alone applied to a grid of source values
+(:func:`wq_load_vector`).  Factors are restricted to the Dirichlet-interior
+basis; boundary rows/columns are never formed.  Coefficient grids are
+evaluated once, at setup.
 """
 
 import numpy as np
@@ -42,22 +44,27 @@ def wq_terms(rule: TensorRule, kind: str):
     direction b.  Terms of one b are adjacent and share one B-factor list.
     """
     _check_kind(kind)
-
-    def W(a, b):
-        return [r.weights[(1 if l == a else 0, 1 if l == b else 0)][1:-1, :].tocsr()
-                for l, r in enumerate(rule.rules)]
-
-    def B(b):
-        return [r.colloc[1 if l == b else 0][:, 1:-1].tocsr()
-                for l, r in enumerate(rule.rules)]
-
     if kind == "mass":
-        return [(W(None, None), None, B(None))]
+        return [(_weight_factors(rule, None, None), None,
+                 _colloc_factors(rule, None))]
     terms = []
     for b in range(rule.dim):
-        Bb = B(b)
-        terms += [(W(a, b), (min(a, b), max(a, b)), Bb) for a in range(rule.dim)]
+        Bb = _colloc_factors(rule, b)
+        terms += [(_weight_factors(rule, a, b), (min(a, b), max(a, b)), Bb)
+                  for a in range(rule.dim)]
     return terms
+
+
+def _weight_factors(rule, a, b):
+    """Interior rows of W^(a_l,b_l), a_l = [l == a], b_l = [l == b], per direction."""
+    return [r.weights[(1 if l == a else 0, 1 if l == b else 0)][1:-1, :].tocsr()
+            for l, r in enumerate(rule.rules)]
+
+
+def _colloc_factors(rule, b):
+    """Interior columns of the collocation matrices, differentiated in direction b."""
+    return [r.colloc[1 if l == b else 0][:, 1:-1].tocsr()
+            for l, r in enumerate(rule.rules)]
 
 
 def coefficient_grids(kind: str, geom, xi, coeff=None):
@@ -84,6 +91,20 @@ def coefficient_grids(kind: str, geom, xi, coeff=None):
     d = cof.shape[1]
     return {(a, b): np.einsum("qi,qi->q", cof[:, :, a], Kcof[:, :, b]) / det
             for a in range(d) for b in range(a, d)}
+
+
+def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
+    """Load vector f_i = int det(J_F) b_i (f o F) dxi by weighted quadrature.
+
+    The mass term's weight factors W^(0,0) applied to the grid
+    (f o F) det J_F at the rule's points, so f is evaluated once per WQ
+    point.  ``f`` is a physical-space field taking an (npts, d) coordinate
+    array.  Raises :class:`~igamf.geometry.DegenerateGeometryError` where
+    det J_F <= 0.
+    """
+    xi = np.stack(rule.point_arrays(), axis=1)
+    return kron_apply(_weight_factors(rule, None, None),
+                      coefficient_grids("mass", geom, xi, f)[None])
 
 
 class _WQOperator:

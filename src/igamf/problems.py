@@ -93,46 +93,48 @@ def cube_sine_case() -> ManufacturedCase:
     return _lambdify_case("cube-sine", u, (x1, x2, x3), 0.0, {})
 
 
-def _error_integrals(space, geom, u_coeffs, case, gauss_pts, with_gradient):
-    """Tensor-Gauss sums of the squared error and reference norms."""
+def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
+    """Relative full H1 and L2 norms of u - u_h over the physical domain.
+
+    Returns ``(h1, l2)`` from one tensor-Gauss pass with ``gauss_pts``
+    points per span and direction (default p+2); the L2 sums are the value
+    part of the H1 sums.
+    """
     u_coeffs = np.asarray(u_coeffs, dtype=float).ravel()
     if u_coeffs.size != space.n_dofs:
         raise ValueError(
             f"expected coefficient vector of length {space.n_dofs}, got {u_coeffs.size}"
         )
+    if gauss_pts is None:
+        gauss_pts = max(kv.degree for kv in space.knotvectors) + 2
     d = space.dim
 
     def integrand(x, measure, det, cof, B0, B1):
         ue = case.u(x)
         e = ue - kron_apply(B0, u_coeffs)
-        err2 = measure @ e**2
-        ref2 = measure @ ue**2
-        if with_gradient:
-            gp = np.stack([kron_apply([B1[l] if l == b else B0[l] for l in range(d)],
-                                      u_coeffs) for b in range(d)], axis=1)
-            # physical gradient J_F^-T grad = cof grad / det
-            gh = np.einsum("qij,qj->qi", cof, gp)
-            gh /= det[:, None]
-            ge = case.grad_u(x)
-            gh -= ge
-            err2 += measure @ np.einsum("qi,qi->q", gh, gh)
-            ref2 += measure @ np.einsum("qi,qi->q", ge, ge)
-        return np.array([err2, ref2])
+        l2_err2 = measure @ e**2
+        l2_ref2 = measure @ ue**2
+        gp = np.stack([kron_apply([B1[l] if l == b else B0[l] for l in range(d)],
+                                  u_coeffs) for b in range(d)], axis=1)
+        # physical gradient J_F^-T grad = cof grad / det
+        gh = np.einsum("qij,qj->qi", cof, gp)
+        gh /= det[:, None]
+        ge = case.grad_u(x)
+        gh -= ge
+        h1_err2 = l2_err2 + measure @ np.einsum("qi,qi->q", gh, gh)
+        h1_ref2 = l2_ref2 + measure @ np.einsum("qi,qi->q", ge, ge)
+        return np.array([h1_err2, h1_ref2, l2_err2, l2_ref2])
 
-    return tensor_gauss_sum(space, geom, gauss_pts, integrand)
+    h1_err2, h1_ref2, l2_err2, l2_ref2 = tensor_gauss_sum(space, geom, gauss_pts,
+                                                          integrand)
+    return float(np.sqrt(h1_err2 / h1_ref2)), float(np.sqrt(l2_err2 / l2_ref2))
 
 
 def h1_relative_error(space, geom, u_coeffs, case, gauss_pts=None) -> float:
-    """Relative full H1 norm of u - u_h over the physical domain."""
-    if gauss_pts is None:
-        gauss_pts = max(kv.degree for kv in space.knotvectors) + 2
-    err2, ref2 = _error_integrals(space, geom, u_coeffs, case, gauss_pts, True)
-    return float(np.sqrt(err2 / ref2))
+    """Relative full H1 norm of u - u_h (see :func:`relative_errors`)."""
+    return relative_errors(space, geom, u_coeffs, case, gauss_pts)[0]
 
 
 def l2_relative_error(space, geom, u_coeffs, case, gauss_pts=None) -> float:
-    """Relative L2 norm of u - u_h over the physical domain."""
-    if gauss_pts is None:
-        gauss_pts = max(kv.degree for kv in space.knotvectors) + 2
-    err2, ref2 = _error_integrals(space, geom, u_coeffs, case, gauss_pts, False)
-    return float(np.sqrt(err2 / ref2))
+    """Relative L2 norm of u - u_h (see :func:`relative_errors`)."""
+    return relative_errors(space, geom, u_coeffs, case, gauss_pts)[1]

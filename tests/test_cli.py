@@ -164,6 +164,28 @@ class TestConfigFile:
         assert rc == 2
         assert "bad value 'small' for eta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["convergence", "profile"])
+    @pytest.mark.parametrize("file_text, flags, message", [
+        ("eta = small\n", [], "bad value 'small' for eta"),
+        ("method = foo\n", [], "unknown method 'foo'"),
+        ("geometry = sphere\n", [], "unknown geometry 'sphere'"),
+        ("", ["--method", "sgq", "--solver", "bicgstab"],
+         "method sgq requires solver cg, got bicgstab"),
+    ])
+    def test_bad_config_value_stops_sweep(self, tmp_path, capsys, command,
+                                          file_text, flags, message):
+        # a bad flag or file value is a command error, not a failed row
+        cfg = tmp_path / "value.cfg"
+        cfg.write_text(file_text)
+        out = tmp_path / "sweep.csv"
+        rc = main([command, "--degree", "1", "--mesh-exp", "2", "--config",
+                   str(cfg), "--out", str(out)] + flags)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "failed" not in err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["solve", "--degree", "1", "--mesh-exp", "2",
                    "--config", str(tmp_path / "absent.cfg")])

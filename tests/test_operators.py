@@ -8,7 +8,8 @@ from igamf import (CostMeter, DegenerateGeometryError, GeometryMap,
                    assemble_wq_explicit, build_tensor_rule, coefficient_grids,
                    cube_sine_case, h1_relative_error, identity_map, kron_apply,
                    pullback, quarter_ring_map, quarter_ring_rational_map,
-                   setup_mass, setup_stiffness, tensor_space)
+                   setup_mass, setup_stiffness, tensor_space,
+                   wq_load_vector)
 
 
 def make(p, n_el, geom=None, d=3):
@@ -103,6 +104,22 @@ class TestCoefficientGrids:
             assert np.allclose(g, C[:, a, b], rtol=1e-13, atol=1e-14)
 
 
+class TestWQLoadVector:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_gauss_for_spline_source(self, p):
+        # f of degree <= p per direction lies in the spline space on the
+        # identity map, where W^(0,0) integrates b_i f exactly
+        space, rule, geom = make(p, 6)
+
+        def f(x):
+            return ((x[:, 0]**p - 0.3 * x[:, 0]) * (1 + x[:, 1])**p
+                    * (x[:, 2]**2 - x[:, 2]**(p - 1) + 0.5))
+
+        b = wq_load_vector(rule, geom, f)
+        ref = assemble_rhs(space, geom, f)
+        assert np.abs(b - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 class TestDegenerateGeometry:
     def test_every_path_raises(self):
         # a folded map (det J < 0) is reported by every path that integrates
@@ -114,6 +131,7 @@ class TestDegenerateGeometry:
             lambda: setup_mass(space, rule, geom),
             lambda: assemble_sgq(space, geom, kind="stiffness"),
             lambda: assemble_rhs(space, geom, case.f),
+            lambda: wq_load_vector(rule, geom, case.f),
             lambda: h1_relative_error(space, geom, np.zeros(space.n_dofs), case),
         ]
         for call in calls:

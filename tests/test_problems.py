@@ -4,8 +4,11 @@ import pytest
 from igamf import (QUARTER_RING_H1_REFERENCE, assemble_rhs, assemble_sgq,
                    bicgstab, build_tensor_rule, cg, cube_sine_case,
                    FDPreconditioner, h1_relative_error, identity_map,
-                   l2_relative_error, oscillating_case, quarter_ring_map,
-                   setup_stiffness, tensor_space)
+                   kron_apply, l2_relative_error, oscillating_case,
+                   quarter_ring_map, quarter_ring_rational_map,
+                   relative_errors, setup_stiffness, tensor_space,
+                   wq_load_vector)
+from igamf.assembly import tensor_gauss_sum
 from igamf.splines import collocation_matrix
 
 
@@ -137,6 +140,61 @@ class TestErrorNorms:
         e1 = h1_relative_error(space, geom, x, case, gauss_pts=6)
         e2 = h1_relative_error(space, geom, x, case, gauss_pts=12)
         assert abs(e1 - e2) <= 1e-3 * e2
+
+    @staticmethod
+    def seminorm_sums(space, geom, u_coeffs, case, pts_per_span):
+        """Squared H1-seminorm of u - u_h and of u, summed over one whole
+        tensor Gauss grid with dense collocation, np.linalg.det and solve."""
+        nodes, weights = np.polynomial.legendre.leggauss(pts_per_span)
+        pts, wts, B0, B1 = [], [], [], []
+        for kv in space.knotvectors:
+            a, b = kv.breakpoints[:-1, None], kv.breakpoints[1:, None]
+            x = ((a + b) / 2 + (b - a) / 2 * nodes).ravel()
+            pts.append(x)
+            wts.append(((b - a) / 2 * weights).ravel())
+            B0.append(collocation_matrix(kv, x, 0).toarray()[:, 1:-1])
+            B1.append(collocation_matrix(kv, x, 1).toarray()[:, 1:-1])
+        # grids and coefficients with direction 1 fastest, i.e. last axis
+        U = u_coeffs.reshape(tuple(reversed(space.n_per_dir)))
+        xi = np.stack([g.ravel() for g in
+                       reversed(np.meshgrid(*reversed(pts), indexing="ij"))],
+                      axis=1)
+        w = np.einsum("c,b,a->cba", *reversed(wts)).ravel()
+        grad_xi = np.stack([
+            np.einsum("ck,bj,ai,kji->cba",
+                      *[(B1 if l == m else B0)[l] for l in (2, 1, 0)],
+                      U).ravel() for m in range(3)], axis=1)
+        J = geom.jacobian(xi)
+        grad_h = np.linalg.solve(np.swapaxes(J, 1, 2), grad_xi[:, :, None])[:, :, 0]
+        measure = w * np.abs(np.linalg.det(J))
+        grad_u = case.grad_u(geom.evaluate(xi))
+        return (measure @ ((grad_h - grad_u)**2).sum(axis=1),
+                measure @ (grad_u**2).sum(axis=1))
+
+    def test_one_pass_matches_each_norm(self):
+        # both halves of the one-pass sums equal separate computations: the
+        # L2 part an L2-only tensor-Gauss pass, the gradient part a whole-grid
+        # sum that does not go through the cofactors or the slab loop
+        space = tensor_space(2, 4, 3)
+        geom = quarter_ring_rational_map()
+        case = oscillating_case()
+        rule = build_tensor_rule(space)
+        stiff = setup_stiffness(space, rule, geom)
+        b = wq_load_vector(rule, geom, case.f)
+        x, _ = bicgstab(stiff.apply, b, FDPreconditioner(space).apply,
+                        tol=1e-10)
+        h1, l2 = relative_errors(space, geom, x, case)
+
+        def l2_only(xp, measure, det, cof, B0, B1):
+            ue = case.u(xp)
+            return np.array([measure @ (ue - kron_apply(B0, x))**2,
+                             measure @ ue**2])
+
+        err2, ref2 = tensor_gauss_sum(space, geom, 4, l2_only)
+        assert l2 == pytest.approx(np.sqrt(err2 / ref2), rel=1e-14)
+        semi_err2, semi_ref2 = self.seminorm_sums(space, geom, x, case, 4)
+        assert h1 == pytest.approx(
+            np.sqrt((err2 + semi_err2) / (ref2 + semi_ref2)), rel=1e-13)
 
     def test_length_mismatch_rejected(self):
         space = tensor_space(2, 3, 3)
