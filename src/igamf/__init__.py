@@ -23,8 +23,7 @@ from .assembly import (AssembledMatrix, MemoryGuardError, assemble_rhs,
                        assemble_sgq, assemble_wq_explicit,
                        estimate_matrix_nnz, max_row_nnz)
 from .solvers import (FDPreconditioner, IndefiniteOperatorError, KrylovReport,
-                      bicgstab, cg, stopping_tolerance,
-                      univariate_parametric_matrices)
+                      bicgstab, cg, stopping_tolerance)
 from .problems import (ManufacturedCase, QUARTER_RING_H1_REFERENCE,
                        cube_sine_case, h1_relative_error, l2_relative_error,
                        oscillating_case, relative_errors)

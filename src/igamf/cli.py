@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (NNZ_GUARD, MemoryGuardError, assemble_rhs, assemble_sgq,
-                       assemble_wq_explicit, estimate_matrix_nnz)
+                       assemble_wq_explicit)
 from .geometry import identity_map, quarter_ring_map, quarter_ring_rational_map
 from .kron import CostMeter
 from .operators import COEFF_EVAL_FLOPS, setup_stiffness, wq_load_vector
@@ -43,16 +43,12 @@ class ConfigError(ValueError):
     pass
 
 
-def _checked_solver(method, geometry, solver):
-    """The solver for ``method`` after checking the (p, k)-independent names."""
+def _check_names(method, geometry):
+    """Reject an unknown method or geometry (the (p, k)-independent checks)."""
     if method not in _METHOD_SOLVER:
         raise ConfigError(f"unknown method {method!r}")
     if geometry not in ("cube", "ring", "ring-polar"):
         raise ConfigError(f"unknown geometry {geometry!r}")
-    forced = _METHOD_SOLVER[method]
-    if solver is not None and solver != forced:
-        raise ConfigError(f"method {method} requires solver {forced}, got {solver}")
-    return forced
 
 
 @dataclass
@@ -63,14 +59,13 @@ class RunConfig:
     mesh_exp: int
     geometry: str = "ring"
     method: str = "mfwq"
-    solver: str | None = None
     eta: float = 0.1
     maxit: int = 1000
     allow_large: bool = False
     nnz_guard: float = NNZ_GUARD
 
     def __post_init__(self):
-        self.solver = _checked_solver(self.method, self.geometry, self.solver)
+        _check_names(self.method, self.geometry)
         if self.degree < 1:
             raise ConfigError("degree must be >= 1")
         if self.mesh_exp < 1:
@@ -80,6 +75,11 @@ class RunConfig:
                 f"mesh exponent {self.mesh_exp} exceeds the default ceiling "
                 f"{_DEFAULT_MAX_K}; pass --allow-large to run it"
             )
+
+    @property
+    def solver(self) -> str:
+        """Krylov method paired with ``method``: CG for SPD ``sgq``, else BiCGStab."""
+        return _METHOD_SOLVER[self.method]
 
 
 @dataclass
@@ -143,9 +143,6 @@ def _setup(cfg: RunConfig, geom, case):
             rec.coeff_scalars = stiff.coeff_scalars
             rec.setup_flops = coeff_flops
         else:
-            est = estimate_matrix_nnz(space)
-            if est > cfg.nnz_guard:
-                raise MemoryGuardError(est, cfg.nnz_guard)
             mat = assemble_wq_explicit(space, rule, geom, kind="stiffness",
                                        nnz_guard=cfg.nnz_guard)
             apply_A = lambda v: mat.matrix @ v
@@ -154,9 +151,6 @@ def _setup(cfg: RunConfig, geom, case):
             rec.setup_flops = coeff_flops + 9 * 4 * mat.nnz
         rhs = wq_load_vector(rule, geom, case.f)
     else:
-        est = estimate_matrix_nnz(space)
-        if est > cfg.nnz_guard:
-            raise MemoryGuardError(est, cfg.nnz_guard)
         mat = assemble_sgq(space, geom, kind="stiffness",
                            nnz_guard=cfg.nnz_guard)
         apply_A = lambda v: mat.matrix @ v
@@ -291,7 +285,7 @@ def _read_config_file(path):
 
 
 _BOOL_KEYS = ("allow_large",)
-_DEFAULTS = dict(geometry="ring", method="mfwq", solver=None, eta=0.1,
+_DEFAULTS = dict(geometry="ring", method="mfwq", eta=0.1,
                  maxit=1000, allow_large=False, nnz_guard=NNZ_GUARD, out=None)
 
 
@@ -315,7 +309,6 @@ def _merge(args, key, cast=str):
 def _add_common(sub):
     sub.add_argument("--geometry", choices=["cube", "ring", "ring-polar"])
     sub.add_argument("--method", choices=["mfwq", "wq", "sgq"])
-    sub.add_argument("--solver", choices=["bicgstab", "cg"])
     sub.add_argument("--eta", type=float)
     sub.add_argument("--maxit", type=int)
     sub.add_argument("--allow-large", dest="allow_large", action="store_true",
@@ -359,14 +352,12 @@ def _run_options(args):
     options = dict(
         geometry=_merge(args, "geometry"),
         method=_merge(args, "method"),
-        solver=_merge(args, "solver"),
         eta=_merge(args, "eta", float),
         maxit=_merge(args, "maxit", int),
         allow_large=bool(_merge(args, "allow_large")),
         nnz_guard=float(_merge(args, "nnz_guard", float)),
     )
-    options["solver"] = _checked_solver(options["method"], options["geometry"],
-                                        options["solver"])
+    _check_names(options["method"], options["geometry"])
     return options
 
 

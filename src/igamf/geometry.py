@@ -16,6 +16,12 @@ from typing import Callable
 
 import numpy as np
 
+from .splines import _basis_window
+
+#: points per batch of :func:`spline_control_net_map`; bounds its scratch
+#: memory at about _NET_CHUNK * (p+1)^d * d scalars
+_NET_CHUNK = 1024
+
 
 class DegenerateGeometryError(RuntimeError):
     def __init__(self, point, det):
@@ -191,39 +197,38 @@ def spline_control_net_map(space_kvs, control_points: np.ndarray) -> GeometryMap
     """Geometry from a B-spline control net over the full (boundary-included) basis.
 
     ``control_points`` has shape (m_1, ..., m_d, d) with the index of
-    direction 1 first.
+    direction 1 first.  Points are evaluated in chunks of at most
+    ``_NET_CHUNK``: per chunk, each direction's nonzero basis values come
+    from one batched evaluation, and each point's (p+1)^d block of the net
+    is gathered and contracted with them.
     """
-    from .splines import collocation_matrix
-
     kvs = tuple(space_kvs)
     d = len(kvs)
     cp = np.asarray(control_points, dtype=float)
     if cp.shape != tuple(kv.n_funcs for kv in kvs) + (d,):
         raise ValueError("control point array shape mismatch")
 
-    def _map(xi):
-        return _contract_all(xi, None)
-
-    def _contract_all(xi, deriv_dir):
-        npts = len(xi)
-        out = np.empty((npts, d))
-        for q in range(npts):
-            rows = [
-                collocation_matrix(
-                    kvs[l], [xi[q, l]], 1 if deriv_dir == l else 0
-                ).toarray()[0]
-                for l in range(d)
-            ]
-            val = cp
-            for l in range(d - 1, -1, -1):
-                val = np.tensordot(rows[l], val, axes=([0], [l]))
-            out[q] = val
+    def _net(xi, deriv_dirs):
+        """Column c: the map differentiated along direction deriv_dirs[c]
+        (None: not differentiated), shape (npts, d, len(deriv_dirs))."""
+        out = np.empty((len(xi), d, len(deriv_dirs)))
+        for s in range(0, len(xi), _NET_CHUNK):
+            x = xi[s : s + _NET_CHUNK]
+            index, rows = [], []
+            for l, kv in enumerate(kvs):
+                (first, B0), (_, B1) = (_basis_window(kv, x[:, l], b) for b in (0, 1))
+                shape = [len(x)] + [1] * d
+                shape[l + 1] = kv.degree + 1
+                index.append((first[:, None] + np.arange(kv.degree + 1)).reshape(shape))
+                rows.append((B0, B1))
+            block = cp[tuple(index)]  # (n, w_1, ..., w_d, d)
+            for c, dl in enumerate(deriv_dirs):
+                val = block
+                for l, r in enumerate(rows):
+                    val = np.einsum("ni,ni...->n...", r[l == dl], val)
+                out[s : s + len(x), :, c] = val
         return out
 
-    def _jac(xi):
-        J = np.empty((len(xi), d, d))
-        for l in range(d):
-            J[:, :, l] = _contract_all(xi, l)
-        return J
-
-    return GeometryMap(dim=d, kind="spline-control-net", _map=_map, _jacobian=_jac)
+    return GeometryMap(dim=d, kind="spline-control-net",
+                       _map=lambda xi: _net(xi, [None])[:, :, 0],
+                       _jacobian=lambda xi: _net(xi, range(d)))

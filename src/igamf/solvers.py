@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .kron import CostMeter, kron_apply
-from .splines import collocation_matrix
-from .wq import gauss_points_weights
+from .wq import exact_gram
 
 
 class IndefiniteOperatorError(RuntimeError):
@@ -45,23 +43,6 @@ class KrylovReport:
                 writer.writerow([k, f"{r:.16e}"])
 
 
-def univariate_parametric_matrices(kv, interior=True):
-    """Exactly integrated 1D stiffness and mass matrices on [0, 1].
-
-    Gauss with p+1 points per span integrates both products exactly.
-    """
-    x, w = gauss_points_weights(kv, kv.degree + 1)
-    B0 = collocation_matrix(kv, x, 0)
-    B1 = collocation_matrix(kv, x, 1)
-    if interior:
-        B0 = B0[:, 1:-1]
-        B1 = B1[:, 1:-1]
-    D = sp.diags(w)
-    K = (B1.T @ D @ B1).toarray()
-    M = (B0.T @ D @ B0).toarray()
-    return K, M
-
-
 class FDPreconditioner:
     """Exact Kronecker-sum solver used as preconditioner.
 
@@ -79,7 +60,8 @@ class FDPreconditioner:
         self.U = []
         self.lams = []
         for kv in space.knotvectors:
-            K, M = univariate_parametric_matrices(kv)
+            K = exact_gram(kv, 1, 1).toarray()[1:-1, 1:-1]
+            M = exact_gram(kv, 0, 0).toarray()[1:-1, 1:-1]
             try:
                 lam, U = scipy.linalg.eigh(K, M)
             except scipy.linalg.LinAlgError as err:
@@ -134,7 +116,7 @@ def stopping_tolerance(galerkin_rel_error: float, eta: float = 0.1) -> float:
     return eta * galerkin_rel_error
 
 
-def cg(apply_A, b, apply_P=None, tol=1e-8, maxit=1000, meter=None):
+def cg(apply_A, b, apply_P=None, tol=1e-8, maxit=1000):
     """Preconditioned conjugate gradients; stops on ||r||_2 / ||b||_2 <= tol."""
     b = np.asarray(b, dtype=float).ravel()
     x = np.zeros_like(b)

@@ -76,13 +76,17 @@ class KnotVector:
         """Closed support of basis function ``i`` (0-based)."""
         return float(self.knots[i]), float(self.knots[i + self.degree + 1])
 
-    def find_span(self, x: float) -> int:
-        """Index k with knots[k] <= x < knots[k+1] (right-continuous; left at x=1)."""
-        knots = self.knots
-        if x < knots[0] or x > knots[-1]:
-            raise ValueError(f"point {x} outside [0, 1]")
-        k = int(np.searchsorted(knots, x, side="right")) - 1
-        return min(max(k, self.degree), self.n_funcs - 1)
+    def find_span(self, x) -> np.ndarray:
+        """Index k with knots[k] <= x < knots[k+1] (right-continuous; left at x=1).
+
+        ``x`` may be a scalar or an array; the result has its shape.
+        """
+        x = np.asarray(x, dtype=float)
+        outside = (x < 0.0) | (x > 1.0)
+        if np.any(outside):
+            raise ValueError(f"point {x[outside].flat[0]} outside [0, 1]")
+        k = np.searchsorted(self.knots, x, side="right") - 1
+        return np.clip(k, self.degree, self.n_funcs - 1)
 
 
 def make_uniform_knots(p: int, n_el: int) -> KnotVector:
@@ -96,70 +100,50 @@ def make_uniform_knots(p: int, n_el: int) -> KnotVector:
     return KnotVector(p, knots)
 
 
-def _basis_funs(kv: KnotVector, x: float, span: int) -> np.ndarray:
-    """Values of the p+1 nonzero basis functions at ``x`` (Cox-de Boor)."""
-    p = kv.degree
-    knots = kv.knots
-    N = np.empty(p + 1)
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    N[0] = 1.0
-    for j in range(1, p + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
+def _cox_de_boor(knots, x, span, q):
+    """Degree-q values of the q+1 functions nonzero at each point, shape (n, q+1).
+
+    Column r belongs to function span - q + r.  All points run at once, in
+    the operation order of the textbook (Piegl-Tiller A2.2) recurrence.
+    """
+    N = np.zeros((len(x), q + 1))
+    N[:, 0] = 1.0
+    left = [None] + [x - knots[span + 1 - j] for j in range(1, q + 1)]
+    right = [None] + [knots[span + j] - x for j in range(1, q + 1)]
+    for j in range(1, q + 1):
         saved = 0.0
         for r in range(j):
             denom = right[r + 1] + left[j - r]
-            temp = N[r] / denom if denom != 0.0 else 0.0
-            N[r] = saved + right[r + 1] * temp
+            temp = np.divide(N[:, r], denom, out=np.zeros_like(denom),
+                             where=denom != 0.0)
+            N[:, r] = saved + right[r + 1] * temp
             saved = left[j - r] * temp
-        N[j] = saved
+        N[:, j] = saved
     return N
 
 
-def _basis_funs_deriv(kv: KnotVector, x: float, span: int) -> np.ndarray:
-    """First derivatives of the p+1 nonzero basis functions at ``x``."""
+def _basis_window(kv: KnotVector, x, deriv: int):
+    """First nonzero index and the (n, p+1) values of D^deriv b_j at points ``x``.
+
+    Row q holds D^deriv b_j(x_q) for j = first[q], ..., first[q] + p.
+    First derivatives come from the degree p-1 values by the two-term
+    formula; a term whose knot difference is zero is dropped.
+    """
     p = kv.degree
     knots = kv.knots
-    # Degree p-1 values on the same knot vector, then the standard
-    # two-term derivative formula.
-    if p == 1:
-        lower = np.array([1.0])
-    else:
-        lower_kv_vals = np.empty(p)
-        left = np.empty(p)
-        right = np.empty(p)
-        lower_kv_vals[0] = 1.0
-        for j in range(1, p):
-            left[j] = x - knots[span + 1 - j]
-            right[j] = knots[span + j] - x
-            saved = 0.0
-            for r in range(j):
-                denom = right[r + 1] + left[j - r]
-                temp = lower_kv_vals[r] / denom if denom != 0.0 else 0.0
-                lower_kv_vals[r] = saved + right[r + 1] * temp
-                saved = left[j - r] * temp
-            lower_kv_vals[j] = saved
-        lower = lower_kv_vals
-    # Nonzero degree p-1 functions at x are indices span-p+1 .. span.
-    D = np.empty(p + 1)
-    for idx in range(p + 1):
-        i = span - p + idx  # global index of the degree-p function
-        d = 0.0
-        # term with b_{i, p-1}
-        j1 = i
-        if span - p + 1 <= j1 <= span:
-            denom = knots[i + p] - knots[i]
-            if denom != 0.0:
-                d += p * lower[j1 - (span - p + 1)] / denom
-        # term with b_{i+1, p-1}
-        j2 = i + 1
-        if span - p + 1 <= j2 <= span:
-            denom = knots[i + p + 1] - knots[i + 1]
-            if denom != 0.0:
-                d -= p * lower[j2 - (span - p + 1)] / denom
-        D[idx] = d
-    return D
+    span = kv.find_span(x)
+    if deriv == 0:
+        return span - p, _cox_de_boor(knots, x, span, p)
+    # degree p-1 function span-p+1+r feeds columns r+1 (plus) and r (minus)
+    lower = _cox_de_boor(knots, x, span, p - 1)
+    g = span[:, None] - p + 1 + np.arange(p)
+    denom = knots[g + p] - knots[g]
+    c = np.divide(p * lower, denom, out=np.zeros_like(lower),
+                  where=denom != 0.0)
+    D = np.zeros((len(x), p + 1))
+    D[:, 1:] = c
+    D[:, :-1] -= c
+    return span - p, D
 
 
 def collocation_matrix(kv: KnotVector, points, deriv: int = 0) -> sp.csr_matrix:
@@ -171,23 +155,12 @@ def collocation_matrix(kv: KnotVector, points, deriv: int = 0) -> sp.csr_matrix:
     if deriv not in (0, 1):
         raise ValueError("only derivative orders 0 and 1 are supported")
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    if np.any(points < 0.0) or np.any(points > 1.0):
-        bad = points[(points < 0.0) | (points > 1.0)][0]
-        raise ValueError(f"point {bad} outside [0, 1]")
+    first, vals = _basis_window(kv, points, deriv)
     p = kv.degree
-    nq = len(points)
-    rows = np.repeat(np.arange(nq), p + 1)
-    cols = np.empty(nq * (p + 1), dtype=np.int64)
-    vals = np.empty(nq * (p + 1))
-    for q, x in enumerate(points):
-        span = kv.find_span(x)
-        if deriv == 0:
-            loc = _basis_funs(kv, x, span)
-        else:
-            loc = _basis_funs_deriv(kv, x, span)
-        cols[q * (p + 1) : (q + 1) * (p + 1)] = np.arange(span - p, span + 1)
-        vals[q * (p + 1) : (q + 1) * (p + 1)] = loc
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(nq, kv.n_funcs))
+    rows = np.repeat(np.arange(len(points)), p + 1)
+    cols = (first[:, None] + np.arange(p + 1)).ravel()
+    mat = sp.csr_matrix((vals.ravel(), (rows, cols)),
+                        shape=(len(points), kv.n_funcs))
     mat.eliminate_zeros()
     return mat
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from igamf import (affine_map, identity_map, make_uniform_knots,
-                   quarter_ring_map, quarter_ring_rational_map,
-                   spline_control_net_map)
+from igamf import (KnotVector, affine_map, collocation_matrix, identity_map,
+                   make_uniform_knots, quarter_ring_map,
+                   quarter_ring_rational_map, spline_control_net_map)
 
 
 def fd_defect(geom, n=100, seed=0):
@@ -106,3 +106,33 @@ class TestSplineControlNet:
         xi = rng.random((20, 3))
         assert np.allclose(g.evaluate(xi), xi @ A.T + b, atol=1e-12)
         assert np.abs(g.jacobian(xi) - A).max() <= 1e-10
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_pointwise_contraction(self, p):
+        # curved, randomly perturbed net on mixed knot vectors; reference:
+        # one dense basis row per point and direction, contracted with
+        # np.tensordot point by point
+        kvs = (make_uniform_knots(p, 4), make_uniform_knots(p, 3),
+               KnotVector(p, [0] * (p + 1) + [0.3, 0.35, 0.8] + [1] * (p + 1)))
+        rng = np.random.default_rng(p)
+        grids = [np.linspace(0, 1, kv.n_funcs) for kv in kvs]
+        r, t, z = np.meshgrid(*grids, indexing="ij")
+        ctrl = np.stack([(1 + r) * np.cos(t), (1 + r) * np.sin(t), z], axis=-1)
+        ctrl += 0.05 * rng.standard_normal(ctrl.shape)
+        g = spline_control_net_map(kvs, ctrl)
+        xi = np.vstack([rng.random((40, 3)), [[0, 0, 0], [1, 1, 1],
+                                              [0.35, 0.5, 0.3]]])
+
+        def reference(x, deriv_dir):
+            val = ctrl
+            for l in range(2, -1, -1):
+                row = collocation_matrix(kvs[l], [x[l]],
+                                         int(l == deriv_dir)).toarray()[0]
+                val = np.tensordot(row, val, axes=([0], [l]))
+            return val
+
+        F = np.array([reference(x, None) for x in xi])
+        J = np.stack([np.array([reference(x, l) for x in xi])
+                      for l in range(3)], axis=-1)
+        assert np.abs(g.evaluate(xi) - F).max() <= 1e-13 * np.abs(F).max()
+        assert np.abs(g.jacobian(xi) - J).max() <= 1e-13 * np.abs(J).max()

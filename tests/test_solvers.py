@@ -5,31 +5,22 @@ import pytest
 
 from igamf import (FDPreconditioner, IndefiniteOperatorError, KrylovReport,
                    assemble_rhs, assemble_sgq, bicgstab, build_tensor_rule,
-                   cg, identity_map, make_uniform_knots, oscillating_case,
-                   quarter_ring_map, setup_stiffness, stopping_tolerance,
-                   tensor_space)
-from igamf.solvers import univariate_parametric_matrices
+                   cg, exact_gram, identity_map, make_uniform_knots,
+                   oscillating_case, quarter_ring_map, setup_stiffness,
+                   stopping_tolerance, tensor_space)
 
 
 class TestUnivariateMatrices:
     @pytest.mark.parametrize("p,n_el", [(1, 4), (4, 8), (8, 32)])
     def test_generalized_eigendecomposition_residual(self, p, n_el):
         kv = make_uniform_knots(p, n_el)
-        K, M = univariate_parametric_matrices(kv)
+        K = exact_gram(kv, 1, 1).toarray()[1:-1, 1:-1]
+        M = exact_gram(kv, 0, 0).toarray()[1:-1, 1:-1]
         import scipy.linalg
         lam, U = scipy.linalg.eigh(K, M)
         assert np.abs(K @ U - M @ U @ np.diag(lam)).max() <= 1e-10
         assert np.abs(U.T @ M @ U - np.eye(len(lam))).max() <= 1e-10
         assert lam.min() > 0
-
-    def test_matches_gauss_gram(self):
-        from igamf import exact_gram
-        kv = make_uniform_knots(3, 6)
-        K, M = univariate_parametric_matrices(kv)
-        assert np.allclose(M, exact_gram(kv, 0, 0).toarray()[1:-1, 1:-1],
-                           atol=1e-14)
-        assert np.allclose(K, exact_gram(kv, 1, 1).toarray()[1:-1, 1:-1],
-                           atol=1e-12)
 
 
 class TestFDPreconditioner:
@@ -54,7 +45,7 @@ class TestFDPreconditioner:
     def test_1d_exact_solve(self):
         space = tensor_space(3, 8, 1)
         P = FDPreconditioner(space)
-        K, _ = univariate_parametric_matrices(space.knotvectors[0])
+        K = exact_gram(space.knotvectors[0], 1, 1).toarray()[1:-1, 1:-1]
         rng = np.random.default_rng(1)
         v = rng.standard_normal(space.n_dofs)
         assert np.allclose(P.apply(K @ v), v, atol=1e-10)

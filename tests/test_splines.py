@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 from igamf import (KnotVector, collocation_matrix, make_uniform_knots,
                    multi_to_scalar, scalar_to_multi, tensor_space)
@@ -105,6 +106,23 @@ class TestCollocation:
         assert B[1, -1] == pytest.approx(1.0)
         assert np.allclose(B[0, 1:], 0.0)
         assert np.allclose(B[1, :-1], 0.0)
+
+    @pytest.mark.parametrize("kv", [
+        *(make_uniform_knots(p, n_el) for p in range(1, 11) for n_el in (1, 3, 8)),
+        KnotVector(3, [0, 0, 0, 0, .1, .35, .35, .8, 1, 1, 1, 1]),
+        KnotVector(2, [0, 0, 0, .2, .2, .7, 1, 1, 1]),
+    ], ids=lambda kv: (f"p{kv.degree}-{kv.n_elements}el"
+                       f"-m{kv.max_interior_multiplicity()}"))
+    @pytest.mark.parametrize("deriv", [0, 1])
+    def test_matches_scipy_bspline(self, kv, deriv):
+        # independent oracle, one basis function (unit coefficient) at a time
+        x = np.concatenate([kv.breakpoints,
+                            np.random.default_rng(5).random(100)])
+        B = collocation_matrix(kv, x, deriv).toarray()
+        ref = np.column_stack([
+            BSpline(kv.knots, np.eye(kv.n_funcs)[j], kv.degree)(x, nu=deriv)
+            for j in range(kv.n_funcs)])
+        assert np.abs(B - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestIndexMaps:
