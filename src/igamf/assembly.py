@@ -96,8 +96,7 @@ def _gauss_factors(space, pts_per_span):
 
 def _gauss_grid(pts, wts):
     """Tensor Gauss points as an (npts, d) array and their product weights."""
-    xi = np.stack(tensor_grid(pts), axis=1)
-    return xi, functools.reduce(np.multiply, tensor_grid(wts))
+    return tensor_grid(pts).T, functools.reduce(np.multiply, tensor_grid(wts))
 
 
 def tensor_gauss_sum(space, geom, pts_per_span, integrand):
@@ -174,8 +173,7 @@ def assemble_wq_explicit(space, rule, geom, coeff=None, kind="mass",
     est = estimate_matrix_nnz(space)
     if est > nnz_guard:
         raise MemoryGuardError(est, nnz_guard)
-    xi = np.stack(rule.point_arrays(), axis=1)
-    coeffs = coefficient_grids(kind, geom, xi, coeff)
+    coeffs = coefficient_grids(kind, geom, rule.point_arrays().T, coeff)
     A = None
     for W, key, B in terms:
         term = (kron_materialize(W, max_entries=np.inf) @ sp.diags(coeffs[key])

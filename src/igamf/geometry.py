@@ -6,6 +6,12 @@ given as an array of shape (npts, d).  The quarter-ring map is analytic
 (polar coordinates) and parametrizes the thick quarter annulus
 {1 <= x1^2 + x2^2 <= 4, x1 >= 0, x2 >= 0, 0 <= x3 <= 1} exactly.
 
+Point arrays keep the shape (npts, d) and Jacobians (npts, d, d), but the
+two ring maps and :func:`pullback` return them as views of component-major
+(d, npts) and (d, d, npts) storage, so that every coordinate array
+``x[:, l]`` and entry array ``J[:, i, j]`` is contiguous.  Every function
+here accepts either layout.
+
 :func:`pullback` is the one place where Jacobians are turned into the
 quantities integrals need (det J_F and its cofactors), and the one place
 where a degenerate map is detected.
@@ -21,6 +27,10 @@ from .splines import _basis_window
 #: points per batch of :func:`spline_control_net_map`; bounds its scratch
 #: memory at about _NET_CHUNK * (p+1)^d * d scalars
 _NET_CHUNK = 1024
+
+#: points per call of a lambdified expression list in :func:`_eval_rows`;
+#: keeps its intermediate arrays (one per common subexpression) small
+_ROW_CHUNK = 2**14
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -63,20 +73,34 @@ class GeometryMap:
         return J
 
 
+def _eval_rows(fn, xi, n_rows):
+    """Values of a lambdified list of ``n_rows`` expressions at points xi.
+
+    Returns (n_rows, npts) storage, filled ``_ROW_CHUNK`` points at a
+    time; constant entries are broadcast.
+    """
+    out = np.empty((n_rows, len(xi)))
+    for s in range(0, len(xi), _ROW_CHUNK):
+        for r, v in enumerate(fn(*xi[s:s + _ROW_CHUNK].T)):
+            out[r, s:s + _ROW_CHUNK] = v
+    return out
+
+
 def pullback(geom: GeometryMap, xi: np.ndarray):
     """det J_F and the cofactor matrix of J_F at parametric points (d <= 3).
 
     Returns ``(det, cof)`` of shapes (npts,) and (npts, d, d), in closed
-    form, so that J_F^-1 = cof^T / det and J_F^-T grad = cof @ grad / det.
+    form from the entries of J_F, so that J_F^-1 = cof^T / det and
+    J_F^-T grad = cof @ grad / det; ``cof`` is stored component-major.
     J_F itself is not kept.  Raises :class:`DegenerateGeometryError` at the
     first point where det J_F <= 0.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     J = geom.jacobian(xi)
-    d = J.shape[1]
+    n, d = J.shape[:2]
     if d > 3:
         raise ValueError(f"closed-form pullback needs dimension <= 3, got {d}")
-    cof = np.empty_like(J)
+    cof = np.empty((d, d, n)).transpose(2, 0, 1)
     if d == 1:
         cof[:, 0, 0] = 1.0
     elif d == 2:
@@ -89,8 +113,12 @@ def pullback(geom: GeometryMap, xi: np.ndarray):
             i1, i2 = (i + 1) % 3, (i + 2) % 3
             for j in range(3):
                 j1, j2 = (j + 1) % 3, (j + 2) % 3
-                cof[:, i, j] = J[:, i1, j1] * J[:, i2, j2] - J[:, i1, j2] * J[:, i2, j1]
-    det = np.einsum("qj,qj->q", J[:, 0, :], cof[:, 0, :])
+                c = cof[:, i, j]
+                np.multiply(J[:, i1, j1], J[:, i2, j2], out=c)
+                c -= J[:, i1, j2] * J[:, i2, j1]
+    det = J[:, 0, 0] * cof[:, 0, 0]
+    for j in range(1, d):
+        det += J[:, 0, j] * cof[:, 0, j]
     bad = det <= 0
     if np.any(bad):
         q = int(np.argmax(bad))
@@ -100,7 +128,7 @@ def pullback(geom: GeometryMap, xi: np.ndarray):
 
 def identity_map(d: int = 3) -> GeometryMap:
     def _map(xi):
-        return xi.copy()
+        return xi.copy(order="K")
 
     def _jac(xi):
         return np.broadcast_to(np.eye(d), (len(xi), d, d)).copy()
@@ -133,19 +161,23 @@ def quarter_ring_map() -> GeometryMap:
     def _map(xi):
         r = 1.0 + xi[:, 0]
         th = np.pi / 2 * xi[:, 1]
-        return np.stack([r * np.cos(th), r * np.sin(th), xi[:, 2]], axis=1)
+        x = np.empty((3, len(xi)))
+        x[0] = r * np.cos(th)
+        x[1] = r * np.sin(th)
+        x[2] = xi[:, 2]
+        return x.T
 
     def _jac(xi):
         r = 1.0 + xi[:, 0]
         th = np.pi / 2 * xi[:, 1]
         c, s = np.cos(th), np.sin(th)
-        J = np.zeros((len(xi), 3, 3))
-        J[:, 0, 0] = c
-        J[:, 0, 1] = -np.pi / 2 * r * s
-        J[:, 1, 0] = s
-        J[:, 1, 1] = np.pi / 2 * r * c
-        J[:, 2, 2] = 1.0
-        return J
+        J = np.zeros((3, 3, len(xi)))
+        J[0, 0] = c
+        J[0, 1] = -np.pi / 2 * r * s
+        J[1, 0] = s
+        J[1, 1] = np.pi / 2 * r * c
+        J[2, 2] = 1.0
+        return J.transpose(2, 0, 1)
 
     return GeometryMap(dim=3, kind="analytic-quarter-ring", _map=_map, _jacobian=_jac)
 
@@ -167,30 +199,16 @@ def quarter_ring_rational_map() -> GeometryMap:
     cx = ((1 - b) ** 2 + sympy.sqrt(2) / 2 * 2 * b * (1 - b)) / w
     cy = (sympy.sqrt(2) / 2 * 2 * b * (1 - b) + b**2) / w
     F = [(1 + a) * cx, (1 + a) * cy, c]
-    J = [[sympy.diff(F[i], s) for s in (a, b, c)] for i in range(3)]
-    F_fn = sympy.lambdify((a, b, c), F, "numpy")
-    J_fn = sympy.lambdify((a, b, c), J, "numpy")
-
-    def _map(xi):
-        out = F_fn(xi[:, 0], xi[:, 1], xi[:, 2])
-        return np.stack(
-            [np.broadcast_to(np.asarray(o, dtype=float), (len(xi),)) for o in out],
-            axis=1,
-        )
+    # a flat list, so that cse=True shares subexpressions among all entries
+    J = [sympy.diff(F[i], s) for i in range(3) for s in (a, b, c)]
+    F_fn = sympy.lambdify((a, b, c), F, "numpy", cse=True)
+    J_fn = sympy.lambdify((a, b, c), J, "numpy", cse=True)
 
     def _jac(xi):
-        rows = J_fn(xi[:, 0], xi[:, 1], xi[:, 2])
-        Jm = np.empty((len(xi), 3, 3))
-        for i in range(3):
-            for j in range(3):
-                Jm[:, i, j] = np.broadcast_to(
-                    np.asarray(rows[i][j], dtype=float), (len(xi),)
-                )
-        return Jm
+        return _eval_rows(J_fn, xi, 9).reshape(3, 3, -1).transpose(2, 0, 1)
 
-    return GeometryMap(
-        dim=3, kind="rational-quarter-ring", _map=_map, _jacobian=_jac
-    )
+    return GeometryMap(dim=3, kind="rational-quarter-ring",
+                       _map=lambda xi: _eval_rows(F_fn, xi, 3).T, _jacobian=_jac)
 
 
 def spline_control_net_map(space_kvs, control_points: np.ndarray) -> GeometryMap:

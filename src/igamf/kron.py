@@ -90,10 +90,13 @@ def kron_materialize(factors, max_entries: int = 10**7):
 def tensor_grid(points_per_dir):
     """Broadcast d coordinate arrays over the tensor grid.
 
-    Returns a list of d flat arrays of length prod(n_q), one per direction,
-    ordered so that direction 1 runs fastest (matching the scalar index
-    convention used everywhere else).
+    Returns a (d, prod(n_q)) array whose row l holds the direction-l
+    coordinate of every grid point, ordered so that direction 1 runs
+    fastest (matching the scalar index convention used everywhere else).
+    Its transpose is the (npts, d) point array, stored component-major.
     """
-    rev = np.meshgrid(*reversed([np.asarray(q) for q in points_per_dir]),
-                      indexing="ij")
-    return [g.ravel() for g in reversed(rev)]
+    pts = [np.asarray(q, dtype=float).ravel() for q in points_per_dir]
+    out = np.empty((len(pts),) + tuple(len(q) for q in reversed(pts)))
+    for l, q in enumerate(pts):
+        out[l] = q.reshape((-1,) + (1,) * l)
+    return out.reshape(len(pts), -1)

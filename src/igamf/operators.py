@@ -89,8 +89,15 @@ def coefficient_grids(kind: str, geom, xi, coeff=None):
         K = coeff(geom.evaluate(xi)) if callable(coeff) else coeff
         Kcof = np.matmul(np.asarray(K, dtype=float), cof)
     d = cof.shape[1]
-    return {(a, b): np.einsum("qi,qi->q", cof[:, :, a], Kcof[:, :, b]) / det
-            for a in range(d) for b in range(a, d)}
+    grids = {}
+    for a in range(d):
+        for b in range(a, d):
+            g = cof[:, 0, a] * Kcof[:, 0, b]
+            for i in range(1, d):
+                g += cof[:, i, a] * Kcof[:, i, b]
+            g /= det
+            grids[(a, b)] = g
+    return grids
 
 
 def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
@@ -102,9 +109,8 @@ def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
     array.  Raises :class:`~igamf.geometry.DegenerateGeometryError` where
     det J_F <= 0.
     """
-    xi = np.stack(rule.point_arrays(), axis=1)
-    return kron_apply(_weight_factors(rule, None, None),
-                      coefficient_grids("mass", geom, xi, f)[None])
+    grid = coefficient_grids("mass", geom, rule.point_arrays().T, f)[None]
+    return kron_apply(_weight_factors(rule, None, None), grid)
 
 
 class _WQOperator:
@@ -116,8 +122,7 @@ class _WQOperator:
         self.geom = geom
         self.n_dofs = space.n_dofs
         self.terms = wq_terms(rule, kind)
-        xi = np.stack(rule.point_arrays(), axis=1)
-        self.coeffs = coefficient_grids(kind, geom, xi, coeff)
+        self.coeffs = coefficient_grids(kind, geom, rule.point_arrays().T, coeff)
         self.setup_flops = COEFF_EVAL_FLOPS * rule.n_points * len(self.coeffs)
 
     @property

@@ -82,7 +82,7 @@ class KnotVector:
         ``x`` may be a scalar or an array; the result has its shape.
         """
         x = np.asarray(x, dtype=float)
-        outside = (x < 0.0) | (x > 1.0)
+        outside = ~((x >= 0.0) & (x <= 1.0))  # NaN fails both comparisons
         if np.any(outside):
             raise ValueError(f"point {x[outside].flat[0]} outside [0, 1]")
         k = np.searchsorted(self.knots, x, side="right") - 1

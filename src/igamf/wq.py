@@ -53,7 +53,7 @@ def exact_gram(kv: KnotVector, a: int, b: int) -> sp.csr_matrix:
     """Exact univariate Gram matrix int D^a b_i D^b b_j (sparse, m x m)."""
     x, w = gauss_points_weights(kv, kv.degree + 1)
     Ba = collocation_matrix(kv, x, a)
-    Bb = collocation_matrix(kv, x, b)
+    Bb = Ba if b == a else collocation_matrix(kv, x, b)
     G = (Ba.T @ sp.diags(w) @ Bb).tocsr()
     G.eliminate_zeros()
     return G
@@ -190,7 +190,11 @@ class TensorRule:
         return int(np.prod(self.n_points_per_dir))
 
     def point_arrays(self):
-        """Flat coordinate arrays of the tensor grid, direction 1 fastest."""
+        """Tensor-grid coordinates as a (d, n_points) array, direction 1 fastest.
+
+        The transpose is the (n_points, d) point array, stored
+        component-major (see :func:`~igamf.kron.tensor_grid`).
+        """
         from .kron import tensor_grid
 
         return tensor_grid([r.points for r in self.rules])

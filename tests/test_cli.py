@@ -1,11 +1,14 @@
 import csv
 import subprocess
 import sys
+import time
 
 import pytest
 
+from igamf import cli
 from igamf.cli import (CSV_HEADER, ConfigError, RunConfig, main, run_profile,
                        run_solve)
+from igamf.problems import relative_errors
 
 
 def read_csv(path):
@@ -43,6 +46,24 @@ class TestSolveCommand:
         assert rec["method"] == "sgq"
         assert float(rec["error_h1"]) > float(rec["error_l2"]) > 0
         assert int(rec["nnz"]) > 0
+        assert float(rec["error_s"]) > 0
+
+    def test_error_s_counts_every_error_pass(self, monkeypatch):
+        # the cube case has no reference table, so run_solve makes one error
+        # pass to estimate the discretization error and one for the record
+        pause = 0.05
+        calls = []
+
+        def slow_errors(*args, **kwargs):
+            calls.append(1)
+            time.sleep(pause)
+            return relative_errors(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "relative_errors", slow_errors)
+        rec = run_solve(RunConfig(2, 2, geometry="cube", method="mfwq"))
+        assert len(calls) == 2
+        assert rec.error_s >= 2 * pause
+        assert rec.total_s == pytest.approx(rec.setup_s + rec.solve_s)
 
     def test_cross_method_consistency(self):
         a = run_solve(RunConfig(1, 3, geometry="ring", method="sgq"))

@@ -92,6 +92,30 @@ class TestCoefficientGrids:
         assert np.allclose(np.swapaxes(cof, 1, 2) / det[:, None, None],
                            np.linalg.inv(A), rtol=1e-15)
 
+    def test_pullback_same_for_either_layout(self):
+        # a component-major Jacobian and a C-order copy of it give the same
+        # bits: det and cof are formed from entry products in a fixed order
+        space, rule, geom = make(2, 3, quarter_ring_rational_map())
+        xi = rule.point_arrays().T
+        J = geom.jacobian(xi)
+        assert J.transpose(1, 2, 0).flags.c_contiguous
+        J_c = np.ascontiguousarray(J)
+        out = [pullback(GeometryMap(dim=3, kind="fixed", _map=None,
+                                    _jacobian=lambda _, M=M: M), xi)
+               for M in (J, J_c)]
+        assert np.array_equal(out[0][0], out[1][0])
+        assert np.array_equal(out[0][1], out[1][1])
+
+    def test_stiffness_grids_same_for_c_order_points(self):
+        space, rule, geom = make(2, 4, quarter_ring_rational_map())
+        xi = rule.point_arrays().T
+        xi_c = np.stack(list(rule.point_arrays()), axis=1)
+        assert xi_c.flags.c_contiguous and np.array_equal(xi, xi_c)
+        new = coefficient_grids("stiffness", geom, xi)
+        old = coefficient_grids("stiffness", geom, xi_c)
+        for key, g in new.items():
+            assert np.abs(g - old[key]).max() <= 1e-15 * np.abs(old[key]).max()
+
     def test_stiffness_grids_match_dense_pullback(self):
         # C = det J^-1 K J^-T with a constant anisotropic K
         space, rule, geom = make(2, 3, quarter_ring_rational_map())

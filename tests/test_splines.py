@@ -72,6 +72,8 @@ class TestCollocation:
             collocation_matrix(kv, [-0.1])
         with pytest.raises(ValueError):
             collocation_matrix(kv, [1.0001])
+        with pytest.raises(ValueError):
+            collocation_matrix(kv, [np.nan])
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_derivative_matches_finite_differences(self, p):
