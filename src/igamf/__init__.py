@@ -7,8 +7,7 @@ quadrature), a fast-diagonalization preconditioner and Krylov solvers.
 """
 
 from .splines import (KnotVector, TensorSpace, collocation_matrix,
-                      make_uniform_knots, multi_to_scalar, scalar_to_multi,
-                      tensor_space)
+                      make_uniform_knots, tensor_space)
 from .kron import CostMeter, kron_apply, kron_materialize, tensor_grid
 from .wq import (EXACTNESS_TOL, TensorRule, WQConstructionError, WQRule1D,
                  build_tensor_rule, build_wq_rule, exact_gram,
@@ -16,12 +15,11 @@ from .wq import (EXACTNESS_TOL, TensorRule, WQConstructionError, WQRule1D,
 from .geometry import (DegenerateGeometryError, GeometryMap, affine_map,
                        identity_map, pullback, quarter_ring_map,
                        quarter_ring_rational_map, spline_control_net_map)
-from .operators import (COEFF_EVAL_FLOPS, MassOperator, StiffnessOperator,
-                        coefficient_grids, setup_mass, setup_stiffness,
-                        wq_load_vector, wq_terms)
+from .operators import (MassOperator, StiffnessOperator, coefficient_grids,
+                        setup_mass, setup_stiffness, wq_load_vector, wq_terms)
 from .assembly import (AssembledMatrix, MemoryGuardError, assemble_rhs,
                        assemble_sgq, assemble_wq_explicit,
-                       estimate_matrix_nnz, max_row_nnz)
+                       estimate_matrix_nnz)
 from .solvers import (FDPreconditioner, IndefiniteOperatorError, KrylovReport,
                       bicgstab, cg, stopping_tolerance)
 from .problems import (ManufacturedCase, QUARTER_RING_H1_REFERENCE,

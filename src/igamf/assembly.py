@@ -41,7 +41,6 @@ class MemoryGuardError(MemoryError):
 class AssembledMatrix:
     matrix: sp.csr_matrix = field(repr=False)
     provenance: str
-    quadrature: str
 
     @property
     def shape(self):
@@ -50,15 +49,6 @@ class AssembledMatrix:
     @property
     def nnz(self):
         return self.matrix.nnz
-
-    def export_coo(self, path):
-        """Write (row, col, value) triplets as text, one per line."""
-        coo = self.matrix.tocoo()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# {self.provenance} {self.shape[0]}x{self.shape[1]} "
-                     f"nnz={self.nnz}\n")
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i} {j} {v:.17g}\n")
 
 
 def estimate_matrix_nnz(space) -> int:
@@ -72,14 +62,6 @@ def estimate_matrix_nnz(space) -> int:
             per_dir += min(i + p, n - 1) - max(i - p, 0) + 1
         nnz *= per_dir
     return nnz
-
-
-def max_row_nnz(space) -> int:
-    """Largest per-row nonzero count of the Galerkin matrix."""
-    out = 1
-    for kv in space.knotvectors:
-        out *= min(2 * kv.degree + 1, kv.n_interior)
-    return out
 
 
 def _gauss_factors(space, pts_per_span):
@@ -162,8 +144,7 @@ def assemble_sgq(space, geom, coeff=None, kind="mass", gauss_pts_per_span=None,
                 A = term if A is None else A + term
         A = A.tocsr()
     A.eliminate_zeros()
-    return AssembledMatrix(matrix=A, provenance="SGQ",
-                           quadrature=f"gauss:{gauss_pts_per_span}/span")
+    return AssembledMatrix(matrix=A, provenance="SGQ")
 
 
 def assemble_wq_explicit(space, rule, geom, coeff=None, kind="mass",
@@ -181,8 +162,7 @@ def assemble_wq_explicit(space, rule, geom, coeff=None, kind="mass",
         A = term if A is None else A + term
     A = A.tocsr()
     A.eliminate_zeros()
-    return AssembledMatrix(matrix=A, provenance="WQ-explicit",
-                           quadrature="weighted")
+    return AssembledMatrix(matrix=A, provenance="WQ-explicit")
 
 
 def assemble_rhs(space, geom, f, gauss_pts_per_span=None) -> np.ndarray:

@@ -59,19 +59,6 @@ class GeometryMap:
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
         return self._jacobian(xi)
 
-    def jacobian_fd(self, xi: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-        """Central-difference Jacobian, for validation only."""
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        npts, d = xi.shape
-        J = np.empty((npts, d, d))
-        for l in range(d):
-            xp = xi.copy()
-            xm = xi.copy()
-            xp[:, l] += eps
-            xm[:, l] -= eps
-            J[:, :, l] = (self.evaluate(xp) - self.evaluate(xm)) / (2 * eps)
-        return J
-
 
 def _eval_rows(fn, xi, n_rows):
     """Values of a lambdified list of ``n_rows`` expressions at points xi.

@@ -14,25 +14,13 @@ import scipy.sparse as sp
 
 
 class CostMeter:
-    """Accumulates multiply-add flop counts and peak scratch-buffer size.
-
-    One multiply plus one add counts as 2 flops.  ``bytes_peak`` is in
-    scalar units (number of float64 values live in auxiliary buffers).
-    """
+    """Accumulates multiply-add flop counts; one multiply plus one add is 2 flops."""
 
     def __init__(self):
         self.flops = 0
-        self.bytes_peak = 0
 
     def add_flops(self, n: int):
         self.flops += int(n)
-
-    def note_buffers(self, n_scalars: int):
-        self.bytes_peak = max(self.bytes_peak, int(n_scalars))
-
-    def reset(self):
-        self.flops = 0
-        self.bytes_peak = 0
 
 
 def kron_apply(factors, x, meter: CostMeter | None = None) -> np.ndarray:
@@ -61,7 +49,6 @@ def kron_apply(factors, x, meter: CostMeter | None = None) -> np.ndarray:
                 meter.add_flops(2 * A.nnz * ncols)
             else:
                 meter.add_flops(2 * A.shape[0] * A.shape[1] * ncols)
-            meter.note_buffers(Xmat.size + Y.size)
         X = np.moveaxis(
             np.asarray(Y).reshape((s_dims[l - 1],) + lead_shape), 0, axis
         )

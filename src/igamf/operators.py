@@ -21,11 +21,6 @@ from .geometry import pullback
 from .kron import CostMeter, kron_apply
 from .wq import TensorRule
 
-#: nominal flop charge per coefficient value evaluated during setup
-#: (geometry Jacobian, cofactors and determinant); used for cost accounting
-#: only.
-COEFF_EVAL_FLOPS = 60
-
 
 def _check_kind(kind):
     if kind not in ("mass", "stiffness"):
@@ -117,13 +112,10 @@ class _WQOperator:
     """Term list and stored coefficient grids of one WQ operator."""
 
     def __init__(self, space, rule: TensorRule, geom, kind, coeff):
-        self.space = space
         self.rule = rule
-        self.geom = geom
         self.n_dofs = space.n_dofs
         self.terms = wq_terms(rule, kind)
         self.coeffs = coefficient_grids(kind, geom, rule.point_arrays().T, coeff)
-        self.setup_flops = COEFF_EVAL_FLOPS * rule.n_points * len(self.coeffs)
 
     @property
     def coeff_scalars(self) -> int:

@@ -1,5 +1,5 @@
 # -*- coding: utf-8 -*-
-"""Concrete benchmark problems: geometries, manufactured solutions, error norms.
+"""Concrete benchmark problems: manufactured solutions and error norms.
 
 The oscillating manufactured solution on the thick quarter ring is
 
@@ -19,7 +19,6 @@ import sympy
 
 from .assembly import tensor_gauss_sum
 from .geometry import _eval_rows
-from .geometry import identity_map, quarter_ring_map  # noqa: F401  (re-export)
 from .kron import kron_apply
 
 #: reference relative H1 errors of the fully solved quarter-ring benchmark,

@@ -9,8 +9,7 @@ BiCGStab is right-preconditioned so that the reported residual is the true
 system residual.
 """
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -35,13 +34,6 @@ class KrylovReport:
     matvecs: int
     precond_applies: int
 
-    def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "relative_residual"])
-            for k, r in enumerate(self.residuals):
-                writer.writerow([k, f"{r:.16e}"])
-
 
 class FDPreconditioner:
     """Exact Kronecker-sum solver used as preconditioner.
@@ -53,12 +45,9 @@ class FDPreconditioner:
     def __init__(self, space, sigma: float = 0.0):
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        self.space = space
-        self.sigma = float(sigma)
-        self.K1 = []
-        self.M1 = []
+        self.n_dofs = space.n_dofs
         self.U = []
-        self.lams = []
+        lams = []
         for kv in space.knotvectors:
             K = exact_gram(kv, 1, 1).toarray()[1:-1, 1:-1]
             M = exact_gram(kv, 0, 0).toarray()[1:-1, 1:-1]
@@ -68,10 +57,8 @@ class FDPreconditioner:
                 raise EigenSolveError(
                     f"generalized eigensolve failed (degree {kv.degree}): {err}"
                 ) from err
-            self.K1.append(K)
-            self.M1.append(M)
             self.U.append(U)
-            self.lams.append(lam)
+            lams.append(lam)
         # inverse Kronecker-sum diagonal over the eigen-tensor grid
         d = space.dim
         dims = space.n_per_dir
@@ -79,12 +66,8 @@ class FDPreconditioner:
         for l in range(d):
             shape = [1] * d
             shape[d - 1 - l] = dims[l]
-            lam_sum = lam_sum + self.lams[l].reshape(shape)
-        self.inv_diag = 1.0 / (lam_sum.ravel() + self.sigma)
-
-    @property
-    def n_dofs(self) -> int:
-        return self.space.n_dofs
+            lam_sum = lam_sum + lams[l].reshape(shape)
+        self.inv_diag = 1.0 / (lam_sum.ravel() + float(sigma))
 
     def apply(self, r, meter: CostMeter | None = None) -> np.ndarray:
         r = np.asarray(r, dtype=float).ravel()
@@ -95,18 +78,6 @@ class FDPreconditioner:
         if meter is not None:
             meter.add_flops(self.n_dofs)
         return kron_apply(self.U, y, meter)
-
-    def apply_forward(self, v) -> np.ndarray:
-        """P v via Kronecker-sum application (test oracle for self-inversion)."""
-        v = np.asarray(v, dtype=float).ravel()
-        d = self.space.dim
-        out = np.zeros_like(v)
-        for l in range(d):
-            factors = [self.K1[k] if k == l else self.M1[k] for k in range(d)]
-            out += kron_apply(factors, v)
-        if self.sigma != 0.0:
-            out += self.sigma * kron_apply(self.M1, v)
-        return out
 
 
 def stopping_tolerance(galerkin_rel_error: float, eta: float = 0.1) -> float:

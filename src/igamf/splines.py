@@ -1,5 +1,5 @@
 # -*- coding: utf-8 -*-
-"""Univariate B-spline spaces, collocation matrices and multi-index bookkeeping.
+"""Univariate B-spline spaces, collocation matrices and tensor spaces.
 
 All knot vectors are open and live on the parametric interval [0, 1].
 Evaluation at a knot uses the right-continuous limit, except at the right
@@ -201,32 +201,3 @@ def tensor_space(p: int, n_el: int, d: int = 3) -> TensorSpace:
     kv = make_uniform_knots(p, n_el)
     return TensorSpace((kv,) * d)
 
-
-def multi_to_scalar(multi, dims) -> int:
-    """1-based multi-index to 1-based scalar index, first direction fastest."""
-    multi = tuple(int(i) for i in multi)
-    dims = tuple(int(s) for s in dims)
-    if len(multi) != len(dims):
-        raise ValueError("multi-index and dims length mismatch")
-    stride = 1
-    out = 1
-    for i_l, s_l in zip(multi, dims):
-        if not 1 <= i_l <= s_l:
-            raise ValueError(f"index component {i_l} out of range 1..{s_l}")
-        out += (i_l - 1) * stride
-        stride *= s_l
-    return out
-
-
-def scalar_to_multi(i: int, dims) -> tuple[int, ...]:
-    """Inverse of :func:`multi_to_scalar`."""
-    dims = tuple(int(s) for s in dims)
-    total = int(np.prod(dims))
-    if not 1 <= i <= total:
-        raise ValueError(f"scalar index {i} out of range 1..{total}")
-    rem = i - 1
-    multi = []
-    for s_l in dims:
-        multi.append(rem % s_l + 1)
-        rem //= s_l
-    return tuple(multi)

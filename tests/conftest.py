@@ -1,6 +1,6 @@
 import numpy as np
 
-from igamf import KnotVector, make_uniform_knots
+from igamf import KnotVector, exact_gram, kron_apply, make_uniform_knots
 
 
 def perturbed_knots(p, n_el, seed=0, amount=0.25):
@@ -13,3 +13,29 @@ def perturbed_knots(p, n_el, seed=0, amount=0.25):
     knots[interior] += amount * h * rng.uniform(-1, 1, knots[interior].size)
     assert np.all(np.diff(knots) >= 0)
     return KnotVector(p, knots)
+
+
+def fd_forward(space, v, sigma=0.0):
+    """P v for the FD preconditioner's Kronecker sum (oracle for its inverse).
+
+    P = sum_l M x ... x K_l x ... x M + sigma M x ... x M, with K and M the
+    interior blocks of the univariate stiffness and mass Grams.
+    """
+    K = [exact_gram(kv, 1, 1).toarray()[1:-1, 1:-1] for kv in space.knotvectors]
+    M = [exact_gram(kv, 0, 0).toarray()[1:-1, 1:-1] for kv in space.knotvectors]
+    v = np.asarray(v, dtype=float).ravel()
+    d = space.dim
+    out = np.zeros_like(v)
+    for l in range(d):
+        out += kron_apply([K[k] if k == l else M[k] for k in range(d)], v)
+    if sigma != 0.0:
+        out += sigma * kron_apply(M, v)
+    return out
+
+
+def max_row_nnz(space):
+    """Largest per-row nonzero count of the Galerkin matrix."""
+    out = 1
+    for kv in space.knotvectors:
+        out *= min(2 * kv.degree + 1, kv.n_interior)
+    return out

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from conftest import max_row_nnz
 from igamf import (MemoryGuardError, assemble_rhs, assemble_sgq,
                    assemble_wq_explicit, assembly, build_tensor_rule, exact_gram,
                    estimate_matrix_nnz, identity_map, kron_materialize,
-                   make_uniform_knots, max_row_nnz, oscillating_case,
-                   quarter_ring_map, tensor_space)
+                   oscillating_case, quarter_ring_map, tensor_space)
 
 
 class TestSGQ:
@@ -125,13 +124,3 @@ class TestGuardsAndMeta:
         # the intermediate Kronecker factor, which dominates the product)
         assert exc.value.estimate >= estimate_matrix_nnz(space)
         assert f"{exc.value.estimate:.2e}" in str(exc.value)
-
-    def test_export_coo_round_trip(self, tmp_path):
-        space = tensor_space(1, 3, 3)
-        mat = assemble_sgq(space, identity_map(3), kind="mass")
-        path = tmp_path / "mass.coo"
-        mat.export_coo(path)
-        rows, cols, vals = np.loadtxt(path, unpack=True, ndmin=2)
-        back = sp.coo_matrix((vals, (rows.astype(int), cols.astype(int))),
-                             shape=mat.shape)
-        assert np.abs((back.tocsr() - mat.matrix).toarray()).max() <= 1e-15

@@ -9,6 +9,7 @@ from igamf import cli
 from igamf.cli import (CSV_HEADER, ConfigError, RunConfig, main, run_profile,
                        run_solve)
 from igamf.problems import relative_errors
+from igamf.solvers import bicgstab
 
 
 def read_csv(path):
@@ -59,10 +60,20 @@ class TestSolveCommand:
             time.sleep(pause)
             return relative_errors(*args, **kwargs)
 
+        def slow_krylov(*args, **kwargs):
+            solves.append(1)
+            time.sleep(pause)
+            return bicgstab(*args, **kwargs)
+
+        solves = []
         monkeypatch.setattr(cli, "relative_errors", slow_errors)
+        monkeypatch.setattr(cli, "bicgstab", slow_krylov)
         rec = run_solve(RunConfig(2, 2, geometry="cube", method="mfwq"))
         assert len(calls) == 2
         assert rec.error_s >= 2 * pause
+        # the tight estimate solve and the re-solve both count in solve_s
+        assert len(solves) == 2
+        assert rec.solve_s >= 2 * pause
         assert rec.total_s == pytest.approx(rec.setup_s + rec.solve_s)
 
     def test_cross_method_consistency(self):

@@ -139,8 +139,7 @@ class TestCostAccounting:
         first = meter.flops
         kron_apply([np.eye(3)] * 2, np.ones(9), meter)
         assert meter.flops == 2 * first
-        meter.reset()
-        assert meter.flops == 0
+        assert CostMeter().flops == 0
 
     def test_mixed_rectangular_shapes(self):
         # n_q x n followed by n x n_q shapes compose to the right sizes

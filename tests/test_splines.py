@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 from igamf import (KnotVector, collocation_matrix, make_uniform_knots,
-                   multi_to_scalar, scalar_to_multi, tensor_space)
+                   tensor_space)
 
 
 class TestMakeUniformKnots:
@@ -125,34 +123,6 @@ class TestCollocation:
             BSpline(kv.knots, np.eye(kv.n_funcs)[j], kv.degree)(x, nu=deriv)
             for j in range(kv.n_funcs)])
         assert np.abs(B - ref).max() <= 1e-14 * np.abs(ref).max()
-
-
-class TestIndexMaps:
-    def test_first_index(self):
-        assert multi_to_scalar((1, 1, 1), (4, 4, 4)) == 1
-
-    def test_second_index_fastest_direction(self):
-        assert multi_to_scalar((2, 1, 1), (4, 4, 4)) == 2
-
-    def test_round_trip_all(self):
-        dims = (4, 4, 4)
-        for i in range(1, 65):
-            assert multi_to_scalar(scalar_to_multi(i, dims), dims) == i
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            multi_to_scalar((5, 1, 1), (4, 4, 4))
-        with pytest.raises(ValueError):
-            scalar_to_multi(65, (4, 4, 4))
-
-    @given(st.lists(st.integers(1, 6), min_size=1, max_size=4).flatmap(
-        lambda dims: st.tuples(
-            st.just(tuple(dims)),
-            st.tuples(*(st.integers(1, s) for s in dims)))))
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip_property(self, dims_multi):
-        dims, multi = dims_multi
-        assert scalar_to_multi(multi_to_scalar(multi, dims), dims) == multi
 
 
 class TestTensorSpace:
