@@ -1,30 +1,29 @@
 # -*- coding: utf-8 -*-
-"""Explicit sparse assembly oracles and load-vector assembly.
+"""Explicit sparse assembly oracles, the Gauss load vector and Gauss slab sums.
 
-Two assembly routes: standard element-wise Gaussian quadrature (SGQ,
-symmetric) and explicit materialization of the weighted-quadrature
-factorization (generally nonsymmetric on curved geometries).  Both exist
-for correctness checks and baseline comparisons, not performance.
+Standard Gauss quadrature (SGQ, symmetric) and explicit weighted
+quadrature (generally nonsymmetric on curved geometries) are one term
+materializer over :func:`~igamf.operators.wq_terms`, fed the Gauss rule
+of :func:`~igamf.wq.gauss_tensor_rule` or a WQ rule; they are oracles and
+baselines, not fast paths.  The Gauss load vector is
+:func:`~igamf.operators.wq_load_vector` on the Gauss rule.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .geometry import pullback
-from .kron import kron_apply, kron_materialize, tensor_grid
-from .operators import coefficient_grids, wq_terms
+from .kron import grid_slabs, kron_materialize, tensor_grid
+from .operators import coefficient_grids, wq_load_vector, wq_terms
 from .splines import collocation_matrix
-from .wq import gauss_points_weights
+from .wq import gauss_points_weights, gauss_tensor_rule
 
 #: conservative default guard on assembled nonzeros
 NNZ_GUARD = 5 * 10**7
-
-#: quadrature points per slab of :func:`tensor_gauss_sum`; bounds the
-#: scratch memory of right-hand-side assembly and error evaluation
-SLAB_POINTS = 2 * 10**6
 
 
 class MemoryGuardError(MemoryError):
@@ -43,10 +42,6 @@ class AssembledMatrix:
     provenance: str
 
     @property
-    def shape(self):
-        return self.matrix.shape
-
-    @property
     def nnz(self):
         return self.matrix.nnz
 
@@ -55,57 +50,65 @@ def estimate_matrix_nnz(space) -> int:
     """Exact nonzero count of the Galerkin matrix from the 1D overlap pattern."""
     nnz = 1
     for kv in space.knotvectors:
-        p = kv.degree
-        n = kv.n_interior
-        per_dir = 0
-        for i in range(n):
-            per_dir += min(i + p, n - 1) - max(i - p, 0) + 1
-        nnz *= per_dir
+        p, n = kv.degree, kv.n_interior
+        nnz *= sum(min(i + p, n - 1) - max(i - p, 0) + 1 for i in range(n))
     return nnz
-
-
-def _gauss_factors(space, pts_per_span):
-    """Per-direction Gauss points/weights and interior collocation factors."""
-    pts, wts, B0, B1 = [], [], [], []
-    for kv in space.knotvectors:
-        x, w = gauss_points_weights(kv, pts_per_span)
-        pts.append(x)
-        wts.append(w)
-        B0.append(collocation_matrix(kv, x, 0)[:, 1:-1].tocsr())
-        B1.append(collocation_matrix(kv, x, 1)[:, 1:-1].tocsr())
-    return pts, wts, B0, B1
-
-
-def _gauss_grid(pts, wts):
-    """Tensor Gauss points as an (npts, d) array and their product weights."""
-    return tensor_grid(pts).T, functools.reduce(np.multiply, tensor_grid(wts))
 
 
 def tensor_gauss_sum(space, geom, pts_per_span, integrand):
     """Sum ``integrand`` over slabs of the tensor Gauss grid of ``space``.
 
     The grid (``pts_per_span`` points per knot span and direction) is split
-    along the last direction into slabs of at most about
-    :data:`SLAB_POINTS` points.  Per slab the call is
+    into the slabs of :func:`~igamf.kron.grid_slabs`.  Per slab the call is
     ``integrand(x, measure, det, cof, B0, B1)``: physical points, Gauss
     weight times det J_F, the :func:`~igamf.geometry.pullback` of the slab,
     and the per-direction interior value and derivative collocation
     factors, the last direction's restricted to the slab's rows.
     """
-    pts, wts, B0, B1 = _gauss_factors(space, pts_per_span)
-    n_last = len(pts[-1])
-    lower = int(np.prod([len(q) for q in pts[:-1]]))
-    block = max(1, min(n_last, SLAB_POINTS // max(lower, 1)))
+    kvs = space.knotvectors
+    pts, wts = zip(*(gauss_points_weights(kv, pts_per_span) for kv in kvs))
+    B0, B1 = ([collocation_matrix(kv, x, b)[:, 1:-1].tocsr()
+               for kv, x in zip(kvs, pts)] for b in (0, 1))
     total = 0.0
-    for start in range(0, n_last, block):
-        s = slice(start, start + block)
-        xi, w = _gauss_grid(pts[:-1] + [pts[-1][s]], wts[:-1] + [wts[-1][s]])
+    for s in grid_slabs([len(q) for q in pts]):
+        xi = tensor_grid(pts[:-1] + (pts[-1][s],)).T
+        w = functools.reduce(np.multiply, tensor_grid(wts[:-1] + (wts[-1][s],)))
         det, cof = pullback(geom, xi)
         x = geom.evaluate(xi)
         del xi  # not needed by the integrand; free it before that runs
         total = total + integrand(x, w * det, det, cof, B0[:-1] + [B0[-1][s]],
                                   B1[:-1] + [B1[-1][s]])
     return total
+
+
+def _materialize(space, rule, geom, coeff, kind, nnz_guard, provenance):
+    """Assemble the sum of the (W, key, B) terms of :func:`wq_terms` as a CSR matrix.
+
+    Terms that share one B list are grouped, as in the matrix-free apply:
+    the sum of kron(W) diag(c) over the group is formed first, then one
+    sparse product with kron(B).  Raises :class:`MemoryGuardError` before
+    any allocation when the product's nonzero estimate or the largest
+    Kronecker factor exceeds ``nnz_guard``.
+    """
+    terms = wq_terms(rule, kind)
+    factor_nnz = max(int(np.prod([f.nnz for f in F]))
+                     for W, _, B in terms for F in (W, B))
+    est = max(estimate_matrix_nnz(space), factor_nnz)
+    if est > nnz_guard:
+        raise MemoryGuardError(est, nnz_guard)
+    coeffs = coefficient_grids(kind, geom, rule.point_arrays().T, coeff)
+    A = None
+    for _, group in itertools.groupby(terms, key=lambda term: id(term[2])):
+        WC = None
+        for W, key, B in group:
+            K = kron_materialize(W, max_entries=np.inf)
+            K.data = K.data * coeffs[key][K.indices]  # K diag(c)
+            WC = K if WC is None else WC + K
+        term = WC @ kron_materialize(B, max_entries=np.inf)
+        A = term if A is None else A + term
+    A = A.tocsr()
+    A.eliminate_zeros()
+    return AssembledMatrix(matrix=A, provenance=provenance)
 
 
 def assemble_sgq(space, geom, coeff=None, kind="mass", gauss_pts_per_span=None,
@@ -115,54 +118,19 @@ def assemble_sgq(space, geom, coeff=None, kind="mass", gauss_pts_per_span=None,
     Default p+1 points per span per direction, exact for integrands of
     degree <= 2p+1 per direction.
     """
-    if kind not in ("mass", "stiffness"):
-        raise ValueError(f"unknown kind {kind!r}")
-    p = max(kv.degree for kv in space.knotvectors)
-    if gauss_pts_per_span is None:
-        gauss_pts_per_span = p + 1
-    est = estimate_matrix_nnz(space)
-    pts, wts, B0, B1 = _gauss_factors(space, gauss_pts_per_span)
-    bk_nnz = int(np.prod([b.nnz for b in B0]))
-    if est > nnz_guard or bk_nnz > nnz_guard:
-        raise MemoryGuardError(max(est, bk_nnz), nnz_guard)
-    xi, w = _gauss_grid(pts, wts)
-    coeffs = {key: w * c for key, c in
-              coefficient_grids(kind, geom, xi, coeff).items()}
-    if kind == "mass":
-        Bk = kron_materialize(B0, max_entries=np.inf)
-        A = (Bk.T @ sp.diags(coeffs[None]) @ Bk).tocsr()
-    else:
-        d = space.dim
-        A = None
-        Bkron = [kron_materialize([B1[l] if l == b else B0[l] for l in range(d)],
-                                  max_entries=np.inf)
-                 for b in range(d)]
-        for a in range(d):
-            for b in range(d):
-                c = coeffs[(min(a, b), max(a, b))]
-                term = Bkron[a].T @ sp.diags(c) @ Bkron[b]
-                A = term if A is None else A + term
-        A = A.tocsr()
-    A.eliminate_zeros()
-    return AssembledMatrix(matrix=A, provenance="SGQ")
+    rule = gauss_tensor_rule(space, gauss_pts_per_span)
+    return _materialize(space, rule, geom, coeff, kind, nnz_guard, "SGQ")
 
 
 def assemble_wq_explicit(space, rule, geom, coeff=None, kind="mass",
                          nnz_guard=NNZ_GUARD) -> AssembledMatrix:
-    """Materialize the weighted-quadrature matrix from its sparse factors."""
-    terms = wq_terms(rule, kind)
-    est = estimate_matrix_nnz(space)
-    if est > nnz_guard:
-        raise MemoryGuardError(est, nnz_guard)
-    coeffs = coefficient_grids(kind, geom, rule.point_arrays().T, coeff)
-    A = None
-    for W, key, B in terms:
-        term = (kron_materialize(W, max_entries=np.inf) @ sp.diags(coeffs[key])
-                @ kron_materialize(B, max_entries=np.inf))
-        A = term if A is None else A + term
-    A = A.tocsr()
-    A.eliminate_zeros()
-    return AssembledMatrix(matrix=A, provenance="WQ-explicit")
+    """Materialize the operator of a tensor rule from its sparse factors.
+
+    With a WQ rule this is the weighted-quadrature matrix; with a rule of
+    :func:`~igamf.wq.gauss_tensor_rule` it equals :func:`assemble_sgq`.
+    """
+    return _materialize(space, rule, geom, coeff, kind, nnz_guard,
+                        "WQ-explicit")
 
 
 def assemble_rhs(space, geom, f, gauss_pts_per_span=None) -> np.ndarray:
@@ -170,11 +138,4 @@ def assemble_rhs(space, geom, f, gauss_pts_per_span=None) -> np.ndarray:
 
     ``f`` is a physical-space field taking an (npts, d) coordinate array.
     """
-    if gauss_pts_per_span is None:
-        gauss_pts_per_span = max(kv.degree for kv in space.knotvectors) + 1
-
-    def integrand(x, measure, det, cof, B0, B1):
-        vals = measure * np.asarray(f(x), dtype=float)
-        return kron_apply([b.T.tocsr() for b in B0], vals)
-
-    return tensor_gauss_sum(space, geom, gauss_pts_per_span, integrand)
+    return wq_load_vector(gauss_tensor_rule(space, gauss_pts_per_span), geom, f)

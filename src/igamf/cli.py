@@ -22,15 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (NNZ_GUARD, MemoryGuardError, assemble_rhs, assemble_sgq,
-                       assemble_wq_explicit)
+from .assembly import NNZ_GUARD, MemoryGuardError, assemble_wq_explicit
 from .geometry import identity_map, quarter_ring_map, quarter_ring_rational_map
 from .kron import CostMeter
 from .operators import setup_stiffness, wq_load_vector
 from .problems import cube_sine_case, oscillating_case, relative_errors
 from .solvers import FDPreconditioner, bicgstab, cg, stopping_tolerance
 from .splines import tensor_space
-from .wq import build_tensor_rule
+from .wq import build_tensor_rule, gauss_tensor_rule
 
 CSV_HEADER = ["method", "p", "k", "N", "error_h1", "error_l2", "iters",
               "setup_s", "solve_s", "total_s", "error_s", "matvec_flops",
@@ -47,12 +46,16 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_names(method, geometry):
-    """Reject an unknown method or geometry (the (p, k)-independent checks)."""
+def _check_options(method, geometry, eta, maxit):
+    """Reject the values no run can honour (the (p, k)-independent checks)."""
     if method not in _METHOD_SOLVER:
         raise ConfigError(f"unknown method {method!r}")
     if geometry not in ("cube", "ring", "ring-polar"):
         raise ConfigError(f"unknown geometry {geometry!r}")
+    if not eta > 0:
+        raise ConfigError(f"eta must be > 0, got {eta}")
+    if maxit < 1:
+        raise ConfigError(f"maxit must be >= 1, got {maxit}")
 
 
 @dataclass
@@ -69,7 +72,7 @@ class RunConfig:
     nnz_guard: float = NNZ_GUARD
 
     def __post_init__(self):
-        _check_names(self.method, self.geometry)
+        _check_options(self.method, self.geometry, self.eta, self.maxit)
         if self.degree < 1:
             raise ConfigError("degree must be >= 1")
         if self.mesh_exp < 1:
@@ -138,32 +141,21 @@ def _setup(cfg: RunConfig, geom, case):
     rec = RunRecord(method=cfg.method, p=p, k=k, N=space.n_dofs)
     t0 = time.perf_counter()
 
-    if cfg.method in ("mfwq", "wq"):
-        rule = build_tensor_rule(space)
-        n_q = rule.n_points
-        coeff_flops = 6 * n_q * _COEFF_EVAL_FLOPS
-        if cfg.method == "mfwq":
-            stiff = setup_stiffness(space, rule, geom)
-            apply_A = stiff.apply
-            rec.coeff_scalars = stiff.coeff_scalars
-            rec.setup_flops = coeff_flops
-        else:
-            mat = assemble_wq_explicit(space, rule, geom, kind="stiffness",
-                                       nnz_guard=cfg.nnz_guard)
-            apply_A = lambda v: mat.matrix @ v
-            rec.nnz = mat.nnz
-            rec.coeff_scalars = 6 * n_q
-            rec.setup_flops = coeff_flops + 9 * 4 * mat.nnz
-        rhs = wq_load_vector(rule, geom, case.f)
+    if cfg.method == "sgq":
+        rule = gauss_tensor_rule(space)
     else:
-        mat = assemble_sgq(space, geom, kind="stiffness",
-                           nnz_guard=cfg.nnz_guard)
+        rule = build_tensor_rule(space)
+    if cfg.method == "mfwq":
+        apply_A = setup_stiffness(space, rule, geom).apply
+    else:
+        mat = assemble_wq_explicit(space, rule, geom, kind="stiffness",
+                                   nnz_guard=cfg.nnz_guard)
         apply_A = lambda v: mat.matrix @ v
-        n_gauss = ((p + 1) * 2**k) ** 3
         rec.nnz = mat.nnz
-        rec.coeff_scalars = 6 * n_gauss
-        rec.setup_flops = 6 * n_gauss * _COEFF_EVAL_FLOPS + 9 * 4 * mat.nnz
-        rhs = assemble_rhs(space, geom, case.f)
+    rec.coeff_scalars = 6 * rule.n_points
+    rec.setup_flops = (rec.coeff_scalars * _COEFF_EVAL_FLOPS
+                       + 9 * 4 * (rec.nnz or 0))
+    rhs = wq_load_vector(rule, geom, case.f)
 
     precond = FDPreconditioner(space)
     rec.setup_s = time.perf_counter() - t0
@@ -289,7 +281,9 @@ def _read_config_file(path):
     return values
 
 
-_BOOL_KEYS = ("allow_large",)
+#: the spellings a config file may give a switch; any other value is an error
+_SWITCH_VALUES = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+                  **dict.fromkeys(("0", "false", "no", "off"), False)}
 _DEFAULTS = dict(geometry="ring", method="mfwq", eta=0.1,
                  maxit=1000, allow_large=False, nnz_guard=NNZ_GUARD, out=None)
 
@@ -302,11 +296,9 @@ def _merge(args, key, cast=str):
     cfg_file = getattr(args, "_file_values", {})
     if key in cfg_file:
         raw = cfg_file[key]
-        if key in _BOOL_KEYS:
-            return raw.lower() in ("1", "true", "yes", "on")
         try:
             return cast(raw)
-        except ValueError:
+        except (KeyError, ValueError):
             raise ConfigError(f"bad value {raw!r} for {key}") from None
     return _DEFAULTS.get(key)
 
@@ -359,10 +351,12 @@ def _run_options(args):
         method=_merge(args, "method"),
         eta=_merge(args, "eta", float),
         maxit=_merge(args, "maxit", int),
-        allow_large=bool(_merge(args, "allow_large")),
+        allow_large=bool(_merge(args, "allow_large",
+                                lambda raw: _SWITCH_VALUES[raw.lower()])),
         nnz_guard=float(_merge(args, "nnz_guard", float)),
     )
-    _check_names(options["method"], options["geometry"])
+    _check_options(options["method"], options["geometry"], options["eta"],
+                   options["maxit"])
     return options
 
 

@@ -6,11 +6,16 @@ A^(1), ..., A^(d) in direction order; the operator is A^(d) x ... x A^(1)
 under the convention that direction 1 is the fastest-running index.
 :func:`kron_apply` contracts one mode at a time, starting from direction d,
 and never forms the full matrix; :func:`kron_materialize` forms it, as an
-oracle.
+oracle.  :func:`grid_slabs` cuts a tensor point grid into slabs of bounded
+size for the passes that evaluate fields on it.
 """
 
 import numpy as np
 import scipy.sparse as sp
+
+#: quadrature points per slab of :func:`grid_slabs`; bounds the scratch
+#: memory of load vectors and error evaluation
+SLAB_POINTS = 2 * 10**6
 
 
 class CostMeter:
@@ -87,3 +92,12 @@ def tensor_grid(points_per_dir):
     for l, q in enumerate(pts):
         out[l] = q.reshape((-1,) + (1,) * l)
     return out.reshape(len(pts), -1)
+
+
+def grid_slabs(n_per_dir):
+    """Last-direction slices cutting a tensor grid into slabs of at most
+    about :data:`SLAB_POINTS` points, each at least one layer thick."""
+    n_last = n_per_dir[-1]
+    lower = int(np.prod(n_per_dir[:-1]))
+    block = max(1, min(n_last, SLAB_POINTS // lower))
+    return [slice(start, start + block) for start in range(0, n_last, block)]

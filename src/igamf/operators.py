@@ -12,13 +12,14 @@ shares the d collocation contractions among them.  The load vector is the
 mass term's weight factors alone applied to a grid of source values
 (:func:`wq_load_vector`).  Factors are restricted to the Dirichlet-interior
 basis; boundary rows/columns are never formed.  Coefficient grids are
-evaluated once, at setup.
+evaluated once, at setup.  On a Gauss rule
+(:func:`~igamf.wq.gauss_tensor_rule`) all of this is standard Gauss quadrature.
 """
 
 import numpy as np
 
 from .geometry import pullback
-from .kron import CostMeter, kron_apply
+from .kron import CostMeter, grid_slabs, kron_apply, tensor_grid
 from .wq import TensorRule
 
 
@@ -73,11 +74,12 @@ def coefficient_grids(kind: str, geom, xi, coeff=None):
     :class:`~igamf.geometry.DegenerateGeometryError` where det J_F <= 0.
     """
     _check_kind(kind)
-    det, cof = pullback(geom, xi)
     if kind == "mass":
+        det = pullback(geom, xi)[0]
         alpha = 1.0 if coeff is None else coeff
         scale = alpha(geom.evaluate(xi)) if callable(alpha) else float(alpha)
         return {None: np.asarray(scale * det, dtype=float)}
+    det, cof = pullback(geom, xi)
     if coeff is None:
         Kcof = cof
     else:
@@ -98,14 +100,20 @@ def coefficient_grids(kind: str, geom, xi, coeff=None):
 def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
     """Load vector f_i = int det(J_F) b_i (f o F) dxi by weighted quadrature.
 
-    The mass term's weight factors W^(0,0) applied to the grid
-    (f o F) det J_F at the rule's points, so f is evaluated once per WQ
-    point.  ``f`` is a physical-space field taking an (npts, d) coordinate
-    array.  Raises :class:`~igamf.geometry.DegenerateGeometryError` where
-    det J_F <= 0.
+    The mass term's weight factors W^(0,0) applied, slab by slab
+    (:func:`~igamf.kron.grid_slabs`), to the grid (f o F) det J_F at the
+    rule's points; on a Gauss rule this is the Gauss load vector.  ``f`` is
+    a physical-space field taking an (npts, d) coordinate array.  Raises
+    :class:`~igamf.geometry.DegenerateGeometryError` where det J_F <= 0.
     """
-    grid = coefficient_grids("mass", geom, rule.point_arrays().T, f)[None]
-    return kron_apply(_weight_factors(rule, None, None), grid)
+    W = _weight_factors(rule, None, None)
+    pts = [r.points for r in rule.rules]
+    total = 0.0
+    for s in grid_slabs(rule.n_points_per_dir):
+        xi = tensor_grid(pts[:-1] + [pts[-1][s]]).T
+        grid = coefficient_grids("mass", geom, xi, f)[None]
+        total = total + kron_apply(W[:-1] + [W[-1][:, s]], grid)
+    return total
 
 
 class _WQOperator:

@@ -11,6 +11,10 @@ a small exactness system so that
 
 holds for every overlapping trial function j.  Right-hand sides are exact
 (per-span Gauss-Legendre with p+1 nodes, exact up to degree 2p+1).
+
+Standard Gauss quadrature is the rule with W^(a,b) = (D^a B)^T diag(w) at
+the Gauss nodes (:func:`gauss_tensor_rule`), so every consumer of a WQ
+rule (operators, load vector, explicit assembly) also serves Gauss.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .kron import tensor_grid
 from .splines import KnotVector, collocation_matrix
 
 #: residual bound enforced on every exactness equation
@@ -128,7 +133,8 @@ class WQRule1D:
     """Quadrature points plus the four weight families and trial collocations.
 
     ``weights[(a, b)]`` is the m x n_q matrix W^(a,b); ``colloc[b]`` holds
-    the trial-side values/derivatives at the same points (n_q x m).
+    the trial-side values/derivatives at the same points (n_q x m).  A
+    Gauss rule (:func:`gauss_tensor_rule`) fills the same fields.
     """
 
     kv: KnotVector
@@ -174,9 +180,6 @@ class TensorRule:
 
     rules: tuple[WQRule1D, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
-
     @property
     def dim(self) -> int:
         return len(self.rules)
@@ -195,11 +198,29 @@ class TensorRule:
         The transpose is the (n_points, d) point array, stored
         component-major (see :func:`~igamf.kron.tensor_grid`).
         """
-        from .kron import tensor_grid
-
         return tensor_grid([r.points for r in self.rules])
 
 
 def build_tensor_rule(space) -> TensorRule:
     """Weighted-quadrature rules for every direction of a tensor space."""
     return TensorRule(tuple(build_wq_rule(kv) for kv in space.knotvectors))
+
+
+def gauss_tensor_rule(space, pts_per_span: int | None = None) -> TensorRule:
+    """Standard Gauss quadrature as a :class:`TensorRule`.
+
+    Per direction: ``pts_per_span`` Gauss nodes x per knot span as points
+    (default p+1, exact for degree 2p+1), ``colloc[b]`` the b-th
+    derivative collocation matrix at x and ``weights[(a, b)]`` =
+    ``colloc[a]^T diag(w)``.
+    """
+    if pts_per_span is None:
+        pts_per_span = max(kv.degree for kv in space.knotvectors) + 1
+    rules = []
+    for kv in space.knotvectors:
+        x, w = gauss_points_weights(kv, pts_per_span)
+        colloc = {b: collocation_matrix(kv, x, b) for b in (0, 1)}
+        test = {a: (colloc[a].T @ sp.diags(w)).tocsr() for a in (0, 1)}
+        weights = {(a, b): test[a] for (a, b) in _DERIV_PAIRS}
+        rules.append(WQRule1D(kv=kv, points=x, weights=weights, colloc=colloc))
+    return TensorRule(tuple(rules))

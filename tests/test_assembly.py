@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import max_row_nnz
-from igamf import (MemoryGuardError, assemble_rhs, assemble_sgq,
-                   assemble_wq_explicit, assembly, build_tensor_rule, exact_gram,
-                   estimate_matrix_nnz, identity_map, kron_materialize,
-                   oscillating_case, quarter_ring_map, tensor_space)
+from igamf import (MemoryGuardError, affine_map, assemble_rhs, assemble_sgq,
+                   assemble_wq_explicit, build_tensor_rule, collocation_matrix,
+                   exact_gram, estimate_matrix_nnz, gauss_points_weights,
+                   gauss_tensor_rule, identity_map, kron, kron_materialize,
+                   oscillating_case, pullback, quarter_ring_map,
+                   quarter_ring_rational_map, tensor_grid, tensor_space,
+                   wq_load_vector)
 
 
 class TestSGQ:
@@ -51,6 +55,30 @@ class TestSGQ:
     def test_provenance_tag(self):
         space = tensor_space(1, 2, 3)
         assert assemble_sgq(space, identity_map(3)).provenance == "SGQ"
+
+    @pytest.mark.parametrize("geom", [
+        pytest.param(quarter_ring_rational_map(), id="rational-ring"),
+        # the ring is orthogonal (C_ab = 0 for a != b); a shear is not
+        pytest.param(affine_map([[1, 0.4, 0], [0, 1, 0.3], [0.2, 0, 1]],
+                                np.zeros(3)), id="sheared"),
+    ])
+    def test_stiffness_against_independent_oracle(self, geom):
+        # sum_ab B_a^T diag(w C_ab) B_b, built here from Gauss nodes,
+        # collocation matrices and the pullback
+        space = tensor_space(2, 4, 3)
+        kvs = space.knotvectors
+        xw = [gauss_points_weights(kv, 3) for kv in kvs]
+        det, cof = pullback(geom, tensor_grid([x for x, _ in xw]).T)
+        w = np.prod(tensor_grid([wl for _, wl in xw]), axis=0)
+        C = np.einsum("nia,nib->nab", cof, cof) / det[:, None, None]
+        B = [kron_materialize([collocation_matrix(kv, x, int(l == a))[:, 1:-1]
+                               for l, (kv, (x, _)) in enumerate(zip(kvs, xw))],
+                              max_entries=np.inf)
+             for a in range(3)]
+        ref = sum(B[a].T @ sp.diags(w * C[:, a, b]) @ B[b]
+                  for a in range(3) for b in range(3))
+        A = assemble_sgq(space, geom, kind="stiffness").matrix
+        assert abs(A - ref).max() <= 1e-13 * abs(ref).max()
 
 
 class TestWQExplicit:
@@ -99,13 +127,22 @@ class TestRHS:
         r2 = assemble_rhs(space, geom, case.f, gauss_pts_per_span=24)
         assert np.linalg.norm(r1 - r2) <= 1e-10 * np.linalg.norm(r2)
 
-    def test_chunking_invariance(self, monkeypatch):
+    @pytest.mark.parametrize("load", [
+        pytest.param(lambda space, geom, f: assemble_rhs(space, geom, f),
+                     id="assemble_rhs"),
+        pytest.param(lambda space, geom, f: wq_load_vector(
+            build_tensor_rule(space), geom, f), id="wq_load_vector"),
+    ])
+    def test_chunking_invariance(self, monkeypatch, load):
         space = tensor_space(2, 4, 3)
         case = oscillating_case()
         geom = quarter_ring_map()
-        r1 = assemble_rhs(space, geom, case.f)
-        monkeypatch.setattr(assembly, "SLAB_POINTS", 1000)
-        r2 = assemble_rhs(space, geom, case.f)
+        r1 = load(space, geom, case.f)
+        monkeypatch.setattr(kron, "SLAB_POINTS", 200)
+        # both point grids now split into several slabs
+        for rule in (gauss_tensor_rule(space, 3), build_tensor_rule(space)):
+            assert len(kron.grid_slabs(rule.n_points_per_dir)) > 1
+        r2 = load(space, geom, case.f)
         assert np.allclose(r1, r2, atol=1e-14)
 
 
@@ -124,3 +161,14 @@ class TestGuardsAndMeta:
         # the intermediate Kronecker factor, which dominates the product)
         assert exc.value.estimate >= estimate_matrix_nnz(space)
         assert f"{exc.value.estimate:.2e}" in str(exc.value)
+
+    def test_wq_guard_counts_kronecker_factor(self):
+        # the product's estimate (1.33e5) passes a 2e5 guard, but kron(W)
+        # would hold more than 5.3e5 entries
+        space = tensor_space(3, 8, 3)
+        rule = build_tensor_rule(space)
+        assert estimate_matrix_nnz(space) < 2e5
+        with pytest.raises(MemoryGuardError) as exc:
+            assemble_wq_explicit(space, rule, identity_map(3),
+                                 kind="stiffness", nnz_guard=2e5)
+        assert exc.value.estimate >= 5.3e5

@@ -211,6 +211,25 @@ class TestConfigFile:
         assert "failed" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "convergence", "profile"])
+    @pytest.mark.parametrize("file_text, flags, message", [
+        ("allow_large = ture\n", [], "bad value 'ture' for allow_large"),
+        ("eta = -1\n", [], "eta must be > 0"),
+        ("", ["--eta", "0"], "eta must be > 0"),
+        ("maxit = 0\n", [], "maxit must be >= 1"),
+        ("", ["--maxit", "-3"], "maxit must be >= 1"),
+    ])
+    def test_value_no_run_can_honour(self, tmp_path, capsys, command,
+                                     file_text, flags, message):
+        cfg = tmp_path / "value.cfg"
+        cfg.write_text(file_text)
+        out = tmp_path / "run.csv"
+        rc = main([command, "--degree", "1", "--mesh-exp", "2", "--config",
+                   str(cfg), "--out", str(out)] + flags)
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["solve", "--degree", "1", "--mesh-exp", "2",
                    "--config", str(tmp_path / "absent.cfg")])

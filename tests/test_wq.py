@@ -4,7 +4,7 @@ import pytest
 from conftest import perturbed_knots
 from igamf import (EXACTNESS_TOL, KnotVector, WQConstructionError,
                    build_tensor_rule, build_wq_rule, exact_gram,
-                   make_uniform_knots, tensor_space)
+                   gauss_tensor_rule, make_uniform_knots, tensor_space)
 from igamf.wq import gauss_points_weights, wq_points, wq_weights
 
 DERIV_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -88,9 +88,12 @@ class TestWQWeights:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_exactness_all_pairs_uniform(self, p):
-        rule = build_wq_rule(make_uniform_knots(p, 6))
-        for a, b in DERIV_PAIRS:
-            assert exactness_defect(rule, a, b) <= EXACTNESS_TOL
+        # the WQ rule and the p+1 Gauss rule, which fills the same fields
+        space = tensor_space(p, 6, 1)
+        for rule in (build_wq_rule(space.knotvectors[0]),
+                     gauss_tensor_rule(space, p + 1).rules[0]):
+            for a, b in DERIV_PAIRS:
+                assert exactness_defect(rule, a, b) <= EXACTNESS_TOL
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_exactness_perturbed_knots(self, p):
