@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -46,7 +47,7 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_options(method, geometry, eta, maxit):
+def _check_options(method, geometry, eta, maxit, nnz_guard):
     """Reject the values no run can honour (the (p, k)-independent checks)."""
     if method not in _METHOD_SOLVER:
         raise ConfigError(f"unknown method {method!r}")
@@ -56,6 +57,9 @@ def _check_options(method, geometry, eta, maxit):
         raise ConfigError(f"eta must be > 0, got {eta}")
     if maxit < 1:
         raise ConfigError(f"maxit must be >= 1, got {maxit}")
+    # a NaN guard would switch the guard off: est > nan is always False
+    if not (math.isfinite(nnz_guard) and nnz_guard > 0):
+        raise ConfigError(f"nnz_guard must be finite and > 0, got {nnz_guard}")
 
 
 @dataclass
@@ -72,7 +76,8 @@ class RunConfig:
     nnz_guard: float = NNZ_GUARD
 
     def __post_init__(self):
-        _check_options(self.method, self.geometry, self.eta, self.maxit)
+        _check_options(self.method, self.geometry, self.eta, self.maxit,
+                       self.nnz_guard)
         if self.degree < 1:
             raise ConfigError("degree must be >= 1")
         if self.mesh_exp < 1:
@@ -356,7 +361,7 @@ def _run_options(args):
         nnz_guard=float(_merge(args, "nnz_guard", float)),
     )
     _check_options(options["method"], options["geometry"], options["eta"],
-                   options["maxit"])
+                   options["maxit"], options["nnz_guard"])
     return options
 
 

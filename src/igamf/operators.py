@@ -19,7 +19,7 @@ evaluated once, at setup.  On a Gauss rule
 import numpy as np
 
 from .geometry import pullback
-from .kron import CostMeter, grid_slabs, kron_apply, tensor_grid
+from .kron import CostMeter, banded, grid_slabs, kron_apply, tensor_grid
 from .wq import TensorRule
 
 
@@ -38,29 +38,27 @@ def wq_terms(rule: TensorRule, kind: str):
     each direction pair (a, b), W^(a_l,b_l) with a_l = [l == a] and
     b_l = [l == b], key (min(a, b), max(a, b)), and B differentiated in
     direction b.  Terms of one b are adjacent and share one B-factor list.
+    Each distinct per-direction factor is built once and shared by the
+    terms that use it.
     """
     _check_kind(kind)
+    W = [{ab: _interior_weights(r, ab) for ab in r.weights} for r in rule.rules]
+    B = [{b: c[:, 1:-1].tocsr() for b, c in r.colloc.items()}
+         for r in rule.rules]
     if kind == "mass":
-        return [(_weight_factors(rule, None, None), None,
-                 _colloc_factors(rule, None))]
+        return [([w[(0, 0)] for w in W], None, [c[0] for c in B])]
     terms = []
     for b in range(rule.dim):
-        Bb = _colloc_factors(rule, b)
-        terms += [(_weight_factors(rule, a, b), (min(a, b), max(a, b)), Bb)
+        Bb = [c[int(l == b)] for l, c in enumerate(B)]
+        terms += [([w[(int(l == a), int(l == b))] for l, w in enumerate(W)],
+                   (min(a, b), max(a, b)), Bb)
                   for a in range(rule.dim)]
     return terms
 
 
-def _weight_factors(rule, a, b):
-    """Interior rows of W^(a_l,b_l), a_l = [l == a], b_l = [l == b], per direction."""
-    return [r.weights[(1 if l == a else 0, 1 if l == b else 0)][1:-1, :].tocsr()
-            for l, r in enumerate(rule.rules)]
-
-
-def _colloc_factors(rule, b):
-    """Interior columns of the collocation matrices, differentiated in direction b."""
-    return [r.colloc[1 if l == b else 0][:, 1:-1].tocsr()
-            for l, r in enumerate(rule.rules)]
+def _interior_weights(rule_1d, ab):
+    """Interior rows of one direction's weight matrix W^(a,b)."""
+    return rule_1d.weights[ab][1:-1, :].tocsr()
 
 
 def coefficient_grids(kind: str, geom, xi, coeff=None):
@@ -106,7 +104,7 @@ def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
     a physical-space field taking an (npts, d) coordinate array.  Raises
     :class:`~igamf.geometry.DegenerateGeometryError` where det J_F <= 0.
     """
-    W = _weight_factors(rule, None, None)
+    W = [_interior_weights(r, (0, 0)) for r in rule.rules]
     pts = [r.points for r in rule.rules]
     total = 0.0
     for s in grid_slabs(rule.n_points_per_dir):
@@ -117,12 +115,22 @@ def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
 
 
 class _WQOperator:
-    """Term list and stored coefficient grids of one WQ operator."""
+    """Term list and stored coefficient grids of one WQ operator.
+
+    Each distinct factor of :func:`wq_terms` is converted once by
+    :func:`~igamf.kron.banded`, and a B list shared by several terms stays
+    one shared list.
+    """
 
     def __init__(self, space, rule: TensorRule, geom, kind, coeff):
         self.rule = rule
         self.n_dofs = space.n_dofs
-        self.terms = wq_terms(rule, kind)
+        terms = wq_terms(rule, kind)
+        distinct = {id(f): f for W, _, B in terms for f in W + B}
+        conv = {i: banded(f) for i, f in distinct.items()}
+        shared = {id(B): [conv[id(f)] for f in B] for _, _, B in terms}
+        self.terms = [([conv[id(f)] for f in W], key, shared[id(B)])
+                      for W, key, B in terms]
         self.coeffs = coefficient_grids(kind, geom, rule.point_arrays().T, coeff)
 
     @property

@@ -230,6 +230,23 @@ class TestConfigFile:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "convergence", "profile"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_nnz_guard_that_disables_the_guard(self, tmp_path, capsys, command,
+                                               value, source):
+        # est > nan is always False, so a NaN guard would let any size through
+        cfg = tmp_path / "guard.cfg"
+        cfg.write_text(f"nnz_guard = {value}\n" if source == "file" else "")
+        flags = ["--nnz-guard", value] if source == "flag" else []
+        out = tmp_path / "run.csv"
+        rc = main([command, "--degree", "1", "--mesh-exp", "2", "--method",
+                   "sgq", "--geometry", "cube", "--config", str(cfg),
+                   "--out", str(out)] + flags)
+        assert rc == 2
+        assert "error: nnz_guard must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["solve", "--degree", "1", "--mesh-exp", "2",
                    "--config", str(tmp_path / "absent.cfg")])

@@ -4,7 +4,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import igamf.kron
 from igamf import CostMeter, kron_apply, kron_materialize, tensor_grid
+from igamf.kron import banded
 
 
 def dense_kron_flops(s, t, d):
@@ -84,6 +86,130 @@ class TestKronApply:
         x = rng.standard_normal(216)
         ref = kron_materialize(factors) @ x
         assert np.allclose(kron_apply(factors, x), ref, atol=1e-12)
+
+
+def band_csr(rng, m, n, width=3):
+    """m x n CSR factor whose rows hold ``width`` adjacent nonzeros sliding
+    across the columns, the shape of a WQ or collocation factor."""
+    rows, cols = [], []
+    for i in range(m):
+        c0 = i * (n - width) // max(m - 1, 1)
+        rows += [i] * width
+        cols += range(c0, c0 + width)
+    return sp.csr_matrix((rng.standard_normal(len(rows)), (rows, cols)),
+                         shape=(m, n))
+
+
+def as_kind(A, kind):
+    return {"dense": A.toarray(), "csr": A, "banded": banded(A)}[kind]
+
+
+def mode_flops(factors):
+    """2 nnz cols summed over the modes, contracted from direction d down;
+    nnz is a sparse factor's stored count and m*n for a dense one."""
+    shape = [A.shape[1] for A in factors]
+    total = 0
+    for l in reversed(range(len(factors))):
+        A = factors[l]
+        nnz = A.nnz if sp.issparse(A) else A.size
+        total += 2 * nnz * int(np.prod(shape)) // shape[l]
+        shape[l] = A.shape[0]
+    return total
+
+
+class _NaNEmpty:
+    """numpy, except that ``empty`` arrays start as NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, *args, **kwargs):
+        return np.full(shape, np.nan)
+
+
+class TestBandedKernel:
+    """The banded-block kernel against the materialized Kronecker matrix.
+
+    The kernel's scratch arrays start as NaN here, so an output entry it
+    fails to write (an all-zero row block, a dropped tile) shows up.
+    """
+
+    @pytest.fixture(autouse=True)
+    def nan_scratch(self, monkeypatch):
+        monkeypatch.setattr(igamf.kron, "np", _NaNEmpty())
+
+    @pytest.mark.parametrize("kinds", [("dense",) * 3, ("csr",) * 3,
+                                       ("banded",) * 3,
+                                       ("dense", "csr", "banded"),
+                                       ("banded", "dense", "csr")])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_factor_kinds(self, d, kinds):
+        rng = np.random.default_rng(d)
+        shapes = [(19, 11), (7, 13), (12, 9)][:d]
+        csr = [band_csr(rng, m, n) for m, n in shapes]
+        factors = [as_kind(A, kind) for A, kind in zip(csr, kinds)]
+        x = rng.standard_normal(int(np.prod([n for _, n in shapes])))
+        ref = kron_materialize(csr) @ x
+        meter = CostMeter()
+        y = kron_apply(factors, x, meter)
+        assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert meter.flops == mode_flops([A.toarray() if kind == "dense" else A
+                                          for A, kind in zip(csr, kinds)])
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_all_zero_row_block(self, position):
+        rng = np.random.default_rng(3)
+        rb = igamf.kron.ROWS_PER_BLOCK
+        Z = band_csr(rng, 3 * rb + 2, 9).tolil()
+        Z[rb:2 * rb, :] = 0.0
+        Z = Z.tocsr()
+        assert any(c0 == c1 for _, _, c0, c1, _ in banded(Z).blocks)
+        factors = [band_csr(rng, 6, 5), band_csr(rng, 7, 4)]
+        factors.insert(position, Z)
+        x = rng.standard_normal(int(np.prod([A.shape[1] for A in factors])))
+        ref = kron_materialize(factors) @ x
+        y = kron_apply(factors, x)
+        assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_explicit_stored_zeros(self):
+        rng = np.random.default_rng(4)
+        A = band_csr(rng, 10, 8, width=4)
+        A.data[::3] = 0.0  # stored, not eliminated
+        assert A.nnz == 40
+        factors = [A, band_csr(rng, 5, 6), A]
+        x = rng.standard_normal(8 * 6 * 8)
+        meter = CostMeter()
+        y = kron_apply(factors, x, meter)
+        ref = kron_materialize(factors) @ x
+        assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert meter.flops == mode_flops(factors)
+
+    def test_column_sliced_last_factor(self):
+        # the slab-wise load vector applies W[:-1] + [W[-1][:, s]]
+        rng = np.random.default_rng(5)
+        W = [band_csr(rng, 9, 20, width=5) for _ in range(3)]
+        total = np.zeros(9**3)
+        x = rng.standard_normal(20**3)
+        for s in (slice(0, 7), slice(7, 14), slice(14, 20)):
+            part = x.reshape(20, -1)[s].ravel()
+            total += kron_apply(W[:-1] + [W[-1][:, s]], part)
+        ref = kron_materialize(W) @ x
+        assert np.linalg.norm(total - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("tile", [1, 5, 64])
+    def test_several_column_tiles(self, monkeypatch, tile):
+        monkeypatch.setattr(igamf.kron, "TILE_COLS", tile)
+        rng = np.random.default_rng(6)
+        source = [band_csr(rng, 11, 7), rng.standard_normal((6, 5)),
+                  band_csr(rng, 17, 9)]
+        factors = source[:2] + [banded(source[2])]
+        x = rng.standard_normal(7 * 5 * 9)
+        meter = CostMeter()
+        y = kron_apply(factors, x, meter)
+        ref = kron_materialize(source) @ x
+        assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert meter.flops == mode_flops(source)
 
 
 class TestKronMaterialize:

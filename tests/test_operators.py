@@ -9,7 +9,8 @@ from igamf import (CostMeter, DegenerateGeometryError, GeometryMap,
                    cube_sine_case, h1_relative_error, identity_map, kron_apply,
                    pullback, quarter_ring_map, quarter_ring_rational_map,
                    setup_mass, setup_stiffness, tensor_space,
-                   wq_load_vector)
+                   wq_load_vector, wq_terms)
+from igamf.kron import BandedFactor
 
 
 def make(p, n_el, geom=None, d=3):
@@ -214,6 +215,19 @@ class TestStiffnessApply:
         v = rng.standard_normal(space.n_dofs)
         ref = mat.matrix @ v
         assert np.linalg.norm(op.apply(v) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_each_distinct_factor_built_and_converted_once(self):
+        # per direction 4 weight matrices W^(a,b) and 2 collocations B^(b)
+        # serve all 9 terms; the d B lists stay shared after conversion
+        space, rule, geom = make(2, 3, quarter_ring_map())
+        op = setup_stiffness(space, rule, geom)
+        for terms in (wq_terms(rule, "stiffness"), op.terms):
+            assert len(terms) == 9
+            assert len({id(f) for W, _, _ in terms for f in W}) == 4 * 3
+            assert len({id(f) for _, _, B in terms for f in B}) == 2 * 3
+            assert len({id(B) for _, _, B in terms}) == 3
+        assert all(isinstance(f, BandedFactor)
+                   for W, _, B in op.terms for f in W + B)
 
     def test_patch_test_annihilates_constant(self):
         # applied over the full basis (boundary functions kept), the
