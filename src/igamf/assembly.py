@@ -10,7 +10,7 @@ baselines, not fast paths.  The Gauss load vector is
 """
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,25 +82,27 @@ def tensor_gauss_sum(space, geom, pts_per_span, integrand):
 
 
 def _materialize(space, rule, geom, coeff, kind, nnz_guard, provenance):
-    """Assemble the sum of the (W, key, B) terms of :func:`wq_terms` as a CSR matrix.
+    """Assemble the term groups of :func:`wq_terms` as a CSR matrix.
 
-    Terms that share one B list are grouped, as in the matrix-free apply:
-    the sum of kron(W) diag(c) over the group is formed first, then one
-    sparse product with kron(B).  Raises :class:`MemoryGuardError` before
-    any allocation when the product's nonzero estimate or the largest
-    Kronecker factor exceeds ``nnz_guard``.
+    As in the matrix-free apply, per group the sum of kron(W) diag(c) over
+    its pairs is formed first, then one sparse product with kron(B).
+    Raises ``ValueError`` for a NaN ``nnz_guard``, and
+    :class:`MemoryGuardError` before any allocation when the product's
+    nonzero estimate or the largest Kronecker factor exceeds ``nnz_guard``.
     """
-    terms = wq_terms(rule, kind)
-    factor_nnz = max(int(np.prod([f.nnz for f in F]))
-                     for W, _, B in terms for F in (W, B))
+    if math.isnan(nnz_guard):
+        raise ValueError("nnz_guard must not be NaN")
+    groups = wq_terms(rule, kind)
+    factor_nnz = max(int(np.prod([f.nnz for f in F])) for B, pairs in groups
+                     for F in [B] + [W for W, _ in pairs])
     est = max(estimate_matrix_nnz(space), factor_nnz)
     if est > nnz_guard:
         raise MemoryGuardError(est, nnz_guard)
     coeffs = coefficient_grids(kind, geom, rule.point_arrays().T, coeff)
     A = None
-    for _, group in itertools.groupby(terms, key=lambda term: id(term[2])):
+    for B, pairs in groups:
         WC = None
-        for W, key, B in group:
+        for W, key in pairs:
             K = kron_materialize(W, max_entries=np.inf)
             K.data = K.data * coeffs[key][K.indices]  # K diag(c)
             WC = K if WC is None else WC + K

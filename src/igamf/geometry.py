@@ -45,7 +45,6 @@ class DegenerateGeometryError(RuntimeError):
 @dataclass(frozen=True)
 class GeometryMap:
     dim: int
-    kind: str
     _map: Callable
     _jacobian: Callable
 
@@ -120,7 +119,7 @@ def identity_map(d: int = 3) -> GeometryMap:
     def _jac(xi):
         return np.broadcast_to(np.eye(d), (len(xi), d, d)).copy()
 
-    return GeometryMap(dim=d, kind="identity", _map=_map, _jacobian=_jac)
+    return GeometryMap(dim=d, _map=_map, _jacobian=_jac)
 
 
 def affine_map(A: np.ndarray, b: np.ndarray) -> GeometryMap:
@@ -136,7 +135,7 @@ def affine_map(A: np.ndarray, b: np.ndarray) -> GeometryMap:
     def _jac(xi):
         return np.broadcast_to(A, (len(xi), d, d)).copy()
 
-    return GeometryMap(dim=d, kind="affine", _map=_map, _jacobian=_jac)
+    return GeometryMap(dim=d, _map=_map, _jacobian=_jac)
 
 
 def quarter_ring_map() -> GeometryMap:
@@ -166,7 +165,7 @@ def quarter_ring_map() -> GeometryMap:
         J[2, 2] = 1.0
         return J.transpose(2, 0, 1)
 
-    return GeometryMap(dim=3, kind="analytic-quarter-ring", _map=_map, _jacobian=_jac)
+    return GeometryMap(dim=3, _map=_map, _jacobian=_jac)
 
 
 def quarter_ring_rational_map() -> GeometryMap:
@@ -194,8 +193,7 @@ def quarter_ring_rational_map() -> GeometryMap:
     def _jac(xi):
         return _eval_rows(J_fn, xi, 9).reshape(3, 3, -1).transpose(2, 0, 1)
 
-    return GeometryMap(dim=3, kind="rational-quarter-ring",
-                       _map=lambda xi: _eval_rows(F_fn, xi, 3).T, _jacobian=_jac)
+    return GeometryMap(dim=3, _map=lambda xi: _eval_rows(F_fn, xi, 3).T, _jacobian=_jac)
 
 
 def spline_control_net_map(space_kvs, control_points: np.ndarray) -> GeometryMap:
@@ -234,6 +232,5 @@ def spline_control_net_map(space_kvs, control_points: np.ndarray) -> GeometryMap
                 out[s : s + len(x), :, c] = val
         return out
 
-    return GeometryMap(dim=d, kind="spline-control-net",
-                       _map=lambda xi: _net(xi, [None])[:, :, 0],
+    return GeometryMap(dim=d, _map=lambda xi: _net(xi, [None])[:, :, 0],
                        _jacobian=lambda xi: _net(xi, range(d)))

@@ -29,36 +29,30 @@ def _check_kind(kind):
 
 
 def wq_terms(rule: TensorRule, kind: str):
-    """The interior-restricted WQ operator as (W-factors, key, B-factors) terms.
+    """The interior-restricted WQ operator as groups of terms sharing B-factors.
 
-    The operator is the sum over terms of
+    Returns one group ``(B-factors, [(W-factors, key), ...])`` per trial
+    direction; the operator is the sum over groups and pairs of
     kron(W-factors) diag(grids[key]) kron(B-factors), with the grids of
     :func:`coefficient_grids` and factors listed in direction order.
-    ``"mass"``: one term W^(0,0), key None, values B.  ``"stiffness"``: for
-    each direction pair (a, b), W^(a_l,b_l) with a_l = [l == a] and
-    b_l = [l == b], key (min(a, b), max(a, b)), and B differentiated in
-    direction b.  Terms of one b are adjacent and share one B-factor list.
+    ``"mass"``: one group, B values and one pair (W^(0,0), None).
+    ``"stiffness"``: for each trial direction b, B differentiated in
+    direction b and, for each test direction a, the pair W^(a_l,b_l) with
+    a_l = [l == a] and b_l = [l == b] and key (min(a, b), max(a, b)).
     Each distinct per-direction factor is built once and shared by the
     terms that use it.
     """
     _check_kind(kind)
-    W = [{ab: _interior_weights(r, ab) for ab in r.weights} for r in rule.rules]
+    W = [{ab: w[1:-1, :].tocsr() for ab, w in r.weights.items()}
+         for r in rule.rules]
     B = [{b: c[:, 1:-1].tocsr() for b, c in r.colloc.items()}
          for r in rule.rules]
     if kind == "mass":
-        return [([w[(0, 0)] for w in W], None, [c[0] for c in B])]
-    terms = []
-    for b in range(rule.dim):
-        Bb = [c[int(l == b)] for l, c in enumerate(B)]
-        terms += [([w[(int(l == a), int(l == b))] for l, w in enumerate(W)],
-                   (min(a, b), max(a, b)), Bb)
-                  for a in range(rule.dim)]
-    return terms
-
-
-def _interior_weights(rule_1d, ab):
-    """Interior rows of one direction's weight matrix W^(a,b)."""
-    return rule_1d.weights[ab][1:-1, :].tocsr()
+        return [([c[0] for c in B], [([w[(0, 0)] for w in W], None)])]
+    return [([c[int(l == b)] for l, c in enumerate(B)],
+             [([w[(int(l == a), int(l == b))] for l, w in enumerate(W)],
+               (min(a, b), max(a, b))) for a in range(rule.dim)])
+            for b in range(rule.dim)]
 
 
 def coefficient_grids(kind: str, geom, xi, coeff=None):
@@ -104,7 +98,7 @@ def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
     a physical-space field taking an (npts, d) coordinate array.  Raises
     :class:`~igamf.geometry.DegenerateGeometryError` where det J_F <= 0.
     """
-    W = [_interior_weights(r, (0, 0)) for r in rule.rules]
+    (_, [(W, _)]), = wq_terms(rule, "mass")
     pts = [r.points for r in rule.rules]
     total = 0.0
     for s in grid_slabs(rule.n_points_per_dir):
@@ -115,22 +109,22 @@ def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
 
 
 class _WQOperator:
-    """Term list and stored coefficient grids of one WQ operator.
+    """Term groups and stored coefficient grids of one WQ operator.
 
-    Each distinct factor of :func:`wq_terms` is converted once by
-    :func:`~igamf.kron.banded`, and a B list shared by several terms stays
-    one shared list.
+    ``groups`` is :func:`wq_terms` with each distinct factor converted once
+    by :func:`~igamf.kron.banded`.
     """
 
     def __init__(self, space, rule: TensorRule, geom, kind, coeff):
         self.rule = rule
         self.n_dofs = space.n_dofs
-        terms = wq_terms(rule, kind)
-        distinct = {id(f): f for W, _, B in terms for f in W + B}
+        groups = wq_terms(rule, kind)
+        distinct = {id(f): f for B, pairs in groups
+                    for F in [B] + [W for W, _ in pairs] for f in F}
         conv = {i: banded(f) for i, f in distinct.items()}
-        shared = {id(B): [conv[id(f)] for f in B] for _, _, B in terms}
-        self.terms = [([conv[id(f)] for f in W], key, shared[id(B)])
-                      for W, key, B in terms]
+        self.groups = [([conv[id(f)] for f in B],
+                        [([conv[id(f)] for f in W], key) for W, key in pairs])
+                       for B, pairs in groups]
         self.coeffs = coefficient_grids(kind, geom, rule.point_arrays().T, coeff)
 
     @property
@@ -152,7 +146,7 @@ class MassOperator(_WQOperator):
         super().__init__(space, rule, geom, "mass", alpha)
 
     def apply(self, v, meter: CostMeter | None = None) -> np.ndarray:
-        (W, key, B), = self.terms
+        (B, [(W, key)]), = self.groups
         vt = kron_apply(B, self._vector(v), meter)
         vt *= self.coeffs[key]
         if meter is not None:
@@ -170,14 +164,12 @@ class StiffnessOperator(_WQOperator):
         v = self._vector(v)
         w = np.zeros(self.n_dofs)
         nq = self.rule.n_points
-        B_done = vt = None
-        for W, key, B in self.terms:
-            if B is not B_done:
-                vt = kron_apply(B, v, meter)
-                B_done = B
-            w += kron_apply(W, self.coeffs[key] * vt, meter)
-            if meter is not None:
-                meter.add_flops(nq + 2 * self.n_dofs)
+        for B, pairs in self.groups:
+            vt = kron_apply(B, v, meter)
+            for W, key in pairs:
+                w += kron_apply(W, self.coeffs[key] * vt, meter)
+                if meter is not None:
+                    meter.add_flops(nq + 2 * self.n_dofs)
         return w
 
 

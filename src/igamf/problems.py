@@ -45,14 +45,13 @@ class ManufacturedCase:
     (npts, d): shapes (npts,) and (npts, d), grad stored component-major.
     """
 
-    name: str
     u_grad: callable = field(repr=False)
     f: callable = field(repr=False)
     alpha: float = 0.0
     reference_h1_errors: dict = field(default_factory=dict, repr=False)
 
 
-def _lambdify_case(name, u_expr, syms, alpha, reference):
+def _lambdify_case(u_expr, syms, alpha, reference):
     grads = [sympy.diff(u_expr, s) for s in syms]
     lap = sum(sympy.diff(u_expr, s, 2) for s in syms)
     f_expr = -lap + alpha * u_expr
@@ -66,7 +65,7 @@ def _lambdify_case(name, u_expr, syms, alpha, reference):
     def f(x):
         return _eval_rows(f_fn, np.atleast_2d(x), 1)[0]
 
-    return ManufacturedCase(name=name, u_grad=u_grad, f=f, alpha=alpha,
+    return ManufacturedCase(u_grad=u_grad, f=f, alpha=alpha,
                             reference_h1_errors=reference)
 
 
@@ -77,8 +76,7 @@ def oscillating_case() -> ManufacturedCase:
     r2 = x1**2 + x2**2
     u = (sympy.sin(5 * sympy.pi * x1) * sympy.sin(5 * sympy.pi * x2)
          * sympy.sin(5 * sympy.pi * x3) * (r2 - 1) * (r2 - 4))
-    return _lambdify_case("quarter-ring-oscillating", u, (x1, x2, x3), 0.0,
-                          dict(QUARTER_RING_H1_REFERENCE))
+    return _lambdify_case(u, (x1, x2, x3), 0.0, dict(QUARTER_RING_H1_REFERENCE))
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +84,7 @@ def cube_sine_case() -> ManufacturedCase:
     """Smooth product-of-sines solution on the unit cube (K = I, alpha = 0)."""
     x1, x2, x3 = sympy.symbols("x1 x2 x3")
     u = sympy.sin(sympy.pi * x1) * sympy.sin(sympy.pi * x2) * sympy.sin(sympy.pi * x3)
-    return _lambdify_case("cube-sine", u, (x1, x2, x3), 0.0, {})
+    return _lambdify_case(u, (x1, x2, x3), 0.0, {})
 
 
 def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):

@@ -9,6 +9,7 @@ BiCGStab is right-preconditioned so that the reported residual is the true
 system residual.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ class KrylovReport:
     residuals: list
     converged: bool
     matvecs: int
-    precond_applies: int
 
 
 class FDPreconditioner:
@@ -60,13 +60,7 @@ class FDPreconditioner:
             self.U.append(U)
             lams.append(lam)
         # inverse Kronecker-sum diagonal over the eigen-tensor grid
-        d = space.dim
-        dims = space.n_per_dir
-        lam_sum = np.zeros(tuple(reversed(dims)))
-        for l in range(d):
-            shape = [1] * d
-            shape[d - 1 - l] = dims[l]
-            lam_sum = lam_sum + lams[l].reshape(shape)
+        lam_sum = functools.reduce(lambda s, lam: np.add.outer(lam, s), lams)
         self.inv_diag = 1.0 / (lam_sum.ravel() + float(sigma))
 
     def apply(self, r, meter: CostMeter | None = None) -> np.ndarray:
@@ -93,13 +87,11 @@ def cg(apply_A, b, apply_P=None, tol=1e-8, maxit=1000):
     x = np.zeros_like(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return x, KrylovReport(0, [0.0], True, 0, 0)
+        return x, KrylovReport(0, [0.0], True, 0)
     P = apply_P if apply_P is not None else (lambda v: v)
     matvecs = 0
-    precs = 0
     r = b.copy()
     z = P(r)
-    precs += 1
     p = z.copy()
     rz = r @ z
     residuals = [1.0]
@@ -117,13 +109,12 @@ def cg(apply_A, b, apply_P=None, tol=1e-8, maxit=1000):
         rel = np.linalg.norm(r) / bnorm
         residuals.append(rel)
         if rel <= tol:
-            return x, KrylovReport(k, residuals, True, matvecs, precs)
+            return x, KrylovReport(k, residuals, True, matvecs)
         z = P(r)
-        precs += 1
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, KrylovReport(maxit, residuals, False, matvecs, precs)
+    return x, KrylovReport(maxit, residuals, False, matvecs)
 
 
 def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000, seed=0):
@@ -136,11 +127,10 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000, seed=0):
     x = np.zeros_like(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return x, KrylovReport(0, [0.0], True, 0, 0)
+        return x, KrylovReport(0, [0.0], True, 0)
     P = apply_P if apply_P is not None else (lambda v: v)
     eps = np.finfo(float).eps
     matvecs = 0
-    precs = 0
     residuals = [1.0]
     restarts = 0
     r = b - apply_A(x)
@@ -162,12 +152,11 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000, seed=0):
                 v[:] = 0.0
                 p[:] = 0.0
                 continue
-            return x, KrylovReport(k, residuals, False, matvecs, precs)
+            return x, KrylovReport(k, residuals, False, matvecs)
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
         p = r + beta * (p - omega * v)
         phat = P(p)
-        precs += 1
         v = apply_A(phat)
         matvecs += 1
         denom = r_shadow @ v
@@ -180,15 +169,14 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000, seed=0):
                 v[:] = 0.0
                 p[:] = 0.0
                 continue
-            return x, KrylovReport(k, residuals, False, matvecs, precs)
+            return x, KrylovReport(k, residuals, False, matvecs)
         alpha = rho / denom
         s = r - alpha * v
         if np.linalg.norm(s) / bnorm <= tol:
             x += alpha * phat
             residuals.append(np.linalg.norm(s) / bnorm)
-            return x, KrylovReport(k, residuals, True, matvecs, precs)
+            return x, KrylovReport(k, residuals, True, matvecs)
         shat = P(s)
-        precs += 1
         t = apply_A(shat)
         matvecs += 1
         tt = t @ t
@@ -198,5 +186,5 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000, seed=0):
         rel = np.linalg.norm(r) / bnorm
         residuals.append(rel)
         if rel <= tol:
-            return x, KrylovReport(k, residuals, True, matvecs, precs)
-    return x, KrylovReport(maxit, residuals, False, matvecs, precs)
+            return x, KrylovReport(k, residuals, True, matvecs)
+    return x, KrylovReport(maxit, residuals, False, matvecs)

@@ -88,44 +88,47 @@ def wq_points(kv: KnotVector, boundary_extra: int | None = None) -> np.ndarray:
     return pts[keep]
 
 
-def _solve_weight_row(kv, points, colloc_b, gram_ab, i):
-    """Min-norm least-squares solve of the exactness system of one row."""
-    lo, hi = kv.support(i)
-    qs = np.flatnonzero((points >= lo - 1e-14) & (points <= hi + 1e-14))
-    js = [
-        j
-        for j in range(kv.n_funcs)
-        if kv.support(j)[1] > lo + 1e-14 and kv.support(j)[0] < hi - 1e-14
-    ]
-    E = colloc_b[np.ix_(js, qs)]
-    g = gram_ab[i, js]
-    w, *_ = np.linalg.lstsq(E, g, rcond=None)
-    resid = float(np.abs(E @ w - g).max()) if len(js) else 0.0
-    return qs, w, resid
+def wq_weights(kv: KnotVector, points):
+    """All four weight matrices W^(a,b) (m x n_q) in one pass over the rows.
 
-
-def wq_weights(kv: KnotVector, points, a: int, b: int) -> sp.csr_matrix:
-    """Weight matrix W^(a,b) (m x n_q) satisfying the exactness conditions.
-
-    Raises :class:`WQConstructionError` carrying the offending row when a
-    row's system is rank-deficient beyond the residual tolerance; the caller
-    may retry with more boundary points.
+    Returns ``(weights, colloc)``: ``weights[(a, b)]`` satisfies the
+    exactness conditions and ``colloc[b]`` is the collocation matrix
+    (n_q x m) of the b-th derivative at ``points``.  Row i uses the points
+    in supp b_i and the trial functions j with |i - j| <= p, which are the
+    ones overlapping b_i only for simple interior knots; any other knot
+    vector raises ``ValueError``.  Raises :class:`WQConstructionError`
+    carrying the offending row when a row's system is rank-deficient beyond
+    the residual tolerance; the caller may retry with more boundary points.
     """
+    if kv.max_interior_multiplicity() > 1:
+        raise ValueError("weighted quadrature requires interior multiplicity 1")
     points = np.asarray(points, dtype=float)
-    colloc_b = collocation_matrix(kv, points, b).toarray().T  # (m, n_q)
-    gram = exact_gram(kv, a, b).toarray()
-    rows, cols, vals = [], [], []
-    for i in range(kv.n_funcs):
-        qs, w, resid = _solve_weight_row(kv, points, colloc_b, gram, i)
-        if resid > EXACTNESS_TOL:
-            raise WQConstructionError(i, resid)
-        rows.extend([i] * len(qs))
-        cols.extend(qs.tolist())
-        vals.extend(w.tolist())
-    W = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(kv.n_funcs, len(points))
-    )
-    return W
+    p, m = kv.degree, kv.n_funcs
+    colloc = {b: collocation_matrix(kv, points, b) for b in (0, 1)}
+    trial = {b: c.toarray().T for b, c in colloc.items()}  # (m, n_q)
+    gram = {ab: exact_gram(kv, *ab).toarray() for ab in _DERIV_PAIRS}
+    indptr, indices = [0], []
+    data = {ab: [] for ab in _DERIV_PAIRS}
+    for i in range(m):
+        lo, hi = kv.support(i)
+        qs = np.flatnonzero((points >= lo - 1e-14) & (points <= hi + 1e-14))
+        js = slice(max(i - p, 0), min(i + p + 1, m))
+        for a, b in _DERIV_PAIRS:
+            E = trial[b][js, qs]
+            g = gram[(a, b)][i, js]
+            w, *_ = np.linalg.lstsq(E, g, rcond=None)
+            resid = float(np.abs(E @ w - g).max())
+            if resid > EXACTNESS_TOL:
+                raise WQConstructionError(i, resid)
+            data[(a, b)].append(w)
+        indices.append(qs)
+        indptr.append(indptr[-1] + len(qs))
+    weights = {
+        ab: sp.csr_matrix((np.concatenate(w), np.concatenate(indices), indptr),
+                          shape=(m, len(points)))
+        for ab, w in data.items()
+    }
+    return weights, colloc
 
 
 @dataclass(frozen=True)
@@ -159,13 +162,10 @@ def build_wq_rule(kv: KnotVector) -> WQRule1D:
     for extra in range(max(p - 1, 0), 3 * p + 1):
         points = wq_points(kv, boundary_extra=extra)
         try:
-            weights = {
-                (a, b): wq_weights(kv, points, a, b) for (a, b) in _DERIV_PAIRS
-            }
+            weights, colloc = wq_weights(kv, points)
         except WQConstructionError as err:
             last_err = err
             continue
-        colloc = {b: collocation_matrix(kv, points, b) for b in (0, 1)}
         return WQRule1D(kv=kv, points=points, weights=weights, colloc=colloc)
     raise last_err
 

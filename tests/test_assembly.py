@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import max_row_nnz
-from igamf import (MemoryGuardError, affine_map, assemble_rhs, assemble_sgq,
+from igamf import (MemoryGuardError, assembly, affine_map, assemble_rhs, assemble_sgq,
                    assemble_wq_explicit, build_tensor_rule, collocation_matrix,
                    exact_gram, estimate_matrix_nnz, gauss_points_weights,
                    gauss_tensor_rule, identity_map, kron, kron_materialize,
@@ -172,3 +172,21 @@ class TestGuardsAndMeta:
             assemble_wq_explicit(space, rule, identity_map(3),
                                  kind="stiffness", nnz_guard=2e5)
         assert exc.value.estimate >= 5.3e5
+
+    def test_nan_guard_rejected_before_estimating(self, monkeypatch):
+        # `est > nan` is False, so a NaN guard would switch the guard off
+        space = tensor_space(2, 2, 3)
+        rule = build_tensor_rule(space)
+
+        def no_estimate(_):
+            raise AssertionError("estimated under a NaN guard")
+
+        monkeypatch.setattr(assembly, "estimate_matrix_nnz", no_estimate)
+        for build in (
+                lambda: assemble_sgq(space, identity_map(3), kind="stiffness",
+                                     nnz_guard=float("nan")),
+                lambda: assemble_wq_explicit(space, rule, identity_map(3),
+                                             kind="stiffness",
+                                             nnz_guard=float("nan"))):
+            with pytest.raises(ValueError, match="NaN"):
+                build()

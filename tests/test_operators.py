@@ -10,7 +10,8 @@ from igamf import (CostMeter, DegenerateGeometryError, GeometryMap,
                    pullback, quarter_ring_map, quarter_ring_rational_map,
                    setup_mass, setup_stiffness, tensor_space,
                    wq_load_vector, wq_terms)
-from igamf.kron import BandedFactor
+from igamf import operators
+from igamf.kron import BandedFactor, banded
 
 
 def make(p, n_el, geom=None, d=3):
@@ -27,7 +28,7 @@ def grids(kind, rule, geom, coeff=None):
 def folded_map():
     """A map whose Jacobian determinant is negative everywhere."""
     return GeometryMap(
-        dim=3, kind="folded",
+        dim=3,
         _map=lambda xi: xi.copy(),
         _jacobian=lambda xi: np.broadcast_to(
             np.diag([1.0, -1.0, 1.0]), (len(xi), 3, 3)).copy())
@@ -101,7 +102,7 @@ class TestCoefficientGrids:
         J = geom.jacobian(xi)
         assert J.transpose(1, 2, 0).flags.c_contiguous
         J_c = np.ascontiguousarray(J)
-        out = [pullback(GeometryMap(dim=3, kind="fixed", _map=None,
+        out = [pullback(GeometryMap(dim=3, _map=None,
                                     _jacobian=lambda _, M=M: M), xi)
                for M in (J, J_c)]
         assert np.array_equal(out[0][0], out[1][0])
@@ -216,18 +217,27 @@ class TestStiffnessApply:
         ref = mat.matrix @ v
         assert np.linalg.norm(op.apply(v) - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_each_distinct_factor_built_and_converted_once(self):
+    def test_each_distinct_factor_built_and_converted_once(self, monkeypatch):
         # per direction 4 weight matrices W^(a,b) and 2 collocations B^(b)
-        # serve all 9 terms; the d B lists stay shared after conversion
+        # serve all 9 terms, grouped by trial direction
         space, rule, geom = make(2, 3, quarter_ring_map())
+        converted = []
+
+        def counting(f):
+            converted.append(f)
+            return banded(f)
+
+        monkeypatch.setattr(operators, "banded", counting)
         op = setup_stiffness(space, rule, geom)
-        for terms in (wq_terms(rule, "stiffness"), op.terms):
-            assert len(terms) == 9
-            assert len({id(f) for W, _, _ in terms for f in W}) == 4 * 3
-            assert len({id(f) for _, _, B in terms for f in B}) == 2 * 3
-            assert len({id(B) for _, _, B in terms}) == 3
-        assert all(isinstance(f, BandedFactor)
-                   for W, _, B in op.terms for f in W + B)
+        assert len(converted) == 4 * 3 + 2 * 3
+        for groups in (wq_terms(rule, "stiffness"), op.groups):
+            assert len(groups) == 3
+            assert all(len(pairs) == 3 for _, pairs in groups)
+            assert len({id(f) for _, pairs in groups
+                        for W, _ in pairs for f in W}) == 4 * 3
+            assert len({id(f) for B, _ in groups for f in B}) == 2 * 3
+        assert all(isinstance(f, BandedFactor) for B, pairs in op.groups
+                   for F in [B] + [W for W, _ in pairs] for f in F)
 
     def test_patch_test_annihilates_constant(self):
         # applied over the full basis (boundary functions kept), the

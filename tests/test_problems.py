@@ -90,7 +90,7 @@ class TestErrorNorms:
             return full, out
 
         case = cube_sine_case()
-        return type(case)(name="in-space", u_grad=u_grad, f=case.f,
+        return type(case)(u_grad=u_grad, f=case.f,
                           alpha=0.0, reference_h1_errors={})
 
     @staticmethod

@@ -3,8 +3,10 @@ import pytest
 
 from conftest import perturbed_knots
 from igamf import (EXACTNESS_TOL, KnotVector, WQConstructionError,
-                   build_tensor_rule, build_wq_rule, exact_gram,
+                   build_tensor_rule, build_wq_rule, collocation_matrix,
+                   exact_gram,
                    gauss_tensor_rule, make_uniform_knots, tensor_space)
+import igamf.wq
 from igamf.wq import gauss_points_weights, wq_points, wq_weights
 
 DERIV_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -83,8 +85,27 @@ class TestWQWeights:
         kv = make_uniform_knots(3, 4)
         pts = wq_points(kv, boundary_extra=0)
         with pytest.raises(WQConstructionError) as exc:
-            wq_weights(kv, pts, 0, 0)
+            wq_weights(kv, pts)
         assert exc.value.row >= 0
+
+    def test_weights_reject_repeated_interior_knot(self):
+        kv = KnotVector(2, [0, 0, 0, 0.5, 0.5, 1, 1, 1])
+        with pytest.raises(ValueError, match="multiplicity 1"):
+            wq_weights(kv, np.linspace(0, 1, 9))
+
+    def test_one_collocation_per_trial_derivative(self, monkeypatch):
+        # the four weight families and the rule share the collocations at
+        # the WQ points (the Gram oracle's calls are at Gauss points)
+        calls = []
+
+        def counting(kv, points, deriv=0):
+            calls.append(np.asarray(points, dtype=float).copy())
+            return collocation_matrix(kv, points, deriv)
+
+        monkeypatch.setattr(igamf.wq, "collocation_matrix", counting)
+        rule = build_wq_rule(make_uniform_knots(3, 6))
+        at_rule = [x for x in calls if np.array_equal(x, rule.points)]
+        assert len(at_rule) == 2
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_exactness_all_pairs_uniform(self, p):
