@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import pullback
-from .kron import grid_slabs, kron_materialize, tensor_grid
+from .kron import banded, grid_slabs, kron_materialize, slab_grid
 from .operators import coefficient_grids, wq_load_vector, wq_terms
 from .splines import collocation_matrix
 from .wq import gauss_points_weights, gauss_tensor_rule
@@ -63,21 +63,25 @@ def tensor_gauss_sum(space, geom, pts_per_span, integrand):
     ``integrand(x, measure, det, cof, B0, B1)``: physical points, Gauss
     weight times det J_F, the :func:`~igamf.geometry.pullback` of the slab,
     and the per-direction interior value and derivative collocation
-    factors, the last direction's restricted to the slab's rows.
+    factors as :class:`~igamf.kron.BandedFactor`, the last direction's
+    restricted to the slab's rows.
     """
     kvs = space.knotvectors
     pts, wts = zip(*(gauss_points_weights(kv, pts_per_span) for kv in kvs))
     B0, B1 = ([collocation_matrix(kv, x, b)[:, 1:-1].tocsr()
                for kv, x in zip(kvs, pts)] for b in (0, 1))
+    # the factors of all but the last direction serve every slab unchanged
+    B0_lower, B1_lower = ([banded(f) for f in B[:-1]] for B in (B0, B1))
     total = 0.0
     for s in grid_slabs([len(q) for q in pts]):
-        xi = tensor_grid(pts[:-1] + (pts[-1][s],)).T
-        w = functools.reduce(np.multiply, tensor_grid(wts[:-1] + (wts[-1][s],)))
+        xi = slab_grid(pts, s).T
+        w = functools.reduce(np.multiply, slab_grid(wts, s))
         det, cof = pullback(geom, xi)
         x = geom.evaluate(xi)
         del xi  # not needed by the integrand; free it before that runs
-        total = total + integrand(x, w * det, det, cof, B0[:-1] + [B0[-1][s]],
-                                  B1[:-1] + [B1[-1][s]])
+        total = total + integrand(x, w * det, det, cof,
+                                  B0_lower + [banded(B0[-1][s])],
+                                  B1_lower + [banded(B1[-1][s])])
     return total
 
 

@@ -6,8 +6,11 @@ A^(1), ..., A^(d) in direction order; the operator is A^(d) x ... x A^(1)
 under the convention that direction 1 is the fastest-running index.
 :func:`kron_apply` contracts one mode at a time, starting from direction d,
 and never forms the full matrix; :func:`kron_materialize` forms it, as an
-oracle.  :func:`grid_slabs` cuts a tensor point grid into slabs of bounded
-size for the passes that evaluate fields on it.
+oracle.  :func:`grid_slabs` cuts a tensor point grid into slabs of
+:data:`SLAB_POINTS` points and :func:`slab_grid` lays out one slab; every
+pass that evaluates fields on a tensor grid (coefficient set-up, load
+vectors, error norms) runs slab by slab, so its scratch memory is a
+multiple of the slab, not of the grid.
 
 The apply holds every factor as a :class:`BandedFactor`: dense row blocks,
 each over the window of columns its rows touch.  A dense factor is one
@@ -23,8 +26,13 @@ import numpy as np
 import scipy.sparse as sp
 
 #: quadrature points per slab of :func:`grid_slabs`; bounds the scratch
-#: memory of load vectors and error evaluation
-SLAB_POINTS = 2 * 10**6
+#: memory of coefficient set-up, load vectors and error evaluation (on the
+#: ring, set-up keeps about 23 and the error pass about 37 slab-sized
+#: float64 arrays alive at once).  The ring
+#: error pass at p=3 on 32^3 elements (one BLAS thread, 2-core x86 host)
+#: took 1.3-1.8 s at 2^15 to 2^19 points per slab and 1.9-2.5 s at 2^21,
+#: and its peak RSS grew from 108 MB (2^15) to 196 MB (2^18) and 689 MB (2^21)
+SLAB_POINTS = 2**18
 #: rows per dense block of a sparse factor (:func:`banded`)
 ROWS_PER_BLOCK = 8
 #: grid columns per matrix product of :func:`kron_apply`; bounds the
@@ -149,8 +157,18 @@ def tensor_grid(points_per_dir):
 
 def grid_slabs(n_per_dir):
     """Last-direction slices cutting a tensor grid into slabs of at most
-    about :data:`SLAB_POINTS` points, each at least one layer thick."""
+    about :data:`SLAB_POINTS` points, each at least one layer thick.
+
+    Slab ``s`` holds the flat grid points ``s.start * lower`` to
+    ``s.stop * lower`` (clipped to the grid), with ``lower`` the product
+    of the other directions' sizes.
+    """
     n_last = n_per_dir[-1]
     lower = int(np.prod(n_per_dir[:-1]))
     block = max(1, min(n_last, SLAB_POINTS // lower))
     return [slice(start, start + block) for start in range(0, n_last, block)]
+
+
+def slab_grid(per_dir, s):
+    """:func:`tensor_grid` of per-direction arrays, the last one cut to slab ``s``."""
+    return tensor_grid(list(per_dir[:-1]) + [per_dir[-1][s]])

@@ -12,14 +12,16 @@ shares the d collocation contractions among them.  The load vector is the
 mass term's weight factors alone applied to a grid of source values
 (:func:`wq_load_vector`).  Factors are restricted to the Dirichlet-interior
 basis; boundary rows/columns are never formed.  Coefficient grids are
-evaluated once, at setup.  On a Gauss rule
+evaluated once, at setup, one slab of :func:`~igamf.kron.grid_slabs` at a
+time.  On a Gauss rule
 (:func:`~igamf.wq.gauss_tensor_rule`) all of this is standard Gauss quadrature.
 """
 
 import numpy as np
 
 from .geometry import pullback
-from .kron import CostMeter, banded, grid_slabs, kron_apply, tensor_grid
+from .kron import CostMeter, banded, grid_slabs, kron_apply, slab_grid
+from .splines import map_distinct
 from .wq import TensorRule
 
 
@@ -40,13 +42,13 @@ def wq_terms(rule: TensorRule, kind: str):
     direction b and, for each test direction a, the pair W^(a_l,b_l) with
     a_l = [l == a] and b_l = [l == b] and key (min(a, b), max(a, b)).
     Each distinct per-direction factor is built once and shared by the
-    terms that use it.
+    terms that use it; directions sharing one rule object share its factors.
     """
     _check_kind(kind)
-    W = [{ab: w[1:-1, :].tocsr() for ab, w in r.weights.items()}
-         for r in rule.rules]
-    B = [{b: c[:, 1:-1].tocsr() for b, c in r.colloc.items()}
-         for r in rule.rules]
+    W = map_distinct(lambda r: {ab: w[1:-1, :].tocsr()
+                                for ab, w in r.weights.items()}, rule.rules)
+    B = map_distinct(lambda r: {b: c[:, 1:-1].tocsr()
+                                for b, c in r.colloc.items()}, rule.rules)
     if kind == "mass":
         return [([c[0] for c in B], [([w[(0, 0)] for w in W], None)])]
     return [([c[int(l == b)] for l, c in enumerate(B)],
@@ -57,6 +59,10 @@ def wq_terms(rule: TensorRule, kind: str):
 
 def coefficient_grids(kind: str, geom, xi, coeff=None):
     """Pulled-back coefficient values at parametric points, keyed as in :func:`wq_terms`.
+
+    ``xi`` is an (npts, d) point array; every value depends on its own
+    point only, so the operators and :func:`wq_load_vector` call this per
+    slab of the rule's grid and get the values of one whole-grid call.
 
     ``"mass"``: {None: alpha det J_F}, with ``coeff`` = alpha a scalar or a
     physical field (default 1).  ``"stiffness"``: {(a, b): C_ab for a <= b}
@@ -99,12 +105,12 @@ def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
     :class:`~igamf.geometry.DegenerateGeometryError` where det J_F <= 0.
     """
     (_, [(W, _)]), = wq_terms(rule, "mass")
+    W_lower = [banded(w) for w in W[:-1]]
     pts = [r.points for r in rule.rules]
     total = 0.0
     for s in grid_slabs(rule.n_points_per_dir):
-        xi = tensor_grid(pts[:-1] + [pts[-1][s]]).T
-        grid = coefficient_grids("mass", geom, xi, f)[None]
-        total = total + kron_apply(W[:-1] + [W[-1][:, s]], grid)
+        grid = coefficient_grids("mass", geom, slab_grid(pts, s).T, f)[None]
+        total = total + kron_apply(W_lower + [W[-1][:, s]], grid)
     return total
 
 
@@ -112,7 +118,10 @@ class _WQOperator:
     """Term groups and stored coefficient grids of one WQ operator.
 
     ``groups`` is :func:`wq_terms` with each distinct factor converted once
-    by :func:`~igamf.kron.banded`.
+    by :func:`~igamf.kron.banded`.  ``coeffs`` holds the
+    :func:`coefficient_grids` over all ``rule.n_points`` points, evaluated
+    per slab of :func:`~igamf.kron.grid_slabs` into preallocated grids, so
+    set-up needs the stored grids plus one slab's scratch.
     """
 
     def __init__(self, space, rule: TensorRule, geom, kind, coeff):
@@ -125,7 +134,18 @@ class _WQOperator:
         self.groups = [([conv[id(f)] for f in B],
                         [([conv[id(f)] for f in W], key) for W, key in pairs])
                        for B, pairs in groups]
-        self.coeffs = coefficient_grids(kind, geom, rule.point_arrays().T, coeff)
+        nq = rule.n_points
+        lower = nq // rule.n_points_per_dir[-1]
+        pts = [r.points for r in rule.rules]
+        self.coeffs = {}
+        for s in grid_slabs(rule.n_points_per_dir):
+            slab = coefficient_grids(kind, geom, slab_grid(pts, s).T, coeff)
+            for key, g in slab.items():
+                # allocated after the first slab's evaluation, so that a
+                # one-slab grid peaks no higher than that evaluation
+                if key not in self.coeffs:
+                    self.coeffs[key] = np.empty(nq)
+                self.coeffs[key][s.start * lower:s.stop * lower] = g
 
     @property
     def coeff_scalars(self) -> int:

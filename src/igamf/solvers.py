@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .kron import CostMeter, kron_apply
+from .splines import map_distinct
 from .wq import exact_gram
 
 
@@ -35,30 +36,32 @@ class KrylovReport:
     matvecs: int
 
 
+def _eigen_pair(kv):
+    """Generalized eigenpairs (lam, U) of the interior stiffness/mass Grams."""
+    K = exact_gram(kv, 1, 1).toarray()[1:-1, 1:-1]
+    M = exact_gram(kv, 0, 0).toarray()[1:-1, 1:-1]
+    try:
+        return scipy.linalg.eigh(K, M)
+    except scipy.linalg.LinAlgError as err:
+        raise EigenSolveError(
+            f"generalized eigensolve failed (degree {kv.degree}): {err}"
+        ) from err
+
+
 class FDPreconditioner:
     """Exact Kronecker-sum solver used as preconditioner.
 
     Represents P = sum_l M x ... x K_l x ... x M + sigma * M x ... x M on
-    the interior parametric space; ``apply`` computes P^{-1} r.
+    the interior parametric space; ``apply`` computes P^{-1} r.  The
+    generalized eigendecomposition is computed once per distinct
+    knot-vector object and shared by the directions that hold it.
     """
 
     def __init__(self, space, sigma: float = 0.0):
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
         self.n_dofs = space.n_dofs
-        self.U = []
-        lams = []
-        for kv in space.knotvectors:
-            K = exact_gram(kv, 1, 1).toarray()[1:-1, 1:-1]
-            M = exact_gram(kv, 0, 0).toarray()[1:-1, 1:-1]
-            try:
-                lam, U = scipy.linalg.eigh(K, M)
-            except scipy.linalg.LinAlgError as err:
-                raise EigenSolveError(
-                    f"generalized eigensolve failed (degree {kv.degree}): {err}"
-                ) from err
-            self.U.append(U)
-            lams.append(lam)
+        lams, self.U = zip(*map_distinct(_eigen_pair, space.knotvectors))
         # inverse Kronecker-sum diagonal over the eigen-tensor grid
         lam_sum = functools.reduce(lambda s, lam: np.add.outer(lam, s), lams)
         self.inv_diag = 1.0 / (lam_sum.ravel() + float(sigma))

@@ -196,8 +196,24 @@ class TensorSpace:
         return int(np.prod(self.n_per_dir))
 
 
+def map_distinct(fn, items) -> list:
+    """``[fn(x) for x in items]``, calling ``fn`` once per distinct object.
+
+    Objects are told apart by identity, so the directions of a
+    :func:`tensor_space`, which share one knot vector, share one result.
+    """
+    done = {}
+    for x in items:
+        if id(x) not in done:
+            done[id(x)] = fn(x)
+    return [done[id(x)] for x in items]
+
+
 def tensor_space(p: int, n_el: int, d: int = 3) -> TensorSpace:
-    """Isotropic tensor space: same degree and uniform mesh in every direction."""
+    """Isotropic tensor space: same degree and uniform mesh in every direction.
+
+    All d directions hold the same :class:`KnotVector` object.
+    """
     kv = make_uniform_knots(p, n_el)
     return TensorSpace((kv,) * d)
 

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .kron import tensor_grid
-from .splines import KnotVector, collocation_matrix
+from .splines import KnotVector, collocation_matrix, map_distinct
 
 #: residual bound enforced on every exactness equation
 EXACTNESS_TOL = 1e-10
@@ -202,8 +202,12 @@ class TensorRule:
 
 
 def build_tensor_rule(space) -> TensorRule:
-    """Weighted-quadrature rules for every direction of a tensor space."""
-    return TensorRule(tuple(build_wq_rule(kv) for kv in space.knotvectors))
+    """Weighted-quadrature rules for every direction of a tensor space.
+
+    One rule is built per distinct knot-vector object; directions sharing
+    a knot vector share its :class:`WQRule1D`.
+    """
+    return TensorRule(tuple(map_distinct(build_wq_rule, space.knotvectors)))
 
 
 def gauss_tensor_rule(space, pts_per_span: int | None = None) -> TensorRule:
@@ -212,15 +216,17 @@ def gauss_tensor_rule(space, pts_per_span: int | None = None) -> TensorRule:
     Per direction: ``pts_per_span`` Gauss nodes x per knot span as points
     (default p+1, exact for degree 2p+1), ``colloc[b]`` the b-th
     derivative collocation matrix at x and ``weights[(a, b)]`` =
-    ``colloc[a]^T diag(w)``.
+    ``colloc[a]^T diag(w)``; one rule per distinct knot-vector object, as in
+    :func:`build_tensor_rule`.
     """
     if pts_per_span is None:
         pts_per_span = max(kv.degree for kv in space.knotvectors) + 1
-    rules = []
-    for kv in space.knotvectors:
+
+    def rule(kv):
         x, w = gauss_points_weights(kv, pts_per_span)
         colloc = {b: collocation_matrix(kv, x, b) for b in (0, 1)}
         test = {a: (colloc[a].T @ sp.diags(w)).tocsr() for a in (0, 1)}
         weights = {(a, b): test[a] for (a, b) in _DERIV_PAIRS}
-        rules.append(WQRule1D(kv=kv, points=x, weights=weights, colloc=colloc))
-    return TensorRule(tuple(rules))
+        return WQRule1D(kv=kv, points=x, weights=weights, colloc=colloc)
+
+    return TensorRule(tuple(map_distinct(rule, space.knotvectors)))

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from igamf import (CostMeter, DegenerateGeometryError, GeometryMap,
-                   affine_map, assemble_rhs, assemble_sgq,
+                   TensorSpace, affine_map, assemble_rhs, assemble_sgq,
                    assemble_wq_explicit, build_tensor_rule, coefficient_grids,
                    cube_sine_case, h1_relative_error, identity_map, kron_apply,
-                   pullback, quarter_ring_map, quarter_ring_rational_map,
-                   setup_mass, setup_stiffness, tensor_space,
-                   wq_load_vector, wq_terms)
-from igamf import operators
+                   make_uniform_knots, pullback, quarter_ring_map,
+                   quarter_ring_rational_map, setup_mass, setup_stiffness,
+                   tensor_space, wq_load_vector, wq_terms)
+from igamf import kron, operators
 from igamf.kron import BandedFactor, banded
 
 
@@ -25,6 +25,13 @@ def grids(kind, rule, geom, coeff=None):
                              coeff)
 
 
+def split_into_slabs(monkeypatch, rule, n_slabs):
+    """Shrink the slab size so that the rule's grid splits into at least
+    ``n_slabs`` slabs."""
+    monkeypatch.setattr(kron, "SLAB_POINTS", rule.n_points // (n_slabs + 1))
+    assert len(kron.grid_slabs(rule.n_points_per_dir)) >= n_slabs
+
+
 def folded_map():
     """A map whose Jacobian determinant is negative everywhere."""
     return GeometryMap(
@@ -35,6 +42,16 @@ def folded_map():
 
 
 class TestCoefficientGrids:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_slab_wise_setup_matches_whole_grid(self, monkeypatch, p):
+        space, rule, geom = make(p, 6, quarter_ring_rational_map())
+        split_into_slabs(monkeypatch, rule, 8)
+        for op, kind in ((setup_stiffness(space, rule, geom), "stiffness"),
+                         (setup_mass(space, rule, geom), "mass")):
+            whole = coefficient_grids(kind, geom, rule.point_arrays().T)
+            assert op.coeffs.keys() == whole.keys()
+            assert all(np.array_equal(op.coeffs[k], whole[k]) for k in whole)
+
     def test_mass_identity_geometry(self):
         space, rule, geom = make(2, 3)
         vals = grids("mass", rule, geom, 1.0)[None]
@@ -218,9 +235,9 @@ class TestStiffnessApply:
         assert np.linalg.norm(op.apply(v) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_each_distinct_factor_built_and_converted_once(self, monkeypatch):
-        # per direction 4 weight matrices W^(a,b) and 2 collocations B^(b)
-        # serve all 9 terms, grouped by trial direction
-        space, rule, geom = make(2, 3, quarter_ring_map())
+        # per distinct knot vector 4 weight matrices W^(a,b) and 2
+        # collocations B^(b) serve all 9 terms, grouped by trial direction;
+        # an isotropic space shares one knot vector among its directions
         converted = []
 
         def counting(f):
@@ -228,16 +245,22 @@ class TestStiffnessApply:
             return banded(f)
 
         monkeypatch.setattr(operators, "banded", counting)
-        op = setup_stiffness(space, rule, geom)
-        assert len(converted) == 4 * 3 + 2 * 3
-        for groups in (wq_terms(rule, "stiffness"), op.groups):
-            assert len(groups) == 3
-            assert all(len(pairs) == 3 for _, pairs in groups)
-            assert len({id(f) for _, pairs in groups
-                        for W, _ in pairs for f in W}) == 4 * 3
-            assert len({id(f) for B, _ in groups for f in B}) == 2 * 3
-        assert all(isinstance(f, BandedFactor) for B, pairs in op.groups
-                   for F in [B] + [W for W, _ in pairs] for f in F)
+        geom = quarter_ring_map()
+        for n_kvs in (1, 3):
+            kvs = [make_uniform_knots(2, 3 + l) for l in range(n_kvs)]
+            space = TensorSpace(tuple(kvs[l % n_kvs] for l in range(3)))
+            rule = build_tensor_rule(space)
+            converted.clear()
+            op = setup_stiffness(space, rule, geom)
+            assert len(converted) == 4 * n_kvs + 2 * n_kvs
+            for groups in (wq_terms(rule, "stiffness"), op.groups):
+                assert len(groups) == 3
+                assert all(len(pairs) == 3 for _, pairs in groups)
+                assert len({id(f) for _, pairs in groups
+                            for W, _ in pairs for f in W}) == 4 * n_kvs
+                assert len({id(f) for B, _ in groups for f in B}) == 2 * n_kvs
+            assert all(isinstance(f, BandedFactor) for B, pairs in op.groups
+                       for F in [B] + [W for W, _ in pairs] for f in F)
 
     def test_patch_test_annihilates_constant(self):
         # applied over the full basis (boundary functions kept), the
@@ -274,6 +297,22 @@ class TestSetupMemory:
         finally:
             tracemalloc.stop()
         assert peak / (8 * rule.n_points) <= 30
+
+    @pytest.mark.parametrize("p", [3, 8])
+    def test_slab_wise_setup_peak(self, monkeypatch, p):
+        # the six stored grids plus one slab's scratch: with the grid cut
+        # into at least 8 slabs the peak stays near 10 scalars per point
+        space = tensor_space(p, 16)
+        rule = build_tensor_rule(space)
+        geom = quarter_ring_rational_map()
+        split_into_slabs(monkeypatch, rule, 8)
+        tracemalloc.start()
+        try:
+            setup_stiffness(space, rule, geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * rule.n_points) <= 12
 
 
 class TestCostLaws:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from igamf import (QUARTER_RING_H1_REFERENCE, assemble_rhs, assemble_sgq,
                    quarter_ring_map, quarter_ring_rational_map,
                    relative_errors, setup_stiffness, tensor_space,
                    wq_load_vector)
+from igamf import kron
 from igamf.assembly import tensor_gauss_sum
 from igamf.splines import collocation_matrix
 
@@ -195,6 +198,35 @@ class TestErrorNorms:
         semi_err2, semi_ref2 = self.seminorm_sums(space, geom, x, case, 4)
         assert h1 == pytest.approx(
             np.sqrt((err2 + semi_err2) / (ref2 + semi_ref2)), rel=1e-13)
+
+    def test_slab_invariance(self, monkeypatch):
+        space = tensor_space(2, 4, 3)
+        geom = quarter_ring_rational_map()
+        x = np.random.default_rng(0).standard_normal(space.n_dofs)
+        case = oscillating_case()
+        h1, l2 = relative_errors(space, geom, x, case)
+        monkeypatch.setattr(kron, "SLAB_POINTS", 500)
+        # the 16^3-point Gauss grid now splits into 16 slabs
+        assert len(kron.grid_slabs((16,) * 3)) == 16
+        h1_s, l2_s = relative_errors(space, geom, x, case)
+        assert h1_s == pytest.approx(h1, rel=1e-13)
+        assert l2_s == pytest.approx(l2, rel=1e-13)
+
+    def test_peak_memory_tracks_slab(self):
+        # the pass keeps about 37 slab-sized float64 arrays alive at once;
+        # at p=3 on 16^3 elements the 80^3-point grid is two slabs, and
+        # one pass over the whole grid peaks about 1.5x higher, above this
+        space = tensor_space(3, 16, 3)
+        geom = quarter_ring_rational_map()
+        x = np.random.default_rng(0).standard_normal(space.n_dofs)
+        case = oscillating_case()
+        tracemalloc.start()
+        try:
+            relative_errors(space, geom, x, case)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 8 * kron.SLAB_POINTS
 
     def test_length_mismatch_rejected(self):
         space = tensor_space(2, 3, 3)

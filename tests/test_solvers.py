@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import fd_forward
-from igamf import (FDPreconditioner, IndefiniteOperatorError, assemble_rhs,
-                   assemble_sgq, bicgstab, build_tensor_rule, cg, exact_gram,
+from igamf import (FDPreconditioner, IndefiniteOperatorError, TensorSpace,
+                   assemble_rhs, assemble_sgq, bicgstab, build_tensor_rule,
+                   cg, exact_gram,
                    identity_map, kron_materialize, make_uniform_knots,
                    oscillating_case, quarter_ring_map, setup_stiffness,
                    stopping_tolerance, tensor_space)
@@ -31,6 +33,24 @@ class TestFDPreconditioner:
         # inverse; test_criterion_5_fd_round_trip_p8 checks the residual
         space = tensor_space(p, n_el, 3)
         P = FDPreconditioner(space)
+        v = np.random.default_rng(0).standard_normal(space.n_dofs)
+        back = P.apply(fd_forward(space, v))
+        assert np.linalg.norm(back - v) <= 1e-10 * np.linalg.norm(v)
+
+    def test_one_eigensolve_per_distinct_knot_vector(self, monkeypatch):
+        calls = []
+        eigh = scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh",
+                            lambda K, M: calls.append(K.shape) or eigh(K, M))
+        FDPreconditioner(tensor_space(2, 4, 3))
+        assert calls == [(4, 4)]
+        # an anisotropic space keeps one eigensolve, and its own
+        # eigenvectors, per direction
+        calls.clear()
+        space = TensorSpace((make_uniform_knots(2, 4), make_uniform_knots(2, 5),
+                             make_uniform_knots(3, 3)))
+        P = FDPreconditioner(space)
+        assert calls == [(4, 4), (5, 5), (4, 4)]
         v = np.random.default_rng(0).standard_normal(space.n_dofs)
         back = P.apply(fd_forward(space, v))
         assert np.linalg.norm(back - v) <= 1e-10 * np.linalg.norm(v)

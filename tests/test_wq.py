@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import perturbed_knots
-from igamf import (EXACTNESS_TOL, KnotVector, WQConstructionError,
-                   build_tensor_rule, build_wq_rule, collocation_matrix,
+from igamf import (EXACTNESS_TOL, KnotVector, TensorSpace,
+                   WQConstructionError, build_tensor_rule, build_wq_rule,
+                   collocation_matrix,
                    exact_gram,
                    gauss_tensor_rule, make_uniform_knots, tensor_space)
 import igamf.wq
@@ -154,6 +155,23 @@ class TestTensorRule:
         rule = build_tensor_rule(space)
         assert rule.dim == 1
         assert rule.n_points == rule.rules[0].n_points
+
+    def test_one_rule_per_distinct_knot_vector(self, monkeypatch):
+        built = []
+        build = igamf.wq.build_wq_rule
+        monkeypatch.setattr(igamf.wq, "build_wq_rule",
+                            lambda kv: built.append(kv) or build(kv))
+        rule = build_tensor_rule(tensor_space(2, 4, 3))
+        assert len(built) == 1
+        assert rule.rules[0] is rule.rules[1] is rule.rules[2]
+        # distinct knot vectors, equal or not, each get their own rule
+        kvs = (make_uniform_knots(2, 4), make_uniform_knots(2, 5),
+               make_uniform_knots(2, 4))
+        built.clear()
+        rule = build_tensor_rule(TensorSpace(kvs))
+        assert built == list(kvs)
+        assert [r.kv for r in rule.rules] == list(kvs)
+        assert rule.n_points_per_dir[0] < rule.n_points_per_dir[1]
 
     def test_grid_ordering(self):
         space = tensor_space(1, 2, 2)
