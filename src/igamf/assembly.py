@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import pullback
-from .kron import banded, grid_slabs, kron_materialize, slab_grid
+from .geometry import _ROW_CHUNK, pullback
+from .kron import (banded, grid_slabs, kron_apply, kron_materialize,
+                   slab_grid)
 from .operators import coefficient_grids, wq_load_vector, wq_terms
 from .splines import collocation_matrix
 from .wq import gauss_points_weights, gauss_tensor_rule
@@ -55,18 +56,20 @@ def estimate_matrix_nnz(space) -> int:
     return nnz
 
 
-def tensor_gauss_sum(space, geom, pts_per_span, integrand):
-    """Sum ``integrand`` over slabs of the tensor Gauss grid of ``space``.
+def tensor_gauss_sum(space, geom, pts_per_span, u_coeffs, integrand):
+    """Sum ``integrand`` of the field u_h with coefficients ``u_coeffs``
+    over the tensor Gauss grid of ``space``.
 
     The grid (``pts_per_span`` points per knot span and direction) is split
-    into the slabs of :func:`~igamf.kron.grid_slabs`.  Per slab the call is
-    ``integrand(x, measure, det, cof, B0, B1)``: physical points, Gauss
-    weight times det J_F, the :func:`~igamf.geometry.pullback` of the slab,
-    and the per-direction interior value and derivative collocation
-    factors as :class:`~igamf.kron.BandedFactor`, the last direction's
-    restricted to the slab's rows.
+    into the slabs of :func:`~igamf.kron.grid_slabs`; per slab, u_h and its
+    parametric gradient come from Kronecker contractions with the interior
+    collocation factors.  The pointwise part then runs ``_ROW_CHUNK``
+    points at a time, calling ``integrand(x, measure, uh, grad_h)`` with the
+    physical points, Gauss weight times det J_F, and the values of u_h and
+    of its physical gradient J_F^-T grad u_h (shapes (n,) and (n, d)).
     """
     kvs = space.knotvectors
+    d = len(kvs)
     pts, wts = zip(*(gauss_points_weights(kv, pts_per_span) for kv in kvs))
     B0, B1 = ([collocation_matrix(kv, x, b)[:, 1:-1].tocsr()
                for kv, x in zip(kvs, pts)] for b in (0, 1))
@@ -74,14 +77,27 @@ def tensor_gauss_sum(space, geom, pts_per_span, integrand):
     B0_lower, B1_lower = ([banded(f) for f in B[:-1]] for B in (B0, B1))
     total = 0.0
     for s in grid_slabs([len(q) for q in pts]):
+        B0_s = B0_lower + [banded(B0[-1][s])]
+        B1_s = B1_lower + [banded(B1[-1][s])]
+        uh = kron_apply(B0_s, u_coeffs)
+        grad_xi = [kron_apply([(B1_s if l == b else B0_s)[l] for l in range(d)],
+                              u_coeffs) for b in range(d)]
         xi = slab_grid(pts, s).T
-        w = functools.reduce(np.multiply, slab_grid(wts, s))
-        det, cof = pullback(geom, xi)
-        x = geom.evaluate(xi)
-        del xi  # not needed by the integrand; free it before that runs
-        total = total + integrand(x, w * det, det, cof,
-                                  B0_lower + [banded(B0[-1][s])],
-                                  B1_lower + [banded(B1[-1][s])])
+        # weight products with direction 1 fastest, as in slab_grid
+        w = functools.reduce(lambda acc, q: np.multiply.outer(q, acc),
+                             list(wts[:-1]) + [wts[-1][s]]).ravel()
+        for c0 in range(0, len(w), _ROW_CHUNK):
+            c = slice(c0, c0 + _ROW_CHUNK)
+            det, cof = pullback(geom, xi[c])
+            grad_h = np.empty((d, len(det)))
+            for i, g in enumerate(grad_h):
+                # component i of J_F^-T grad = cof grad / det
+                np.multiply(cof[:, i, 0], grad_xi[0][c], out=g)
+                for j in range(1, d):
+                    g += cof[:, i, j] * grad_xi[j][c]
+                g /= det
+            total = total + integrand(geom.evaluate(xi[c]), w[c] * det,
+                                      uh[c], grad_h.T)
     return total
 
 

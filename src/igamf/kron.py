@@ -27,11 +27,13 @@ import scipy.sparse as sp
 
 #: quadrature points per slab of :func:`grid_slabs`; bounds the scratch
 #: memory of coefficient set-up, load vectors and error evaluation (on the
-#: ring, set-up keeps about 23 and the error pass about 37 slab-sized
-#: float64 arrays alive at once).  The ring
-#: error pass at p=3 on 32^3 elements (one BLAS thread, 2-core x86 host)
-#: took 1.3-1.8 s at 2^15 to 2^19 points per slab and 1.9-2.5 s at 2^21,
-#: and its peak RSS grew from 108 MB (2^15) to 196 MB (2^18) and 689 MB (2^21)
+#: ring, set-up keeps about 20 and the error pass about 12 slab-sized
+#: float64 arrays alive at once; their pointwise work runs in smaller
+#: chunks, see :func:`~igamf.geometry.pullback`).  When the error pass
+#: still held 37 slab-sized arrays, the ring error pass at p=3 on 32^3
+#: elements (one BLAS thread, 2-core x86 host) took 1.3-1.8 s at 2^15 to
+#: 2^19 points per slab and 1.9-2.5 s at 2^21, and its peak RSS grew from
+#: 108 MB (2^15) to 196 MB (2^18) and 689 MB (2^21)
 SLAB_POINTS = 2**18
 #: rows per dense block of a sparse factor (:func:`banded`)
 ROWS_PER_BLOCK = 8

@@ -5,21 +5,23 @@ The oscillating manufactured solution on the thick quarter ring is
 
     u(x) = sin(5 pi x1) sin(5 pi x2) sin(5 pi x3) (x1^2 + x2^2 - 1)(x1^2 + x2^2 - 4)
 
-which vanishes on the whole boundary.  Its gradient and source f = -div(K grad u)
-+ alpha u are derived symbolically (sympy) and validated against finite
-differences in the test suite, so no hand transcription is involved.  u and
-grad u are lambdified together, with common subexpressions shared.
+which vanishes on the whole boundary.  With S = prod_l sin(5 pi x_l) and
+g = (r^2 - 1)(r^2 - 4), r^2 = x1^2 + x2^2, its source (K = I, alpha = 0) is
+
+    f = -lap u = 75 pi^2 S g - 2 (4 r^2 - 10)(x1 d1 S + x2 d2 S) - S (16 r^2 - 20).
+
+u, grad u and f of both cases are hand-written numpy closed forms, each
+sine and cosine computed once per point.  The test suite checks them
+against a symbolic derivation (with a test-only dependency) and against
+finite differences.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-import sympy
 
 from .assembly import tensor_gauss_sum
 from .geometry import _eval_rows
-from .kron import kron_apply
 
 #: reference relative H1 errors of the fully solved quarter-ring benchmark,
 #: keyed by (degree, mesh exponent); used to derive stopping tolerances.
@@ -51,40 +53,65 @@ class ManufacturedCase:
     reference_h1_errors: dict = field(default_factory=dict, repr=False)
 
 
-def _lambdify_case(u_expr, syms, alpha, reference):
-    grads = [sympy.diff(u_expr, s) for s in syms]
-    lap = sum(sympy.diff(u_expr, s, 2) for s in syms)
-    f_expr = -lap + alpha * u_expr
-    ug_fn = sympy.lambdify(syms, [u_expr, *grads], "numpy", cse=True)
-    f_fn = sympy.lambdify(syms, [f_expr], "numpy", cse=True)
+def _case(u_grad_rows, f_rows, reference):
+    """A case from row functions of :func:`~igamf.geometry._eval_rows`:
+    ``u_grad_rows`` gives u and the d gradient components, ``f_rows`` f."""
 
     def u_grad(x):
-        out = _eval_rows(ug_fn, np.atleast_2d(x), 1 + len(syms))
+        x = np.atleast_2d(x)
+        out = _eval_rows(u_grad_rows, x, 1 + x.shape[1])
         return out[0], out[1:].T
 
     def f(x):
-        return _eval_rows(f_fn, np.atleast_2d(x), 1)[0]
+        return _eval_rows(f_rows, np.atleast_2d(x), 1)[0]
 
-    return ManufacturedCase(u_grad=u_grad, f=f, alpha=alpha,
+    return ManufacturedCase(u_grad=u_grad, f=f, alpha=0.0,
                             reference_h1_errors=reference)
 
 
-@lru_cache(maxsize=None)
+def _oscillating_parts(x1, x2, x3):
+    """sin(5 pi x_l), 5 pi x_l, r^2 and g of the oscillating solution."""
+    t = [5 * np.pi * x for x in (x1, x2, x3)]
+    r2 = x1 * x1 + x2 * x2
+    return [np.sin(v) for v in t], t, r2, (r2 - 1) * (r2 - 4)
+
+
+def _oscillating_u_grad(x1, x2, x3):
+    (s1, s2, s3), (t1, t2, t3), r2, g = _oscillating_parts(x1, x2, x3)
+    S = s1 * s2 * s3
+    kg = 5 * np.pi * g
+    Sdg = S * (4 * r2 - 10)  # S dg/dx_l / x_l for l = 1, 2
+    return (S * g, np.cos(t1) * (s2 * s3) * kg + Sdg * x1,
+            np.cos(t2) * (s1 * s3) * kg + Sdg * x2, np.cos(t3) * (s1 * s2) * kg)
+
+
+def _oscillating_f(x1, x2, x3):
+    (s1, s2, s3), (t1, t2, _), r2, g = _oscillating_parts(x1, x2, x3)
+    S = s1 * s2 * s3
+    x_dS = 5 * np.pi * s3 * (x1 * np.cos(t1) * s2 + x2 * np.cos(t2) * s1)  # x1 d1S + x2 d2S
+    return (75 * np.pi**2 * S * g - 2 * (4 * r2 - 10) * x_dS - S * (16 * r2 - 20),)
+
+
+def _cube_u_grad(x1, x2, x3):
+    s1, s2, s3 = np.sin(np.pi * x1), np.sin(np.pi * x2), np.sin(np.pi * x3)
+    return (s1 * s2 * s3, np.pi * np.cos(np.pi * x1) * (s2 * s3),
+            np.pi * np.cos(np.pi * x2) * (s1 * s3),
+            np.pi * np.cos(np.pi * x3) * (s1 * s2))
+
+
+def _cube_f(x1, x2, x3):
+    return (3 * np.pi**2 * np.sin(np.pi * x1) * np.sin(np.pi * x2)
+            * np.sin(np.pi * x3),)
+
+
 def oscillating_case() -> ManufacturedCase:
     """Oscillating solution on the thick quarter ring (K = I, alpha = 0)."""
-    x1, x2, x3 = sympy.symbols("x1 x2 x3")
-    r2 = x1**2 + x2**2
-    u = (sympy.sin(5 * sympy.pi * x1) * sympy.sin(5 * sympy.pi * x2)
-         * sympy.sin(5 * sympy.pi * x3) * (r2 - 1) * (r2 - 4))
-    return _lambdify_case(u, (x1, x2, x3), 0.0, dict(QUARTER_RING_H1_REFERENCE))
+    return _case(_oscillating_u_grad, _oscillating_f, dict(QUARTER_RING_H1_REFERENCE))
 
 
-@lru_cache(maxsize=None)
 def cube_sine_case() -> ManufacturedCase:
     """Smooth product-of-sines solution on the unit cube (K = I, alpha = 0)."""
-    x1, x2, x3 = sympy.symbols("x1 x2 x3")
-    u = sympy.sin(sympy.pi * x1) * sympy.sin(sympy.pi * x2) * sympy.sin(sympy.pi * x3)
-    return _lambdify_case(u, (x1, x2, x3), 0.0, {})
+    return _case(_cube_u_grad, _cube_f, {})
 
 
 def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
@@ -101,32 +128,19 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
         )
     if gauss_pts is None:
         gauss_pts = max(kv.degree for kv in space.knotvectors) + 2
-    d = space.dim
 
-    def integrand(x, measure, det, cof, B0, B1):
+    def integrand(x, measure, uh, grad_h):
         ue, ge = case.u_grad(x)
-        e = ue - kron_apply(B0, u_coeffs)
-        l2_err2 = measure @ e**2
-        l2_ref2 = measure @ ue**2
-        gp = [kron_apply([B1[l] if l == b else B0[l] for l in range(d)], u_coeffs)
-              for b in range(d)]
-        err_sq = np.zeros_like(ue)
-        ref_sq = np.zeros_like(ue)
-        for i in range(d):
-            # component i of the physical gradient J_F^-T grad = cof grad / det
-            g = cof[:, i, 0] * gp[0]
-            for j in range(1, d):
-                g += cof[:, i, j] * gp[j]
-            g /= det
-            g -= ge[:, i]
-            err_sq += g * g
-            ref_sq += ge[:, i] * ge[:, i]
-        h1_err2 = l2_err2 + measure @ err_sq
-        h1_ref2 = l2_ref2 + measure @ ref_sq
+        e = ue - uh
+        g = grad_h - ge
+        l2_err2 = measure @ (e * e)
+        l2_ref2 = measure @ (ue * ue)
+        h1_err2 = l2_err2 + measure @ (g * g).sum(axis=1)
+        h1_ref2 = l2_ref2 + measure @ (ge * ge).sum(axis=1)
         return np.array([h1_err2, h1_ref2, l2_err2, l2_ref2])
 
-    h1_err2, h1_ref2, l2_err2, l2_ref2 = tensor_gauss_sum(space, geom, gauss_pts,
-                                                          integrand)
+    h1_err2, h1_ref2, l2_err2, l2_ref2 = tensor_gauss_sum(
+        space, geom, gauss_pts, u_coeffs, integrand)
     return float(np.sqrt(h1_err2 / h1_ref2)), float(np.sqrt(l2_err2 / l2_ref2))
 
 

@@ -136,8 +136,7 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000, seed=0):
     matvecs = 0
     residuals = [1.0]
     restarts = 0
-    r = b - apply_A(x)
-    matvecs += 1
+    r = b.copy()  # the residual of x = 0
     r_shadow = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)

@@ -1,6 +1,24 @@
 import numpy as np
 
-from igamf import KnotVector, exact_gram, kron_apply, make_uniform_knots
+from igamf import (GeometryMap, KnotVector, exact_gram, kron_apply,
+                   make_uniform_knots)
+
+
+def affine_map(A, b):
+    """The geometry F(xi) = A xi + b (orientation-preserving A)."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    d = A.shape[0]
+    if np.linalg.det(A) <= 0:
+        raise ValueError("affine map must be orientation-preserving")
+
+    def _map(xi):
+        return xi @ A.T + b
+
+    def _jac(xi):
+        return np.broadcast_to(A, (len(xi), d, d)).copy()
+
+    return GeometryMap(dim=d, _map=_map, _jacobian=_jac)
 
 
 def perturbed_knots(p, n_el, seed=0, amount=0.25):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import max_row_nnz
-from igamf import (MemoryGuardError, assembly, affine_map, assemble_rhs, assemble_sgq,
+from conftest import affine_map, max_row_nnz
+from igamf import (MemoryGuardError, assembly, assemble_rhs, assemble_sgq,
                    assemble_wq_explicit, build_tensor_rule, collocation_matrix,
                    exact_gram, estimate_matrix_nnz, gauss_points_weights,
                    gauss_tensor_rule, identity_map, kron, kron_materialize,

@@ -1,10 +1,13 @@
 import csv
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import igamf
 from igamf import cli
 from igamf.cli import (CSV_HEADER, ConfigError, RunConfig, main, run_profile,
                        run_solve)
@@ -260,3 +263,16 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "solve" in proc.stdout and "convergence" in proc.stdout
+
+    def test_import_loads_no_symbolic_package(self):
+        # the closed forms are plain numpy: a fresh process importing the
+        # command line pulls in neither sympy nor its mpmath dependency
+        src = str(Path(igamf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys, igamf.cli; "
+                "print(sorted({'sympy', 'mpmath'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from igamf import (KnotVector, affine_map, collocation_matrix, identity_map,
-                   make_uniform_knots, quarter_ring_map,
-                   quarter_ring_rational_map, spline_control_net_map)
+from conftest import affine_map
+from igamf import identity_map, quarter_ring_map, quarter_ring_rational_map
 
 
 def jacobian_fd(geom, xi, eps=1e-6):
@@ -96,56 +95,3 @@ class TestSimpleMaps:
     def test_affine_rejects_orientation_reversal(self):
         with pytest.raises(ValueError):
             affine_map(np.diag([-1.0, 1.0, 1.0]), np.zeros(3))
-
-
-class TestSplineControlNet:
-    def test_reproduces_affine_geometry(self):
-        # control points on an affine image of the Greville grid give back
-        # the affine map exactly (linear precision of the B-spline basis)
-        kv = make_uniform_knots(2, 3)
-        p = kv.degree
-        grev = np.array([kv.knots[i + 1:i + p + 1].mean()
-                         for i in range(kv.n_funcs)])
-        A = np.array([[2.0, 0.5, 0.0], [0.0, 1.5, 0.0], [0.1, 0.0, 1.0]])
-        b = np.array([0.3, -0.2, 0.0])
-        m = kv.n_funcs
-        ctrl = np.empty((m, m, m, 3))
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    ctrl[i, j, k] = A @ np.array([grev[i], grev[j], grev[k]]) + b
-        g = spline_control_net_map((kv, kv, kv), ctrl)
-        rng = np.random.default_rng(4)
-        xi = rng.random((20, 3))
-        assert np.allclose(g.evaluate(xi), xi @ A.T + b, atol=1e-12)
-        assert np.abs(g.jacobian(xi) - A).max() <= 1e-10
-
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_matches_pointwise_contraction(self, p):
-        # curved, randomly perturbed net on mixed knot vectors; reference:
-        # one dense basis row per point and direction, contracted with
-        # np.tensordot point by point
-        kvs = (make_uniform_knots(p, 4), make_uniform_knots(p, 3),
-               KnotVector(p, [0] * (p + 1) + [0.3, 0.35, 0.8] + [1] * (p + 1)))
-        rng = np.random.default_rng(p)
-        grids = [np.linspace(0, 1, kv.n_funcs) for kv in kvs]
-        r, t, z = np.meshgrid(*grids, indexing="ij")
-        ctrl = np.stack([(1 + r) * np.cos(t), (1 + r) * np.sin(t), z], axis=-1)
-        ctrl += 0.05 * rng.standard_normal(ctrl.shape)
-        g = spline_control_net_map(kvs, ctrl)
-        xi = np.vstack([rng.random((40, 3)), [[0, 0, 0], [1, 1, 1],
-                                              [0.35, 0.5, 0.3]]])
-
-        def reference(x, deriv_dir):
-            val = ctrl
-            for l in range(2, -1, -1):
-                row = collocation_matrix(kvs[l], [x[l]],
-                                         int(l == deriv_dir)).toarray()[0]
-                val = np.tensordot(row, val, axes=([0], [l]))
-            return val
-
-        F = np.array([reference(x, None) for x in xi])
-        J = np.stack([np.array([reference(x, l) for x in xi])
-                      for l in range(3)], axis=-1)
-        assert np.abs(g.evaluate(xi) - F).max() <= 1e-13 * np.abs(F).max()
-        assert np.abs(g.jacobian(xi) - J).max() <= 1e-13 * np.abs(J).max()

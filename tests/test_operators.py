@@ -3,14 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import affine_map
 from igamf import (CostMeter, DegenerateGeometryError, GeometryMap,
-                   TensorSpace, affine_map, assemble_rhs, assemble_sgq,
+                   TensorSpace, assemble_rhs, assemble_sgq,
                    assemble_wq_explicit, build_tensor_rule, coefficient_grids,
                    cube_sine_case, h1_relative_error, identity_map, kron_apply,
                    make_uniform_knots, pullback, quarter_ring_map,
                    quarter_ring_rational_map, setup_mass, setup_stiffness,
                    tensor_space, wq_load_vector, wq_terms)
-from igamf import kron, operators
+from igamf import geometry, kron, operators
 from igamf.kron import BandedFactor, banded
 
 
@@ -124,6 +125,46 @@ class TestCoefficientGrids:
                for M in (J, J_c)]
         assert np.array_equal(out[0][0], out[1][0])
         assert np.array_equal(out[0][1], out[1][1])
+
+    def test_pullback_chunked(self):
+        # 2.5 chunks of component-major points: the outputs equal the
+        # pullbacks of the separate chunks, and J_F is only ever evaluated
+        # on one chunk at a time
+        n = geometry._ROW_CHUNK
+        ring = quarter_ring_rational_map()
+        sizes = []
+
+        def jacobian(xi):
+            sizes.append(len(xi))
+            return ring.jacobian(xi)
+
+        geom = GeometryMap(dim=3, _map=ring.evaluate, _jacobian=jacobian)
+        xi = np.random.default_rng(1).random((3, 5 * n // 2)).T
+        det, cof = pullback(geom, xi)
+        assert sizes == [n, n, n // 2]
+        for s in range(0, len(xi), n):
+            det_s, cof_s = pullback(ring, xi[s:s + n])
+            assert np.array_equal(det[s:s + n], det_s)
+            assert np.array_equal(cof[s:s + n], cof_s)
+
+    def test_pullback_reports_first_bad_point_of_later_chunk(self):
+        # det J_F <= 0 only on points n + 100 to n + 199, in the second chunk
+        n = geometry._ROW_CHUNK
+        N = 5 * n // 2
+        xi = np.random.default_rng(2).random((N, 3))
+        xi[:, 0] = np.arange(N) / N
+
+        def jacobian(x):
+            J = np.broadcast_to(np.eye(3), (len(x), 3, 3)).copy()
+            bad = (x[:, 0] >= (n + 100) / N) & (x[:, 0] < (n + 200) / N)
+            J[bad, 2, 2] = -1.0
+            return J
+
+        geom = GeometryMap(dim=3, _map=None, _jacobian=jacobian)
+        with pytest.raises(DegenerateGeometryError) as err:
+            pullback(geom, xi)
+        assert err.value.point == tuple(xi[n + 100])
+        assert err.value.det == -1.0
 
     def test_stiffness_grids_same_for_c_order_points(self):
         space, rule, geom = make(2, 4, quarter_ring_rational_map())

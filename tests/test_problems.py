@@ -6,7 +6,7 @@ import pytest
 from igamf import (QUARTER_RING_H1_REFERENCE, assemble_rhs, assemble_sgq,
                    bicgstab, build_tensor_rule, cg, cube_sine_case,
                    FDPreconditioner, h1_relative_error, identity_map,
-                   kron_apply, l2_relative_error, oscillating_case,
+                   l2_relative_error, oscillating_case,
                    quarter_ring_map, quarter_ring_rational_map,
                    relative_errors, setup_stiffness, tensor_space,
                    wq_load_vector)
@@ -188,12 +188,11 @@ class TestErrorNorms:
                         tol=1e-10)
         h1, l2 = relative_errors(space, geom, x, case)
 
-        def l2_only(xp, measure, det, cof, B0, B1):
+        def l2_only(xp, measure, uh, grad_h):
             ue, _ = case.u_grad(xp)
-            return np.array([measure @ (ue - kron_apply(B0, x))**2,
-                             measure @ ue**2])
+            return np.array([measure @ (ue - uh)**2, measure @ ue**2])
 
-        err2, ref2 = tensor_gauss_sum(space, geom, 4, l2_only)
+        err2, ref2 = tensor_gauss_sum(space, geom, 4, x, l2_only)
         assert l2 == pytest.approx(np.sqrt(err2 / ref2), rel=1e-14)
         semi_err2, semi_ref2 = self.seminorm_sums(space, geom, x, case, 4)
         assert h1 == pytest.approx(
@@ -213,9 +212,9 @@ class TestErrorNorms:
         assert l2_s == pytest.approx(l2, rel=1e-13)
 
     def test_peak_memory_tracks_slab(self):
-        # the pass keeps about 37 slab-sized float64 arrays alive at once;
-        # at p=3 on 16^3 elements the 80^3-point grid is two slabs, and
-        # one pass over the whole grid peaks about 1.5x higher, above this
+        # the pass keeps about 12 slab-sized float64 arrays alive at once;
+        # at p=3 on 16^3 elements the 80^3-point grid is two slabs.  The
+        # next test holds the chunked pointwise work to a tighter bound
         space = tensor_space(3, 16, 3)
         geom = quarter_ring_rational_map()
         x = np.random.default_rng(0).standard_normal(space.n_dofs)
@@ -227,6 +226,25 @@ class TestErrorNorms:
         finally:
             tracemalloc.stop()
         assert peak <= 48 * 8 * kron.SLAB_POINTS
+
+    def test_peak_memory_pointwise_work_chunked(self):
+        # slab-sized arrays are only the Kronecker contractions' u_h and
+        # parametric gradient and the slab's points and weights; pullback,
+        # u_grad and the error arithmetic run in small chunks.  At p=3 on
+        # 32^3 elements the 160^3-point grid is 16 slabs.  The peak was
+        # measured at 11.5x, against 36x with the pointwise work done per
+        # slab, so this also fails a pass over the whole grid
+        space = tensor_space(3, 32, 3)
+        geom = quarter_ring_rational_map()
+        x = np.random.default_rng(0).standard_normal(space.n_dofs)
+        case = oscillating_case()
+        tracemalloc.start()
+        try:
+            relative_errors(space, geom, x, case)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 8 * kron.SLAB_POINTS
 
     def test_length_mismatch_rejected(self):
         space = tensor_space(2, 3, 3)

@@ -164,6 +164,25 @@ class TestBiCGStab:
         assert report.converged
         assert np.linalg.norm(A @ x - b) <= 1e-6 * np.linalg.norm(b)
 
+    def test_matvecs_count_every_apply(self):
+        # the initial residual of x = 0 is b itself, so every call of
+        # apply_A is one Krylov product and is counted once; on the
+        # identity the first half step converges after a single product
+        rng = np.random.default_rng(7)
+        A = np.eye(30) + 0.3 * rng.standard_normal((30, 30))
+        for M in (A, np.eye(30)):
+            calls = []
+
+            def apply_A(v, M=M):
+                calls.append(len(v))
+                return M @ v
+
+            _, report = bicgstab(apply_A, rng.standard_normal(30), tol=1e-10,
+                                 maxit=200)
+            assert report.converged
+            assert len(calls) == report.matvecs
+        assert report.iterations == report.matvecs == 1  # the identity
+
     def test_quarter_ring_system_converges(self):
         space = tensor_space(3, 8, 3)
         rule = build_tensor_rule(space)
