@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from .geometry import _ROW_CHUNK, pullback
 from .kron import (banded, grid_slabs, kron_apply, kron_materialize,
                    slab_grid)
-from .operators import coefficient_grids, wq_load_vector, wq_terms
+from .operators import _rule_grids, wq_load_vector, wq_terms
 from .splines import collocation_matrix
 from .wq import gauss_points_weights, gauss_tensor_rule
 
@@ -118,7 +118,7 @@ def _materialize(space, rule, geom, coeff, kind, nnz_guard, provenance):
     est = max(estimate_matrix_nnz(space), factor_nnz)
     if est > nnz_guard:
         raise MemoryGuardError(est, nnz_guard)
-    coeffs = coefficient_grids(kind, geom, rule.point_arrays().T, coeff)
+    coeffs = _rule_grids(kind, rule, geom, coeff)
     A = None
     for B, pairs in groups:
         WC = None

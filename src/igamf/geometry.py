@@ -3,7 +3,8 @@
 
 A :class:`GeometryMap` evaluates F and J_F at batches of parametric points
 given as an array of shape (npts, d).  The two quarter-ring maps (polar
-coordinates and the rational quadratic arc) are numpy closed forms and
+coordinates and the rational quadratic arc) are numpy closed forms,
+evaluated ``_ROW_CHUNK`` points at a time by :func:`_eval_rows`, and
 parametrize the thick quarter annulus
 {1 <= x1^2 + x2^2 <= 4, x1 >= 0, x2 >= 0, 0 <= x3 <= 1} exactly.
 
@@ -123,34 +124,37 @@ def identity_map(d: int = 3) -> GeometryMap:
     return GeometryMap(dim=d, _map=_map, _jacobian=_jac)
 
 
+def _row_map(map_rows, jacobian_rows) -> GeometryMap:
+    """A 3D map whose F and J_F are row functions of :func:`_eval_rows`
+    (3 and 9 rows, J_F row-major)."""
+
+    def _jac(xi):
+        J = _eval_rows(jacobian_rows, xi, 9)
+        return J.reshape(3, 3, -1).transpose(2, 0, 1)
+
+    return GeometryMap(dim=3, _map=lambda xi: _eval_rows(map_rows, xi, 3).T,
+                       _jacobian=_jac)
+
+
+def _polar_map_rows(a, b, c):
+    r = 1.0 + a
+    th = np.pi / 2 * b
+    return r * np.cos(th), r * np.sin(th), c
+
+
+def _polar_jacobian_rows(a, b, _):
+    r = 1.0 + a
+    th = np.pi / 2 * b
+    c, s = np.cos(th), np.sin(th)
+    return c, -np.pi / 2 * r * s, 0.0, s, np.pi / 2 * r * c, 0.0, 0.0, 0.0, 1.0
+
+
 def quarter_ring_map() -> GeometryMap:
     """Thick quarter ring: F(xi) = ((1+xi1) cos(pi xi2 / 2), (1+xi1) sin(pi xi2 / 2), xi3).
 
     det J_F = (pi/2) (1 + xi1) > 0 on [0,1]^3.
     """
-
-    def _map(xi):
-        r = 1.0 + xi[:, 0]
-        th = np.pi / 2 * xi[:, 1]
-        x = np.empty((3, len(xi)))
-        x[0] = r * np.cos(th)
-        x[1] = r * np.sin(th)
-        x[2] = xi[:, 2]
-        return x.T
-
-    def _jac(xi):
-        r = 1.0 + xi[:, 0]
-        th = np.pi / 2 * xi[:, 1]
-        c, s = np.cos(th), np.sin(th)
-        J = np.zeros((3, 3, len(xi)))
-        J[0, 0] = c
-        J[0, 1] = -np.pi / 2 * r * s
-        J[1, 0] = s
-        J[1, 1] = np.pi / 2 * r * c
-        J[2, 2] = 1.0
-        return J.transpose(2, 0, 1)
-
-    return GeometryMap(dim=3, _map=_map, _jacobian=_jac)
+    return _row_map(_polar_map_rows, _polar_jacobian_rows)
 
 
 def _arc(b):
@@ -197,10 +201,4 @@ def quarter_ring_rational_map() -> GeometryMap:
     :func:`_arc`; every Jacobian entry depends on b alone, up to the
     factor (1+a), and the third row and column are e_3.
     """
-
-    def _jac(xi):
-        J = _eval_rows(_ring_jacobian_rows, xi, 9)
-        return J.reshape(3, 3, -1).transpose(2, 0, 1)
-
-    return GeometryMap(dim=3, _map=lambda xi: _eval_rows(_ring_map_rows, xi, 3).T,
-                       _jacobian=_jac)
+    return _row_map(_ring_map_rows, _ring_jacobian_rows)

@@ -8,9 +8,9 @@ under the convention that direction 1 is the fastest-running index.
 and never forms the full matrix; :func:`kron_materialize` forms it, as an
 oracle.  :func:`grid_slabs` cuts a tensor point grid into slabs of
 :data:`SLAB_POINTS` points and :func:`slab_grid` lays out one slab; every
-pass that evaluates fields on a tensor grid (coefficient set-up, load
-vectors, error norms) runs slab by slab, so its scratch memory is a
-multiple of the slab, not of the grid.
+pass that evaluates fields on a tensor grid (coefficient grids, error
+norms) runs slab by slab, so its scratch memory is a multiple of the slab,
+not of the grid.
 
 The apply holds every factor as a :class:`BandedFactor`: dense row blocks,
 each over the window of columns its rows touch.  A dense factor is one
@@ -26,10 +26,11 @@ import numpy as np
 import scipy.sparse as sp
 
 #: quadrature points per slab of :func:`grid_slabs`; bounds the scratch
-#: memory of coefficient set-up, load vectors and error evaluation (on the
-#: ring, set-up keeps about 20 and the error pass about 12 slab-sized
-#: float64 arrays alive at once; their pointwise work runs in smaller
-#: chunks, see :func:`~igamf.geometry.pullback`).  When the error pass
+#: memory of coefficient grids and error evaluation (on the ring, besides
+#: the grids it returns, a coefficient pass keeps the slab's 3 point
+#: arrays and the error pass about 12 slab-sized float64 arrays alive at
+#: once; their pointwise work runs in smaller chunks, see
+#: :func:`~igamf.geometry.pullback`).  When the error pass
 #: still held 37 slab-sized arrays, the ring error pass at p=3 on 32^3
 #: elements (one BLAS thread, 2-core x86 host) took 1.3-1.8 s at 2^15 to
 #: 2^19 points per slab and 1.9-2.5 s at 2^21, and its peak RSS grew from

@@ -11,15 +11,15 @@ has d*d derivative-pair terms over d(d+1)/2 symmetric grids, and its apply
 shares the d collocation contractions among them.  The load vector is the
 mass term's weight factors alone applied to a grid of source values
 (:func:`wq_load_vector`).  Factors are restricted to the Dirichlet-interior
-basis; boundary rows/columns are never formed.  Coefficient grids are
-evaluated once, at setup, one slab of :func:`~igamf.kron.grid_slabs` at a
-time.  On a Gauss rule
+basis; boundary rows/columns are never formed.  The operators, the load
+vector and explicit assembly get a rule's grids from one chunked pass
+(:func:`_rule_grids`).  On a Gauss rule
 (:func:`~igamf.wq.gauss_tensor_rule`) all of this is standard Gauss quadrature.
 """
 
 import numpy as np
 
-from .geometry import pullback
+from .geometry import _ROW_CHUNK, pullback
 from .kron import CostMeter, banded, grid_slabs, kron_apply, slab_grid
 from .splines import map_distinct
 from .wq import TensorRule
@@ -61,8 +61,8 @@ def coefficient_grids(kind: str, geom, xi, coeff=None):
     """Pulled-back coefficient values at parametric points, keyed as in :func:`wq_terms`.
 
     ``xi`` is an (npts, d) point array; every value depends on its own
-    point only, so the operators and :func:`wq_load_vector` call this per
-    slab of the rule's grid and get the values of one whole-grid call.
+    point only, so :func:`_rule_grids` calls this per chunk of the rule's
+    grid and gets the values of one whole-grid call.
 
     ``"mass"``: {None: alpha det J_F}, with ``coeff`` = alpha a scalar or a
     physical field (default 1).  ``"stiffness"``: {(a, b): C_ab for a <= b}
@@ -95,23 +95,36 @@ def coefficient_grids(kind: str, geom, xi, coeff=None):
     return grids
 
 
+def _rule_grids(kind: str, rule: TensorRule, geom, coeff):
+    """:func:`coefficient_grids` over all ``rule.n_points`` points, laid out
+    per slab of :func:`~igamf.kron.grid_slabs` and evaluated ``_ROW_CHUNK``
+    points at a time straight into the returned (n_points,) arrays."""
+    pts = [r.points for r in rule.rules]
+    lower = rule.n_points // rule.n_points_per_dir[-1]
+    grids = {}
+    for s in grid_slabs(rule.n_points_per_dir):
+        xi = slab_grid(pts, s).T
+        for c in range(0, len(xi), _ROW_CHUNK):
+            q = s.start * lower + c
+            chunk = coefficient_grids(kind, geom, xi[c:c + _ROW_CHUNK], coeff)
+            for key, g in chunk.items():
+                if key not in grids:
+                    grids[key] = np.empty(rule.n_points)
+                grids[key][q:q + len(g)] = g
+    return grids
+
+
 def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
     """Load vector f_i = int det(J_F) b_i (f o F) dxi by weighted quadrature.
 
-    The mass term's weight factors W^(0,0) applied, slab by slab
-    (:func:`~igamf.kron.grid_slabs`), to the grid (f o F) det J_F at the
-    rule's points; on a Gauss rule this is the Gauss load vector.  ``f`` is
-    a physical-space field taking an (npts, d) coordinate array.  Raises
+    The mass term's weight factors W^(0,0) applied in one Kronecker product
+    to the grid (f o F) det J_F of :func:`_rule_grids`; on a Gauss rule this
+    is the Gauss load vector.  ``f`` is a physical-space field taking an
+    (npts, d) coordinate array.  Raises
     :class:`~igamf.geometry.DegenerateGeometryError` where det J_F <= 0.
     """
     (_, [(W, _)]), = wq_terms(rule, "mass")
-    W_lower = [banded(w) for w in W[:-1]]
-    pts = [r.points for r in rule.rules]
-    total = 0.0
-    for s in grid_slabs(rule.n_points_per_dir):
-        grid = coefficient_grids("mass", geom, slab_grid(pts, s).T, f)[None]
-        total = total + kron_apply(W_lower + [W[-1][:, s]], grid)
-    return total
+    return kron_apply(W, _rule_grids("mass", rule, geom, f)[None])
 
 
 class _WQOperator:
@@ -119,9 +132,9 @@ class _WQOperator:
 
     ``groups`` is :func:`wq_terms` with each distinct factor converted once
     by :func:`~igamf.kron.banded`.  ``coeffs`` holds the
-    :func:`coefficient_grids` over all ``rule.n_points`` points, evaluated
-    per slab of :func:`~igamf.kron.grid_slabs` into preallocated grids, so
-    set-up needs the stored grids plus one slab's scratch.
+    :func:`coefficient_grids` over all ``rule.n_points`` points
+    (:func:`_rule_grids`): set-up needs the stored grids, one slab's points
+    and one chunk's scratch.
     """
 
     def __init__(self, space, rule: TensorRule, geom, kind, coeff):
@@ -134,18 +147,7 @@ class _WQOperator:
         self.groups = [([conv[id(f)] for f in B],
                         [([conv[id(f)] for f in W], key) for W, key in pairs])
                        for B, pairs in groups]
-        nq = rule.n_points
-        lower = nq // rule.n_points_per_dir[-1]
-        pts = [r.points for r in rule.rules]
-        self.coeffs = {}
-        for s in grid_slabs(rule.n_points_per_dir):
-            slab = coefficient_grids(kind, geom, slab_grid(pts, s).T, coeff)
-            for key, g in slab.items():
-                # allocated after the first slab's evaluation, so that a
-                # one-slab grid peaks no higher than that evaluation
-                if key not in self.coeffs:
-                    self.coeffs[key] = np.empty(nq)
-                self.coeffs[key][s.start * lower:s.stop * lower] = g
+        self.coeffs = _rule_grids(kind, rule, geom, coeff)
 
     @property
     def coeff_scalars(self) -> int:

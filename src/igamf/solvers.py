@@ -2,11 +2,11 @@
 """Fast-diagonalization preconditioner and Krylov solvers.
 
 The preconditioner represents the parametric Dirichlet Laplacian Kronecker
-sum (plus an optional mass shift sigma) and inverts it exactly through
-per-direction generalized eigendecompositions; each application is three
-Kronecker products and a diagonal scale.  CG and BiCGStab are standard;
-BiCGStab is right-preconditioned so that the reported residual is the true
-system residual.
+sum and inverts it exactly through per-direction generalized
+eigendecompositions; each application is three Kronecker products and a
+diagonal scale.  CG and BiCGStab are standard; BiCGStab is
+right-preconditioned so that the reported residual is the true system
+residual.
 """
 
 import functools
@@ -51,20 +51,18 @@ def _eigen_pair(kv):
 class FDPreconditioner:
     """Exact Kronecker-sum solver used as preconditioner.
 
-    Represents P = sum_l M x ... x K_l x ... x M + sigma * M x ... x M on
-    the interior parametric space; ``apply`` computes P^{-1} r.  The
-    generalized eigendecomposition is computed once per distinct
-    knot-vector object and shared by the directions that hold it.
+    Represents P = sum_l M x ... x K_l x ... x M on the interior
+    parametric space; ``apply`` computes P^{-1} r.  The generalized
+    eigendecomposition is computed once per distinct knot-vector object
+    and shared by the directions that hold it.
     """
 
-    def __init__(self, space, sigma: float = 0.0):
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+    def __init__(self, space):
         self.n_dofs = space.n_dofs
         lams, self.U = zip(*map_distinct(_eigen_pair, space.knotvectors))
         # inverse Kronecker-sum diagonal over the eigen-tensor grid
         lam_sum = functools.reduce(lambda s, lam: np.add.outer(lam, s), lams)
-        self.inv_diag = 1.0 / (lam_sum.ravel() + float(sigma))
+        self.inv_diag = 1.0 / lam_sum.ravel()
 
     def apply(self, r, meter: CostMeter | None = None) -> np.ndarray:
         r = np.asarray(r, dtype=float).ravel()

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .kron import tensor_grid
 from .splines import KnotVector, collocation_matrix, map_distinct
 
 #: residual bound enforced on every exactness equation
@@ -191,14 +190,6 @@ class TensorRule:
     @property
     def n_points(self) -> int:
         return int(np.prod(self.n_points_per_dir))
-
-    def point_arrays(self):
-        """Tensor-grid coordinates as a (d, n_points) array, direction 1 fastest.
-
-        The transpose is the (n_points, d) point array, stored
-        component-major (see :func:`~igamf.kron.tensor_grid`).
-        """
-        return tensor_grid([r.points for r in self.rules])
 
 
 def build_tensor_rule(space) -> TensorRule:

@@ -1,7 +1,7 @@
 import numpy as np
 
 from igamf import (GeometryMap, KnotVector, exact_gram, kron_apply,
-                   make_uniform_knots)
+                   make_uniform_knots, tensor_grid)
 
 
 def affine_map(A, b):
@@ -21,6 +21,12 @@ def affine_map(A, b):
     return GeometryMap(dim=d, _map=_map, _jacobian=_jac)
 
 
+def point_arrays(rule):
+    """A tensor rule's grid coordinates as a (d, n_points) array, direction 1
+    fastest; the transpose is the (n_points, d) point array."""
+    return tensor_grid([r.points for r in rule.rules])
+
+
 def perturbed_knots(p, n_el, seed=0, amount=0.25):
     """Open knot vector with randomly jittered interior breakpoints."""
     kv = make_uniform_knots(p, n_el)
@@ -33,11 +39,11 @@ def perturbed_knots(p, n_el, seed=0, amount=0.25):
     return KnotVector(p, knots)
 
 
-def fd_forward(space, v, sigma=0.0):
+def fd_forward(space, v):
     """P v for the FD preconditioner's Kronecker sum (oracle for its inverse).
 
-    P = sum_l M x ... x K_l x ... x M + sigma M x ... x M, with K and M the
-    interior blocks of the univariate stiffness and mass Grams.
+    P = sum_l M x ... x K_l x ... x M, with K and M the interior blocks of
+    the univariate stiffness and mass Grams.
     """
     K = [exact_gram(kv, 1, 1).toarray()[1:-1, 1:-1] for kv in space.knotvectors]
     M = [exact_gram(kv, 0, 0).toarray()[1:-1, 1:-1] for kv in space.knotvectors]
@@ -46,8 +52,6 @@ def fd_forward(space, v, sigma=0.0):
     out = np.zeros_like(v)
     for l in range(d):
         out += kron_apply([K[k] if k == l else M[k] for k in range(d)], v)
-    if sigma != 0.0:
-        out += sigma * kron_apply(M, v)
     return out
 
 

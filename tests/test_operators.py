@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import affine_map
+from conftest import affine_map, point_arrays
 from igamf import (CostMeter, DegenerateGeometryError, GeometryMap,
                    TensorSpace, assemble_rhs, assemble_sgq,
                    assemble_wq_explicit, build_tensor_rule, coefficient_grids,
-                   cube_sine_case, h1_relative_error, identity_map, kron_apply,
-                   make_uniform_knots, pullback, quarter_ring_map,
+                   cube_sine_case, gauss_tensor_rule, h1_relative_error,
+                   identity_map, kron_apply, make_uniform_knots,
+                   oscillating_case, pullback, quarter_ring_map,
                    quarter_ring_rational_map, setup_mass, setup_stiffness,
                    tensor_space, wq_load_vector, wq_terms)
 from igamf import geometry, kron, operators
@@ -22,7 +23,7 @@ def make(p, n_el, geom=None, d=3):
 
 
 def grids(kind, rule, geom, coeff=None):
-    return coefficient_grids(kind, geom, np.stack(rule.point_arrays(), axis=1),
+    return coefficient_grids(kind, geom, np.stack(point_arrays(rule), axis=1),
                              coeff)
 
 
@@ -49,7 +50,7 @@ class TestCoefficientGrids:
         split_into_slabs(monkeypatch, rule, 8)
         for op, kind in ((setup_stiffness(space, rule, geom), "stiffness"),
                          (setup_mass(space, rule, geom), "mass")):
-            whole = coefficient_grids(kind, geom, rule.point_arrays().T)
+            whole = coefficient_grids(kind, geom, point_arrays(rule).T)
             assert op.coeffs.keys() == whole.keys()
             assert all(np.array_equal(op.coeffs[k], whole[k]) for k in whole)
 
@@ -61,7 +62,7 @@ class TestCoefficientGrids:
     def test_mass_quarter_ring_determinant(self):
         space, rule, geom = make(2, 3, quarter_ring_map())
         vals = grids("mass", rule, geom, 1.0)[None]
-        xi1 = rule.point_arrays()[0]
+        xi1 = point_arrays(rule)[0]
         assert np.allclose(vals, (np.pi / 2) * (1 + xi1), atol=1e-13)
 
     def test_stiffness_identity_is_kronecker_delta(self):
@@ -96,7 +97,7 @@ class TestCoefficientGrids:
     def test_pullback_matches_dense_linear_algebra(self):
         # the closed-form cofactors against numpy's det and inverse
         space, rule, geom = make(2, 3, quarter_ring_rational_map())
-        xi = np.stack(rule.point_arrays(), axis=1)
+        xi = np.stack(point_arrays(rule), axis=1)
         J = geom.jacobian(xi)
         det, cof = pullback(geom, xi)
         assert np.allclose(det, np.linalg.det(J), rtol=1e-14, atol=0)
@@ -116,7 +117,7 @@ class TestCoefficientGrids:
         # a component-major Jacobian and a C-order copy of it give the same
         # bits: det and cof are formed from entry products in a fixed order
         space, rule, geom = make(2, 3, quarter_ring_rational_map())
-        xi = rule.point_arrays().T
+        xi = point_arrays(rule).T
         J = geom.jacobian(xi)
         assert J.transpose(1, 2, 0).flags.c_contiguous
         J_c = np.ascontiguousarray(J)
@@ -168,8 +169,8 @@ class TestCoefficientGrids:
 
     def test_stiffness_grids_same_for_c_order_points(self):
         space, rule, geom = make(2, 4, quarter_ring_rational_map())
-        xi = rule.point_arrays().T
-        xi_c = np.stack(list(rule.point_arrays()), axis=1)
+        xi = point_arrays(rule).T
+        xi_c = np.stack(list(point_arrays(rule)), axis=1)
         assert xi_c.flags.c_contiguous and np.array_equal(xi, xi_c)
         new = coefficient_grids("stiffness", geom, xi)
         old = coefficient_grids("stiffness", geom, xi_c)
@@ -180,7 +181,7 @@ class TestCoefficientGrids:
         # C = det J^-1 K J^-T with a constant anisotropic K
         space, rule, geom = make(2, 3, quarter_ring_rational_map())
         K = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
-        xi = np.stack(rule.point_arrays(), axis=1)
+        xi = np.stack(point_arrays(rule), axis=1)
         J = geom.jacobian(xi)
         Jinv = np.linalg.inv(J)
         C = np.einsum("qij,jk,qlk->qil", Jinv, K, Jinv) * np.linalg.det(J)[:, None, None]
@@ -202,6 +203,41 @@ class TestWQLoadVector:
         b = wq_load_vector(rule, geom, f)
         ref = assemble_rhs(space, geom, f)
         assert np.abs(b - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("gauss", [False, True], ids=["wq", "gauss"])
+    def test_flops_and_values_independent_of_slabs(self, monkeypatch, gauss):
+        # one Kronecker product over the whole grid, whatever the slab
+        # size: no slab repeats the lower-direction contractions
+        space = tensor_space(3, 8)
+        rule = gauss_tensor_rule(space) if gauss else build_tensor_rule(space)
+        geom = quarter_ring_rational_map()
+        f = oscillating_case().f
+        meter = CostMeter()
+        monkeypatch.setattr(operators, "kron_apply",
+                            lambda F, x: kron_apply(F, x, meter))
+        assert len(kron.grid_slabs(rule.n_points_per_dir)) == 1
+        whole = wq_load_vector(rule, geom, f)
+        flops, meter.flops = meter.flops, 0
+        split_into_slabs(monkeypatch, rule, 8)
+        sliced = wq_load_vector(rule, geom, f)
+        assert meter.flops == flops
+        assert np.array_equal(sliced, whole)
+
+    def test_one_slab_peak(self):
+        # the (f o F) det J grid, one slab's points and one chunk's
+        # scratch: peak <= 16 float64 scalars per point
+        space = tensor_space(3, 16)
+        rule = build_tensor_rule(space)
+        geom = quarter_ring_rational_map()
+        f = oscillating_case().f
+        assert len(kron.grid_slabs(rule.n_points_per_dir)) == 1
+        tracemalloc.start()
+        try:
+            wq_load_vector(rule, geom, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * rule.n_points) <= 16
 
 
 class TestDegenerateGeometry:
@@ -347,6 +383,21 @@ class TestSetupMemory:
         rule = build_tensor_rule(space)
         geom = quarter_ring_rational_map()
         split_into_slabs(monkeypatch, rule, 8)
+        tracemalloc.start()
+        try:
+            setup_stiffness(space, rule, geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * rule.n_points) <= 12
+
+    def test_default_slab_setup_peak(self):
+        # at the default slab size a 32^3 ring grid is two slabs; the peak
+        # is the six stored grids, one slab's points and one chunk's
+        # scratch, <= 12 float64 scalars per point
+        space = tensor_space(3, 32)
+        rule = build_tensor_rule(space)
+        geom = quarter_ring_rational_map()
         tracemalloc.start()
         try:
             setup_stiffness(space, rule, geom)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import perturbed_knots
+from conftest import perturbed_knots, point_arrays
 from igamf import (EXACTNESS_TOL, KnotVector, TensorSpace,
                    WQConstructionError, build_tensor_rule, build_wq_rule,
                    collocation_matrix,
@@ -176,7 +176,7 @@ class TestTensorRule:
     def test_grid_ordering(self):
         space = tensor_space(1, 2, 2)
         rule = build_tensor_rule(space)
-        xs = rule.point_arrays()
+        xs = point_arrays(rule)
         # direction 1 varies fastest in the flattened grid
         assert xs[0][0] != xs[0][1]
         assert xs[1][0] == xs[1][1]
