@@ -10,7 +10,7 @@ from .splines import (KnotVector, TensorSpace, collocation_matrix,
                       make_uniform_knots, tensor_space)
 from .kron import CostMeter, kron_apply, kron_materialize, tensor_grid
 from .wq import (EXACTNESS_TOL, TensorRule, WQConstructionError, WQRule1D,
-                 build_tensor_rule, build_wq_rule, exact_gram,
+                 build_tensor_rule, build_wq_rule, exact_grams,
                  gauss_points_weights, gauss_tensor_rule, wq_points,
                  wq_weights)
 from .geometry import (DegenerateGeometryError, GeometryMap, identity_map,

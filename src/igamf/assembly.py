@@ -20,7 +20,7 @@ from .geometry import _ROW_CHUNK, pullback
 from .kron import (banded, grid_slabs, kron_apply, kron_materialize,
                    slab_grid)
 from .operators import _rule_grids, wq_load_vector, wq_terms
-from .splines import collocation_matrix
+from .splines import collocation_matrix, map_distinct
 from .wq import gauss_points_weights, gauss_tensor_rule
 
 #: conservative default guard on assembled nonzeros
@@ -68,17 +68,21 @@ def tensor_gauss_sum(space, geom, pts_per_span, u_coeffs, integrand):
     physical points, Gauss weight times det J_F, and the values of u_h and
     of its physical gradient J_F^-T grad u_h (shapes (n,) and (n, d)).
     """
-    kvs = space.knotvectors
-    d = len(kvs)
-    pts, wts = zip(*(gauss_points_weights(kv, pts_per_span) for kv in kvs))
-    B0, B1 = ([collocation_matrix(kv, x, b)[:, 1:-1].tocsr()
-               for kv, x in zip(kvs, pts)] for b in (0, 1))
-    # the factors of all but the last direction serve every slab unchanged
-    B0_lower, B1_lower = ([banded(f) for f in B[:-1]] for B in (B0, B1))
+    d = space.dim
+
+    def factors(kv):
+        x, w = gauss_points_weights(kv, pts_per_span)
+        return x, w, [collocation_matrix(kv, x, b)[:, 1:-1].tocsr()
+                      for b in (0, 1)]
+
+    # one set of Gauss factors per distinct knot vector, as in set-up
+    pts, wts, B = zip(*map_distinct(factors, space.knotvectors))
+    # the banded factors of all but the last direction serve every slab
+    lower = map_distinct(lambda Bl: [banded(f) for f in Bl], B[:-1])
     total = 0.0
     for s in grid_slabs([len(q) for q in pts]):
-        B0_s = B0_lower + [banded(B0[-1][s])]
-        B1_s = B1_lower + [banded(B1[-1][s])]
+        B0_s, B1_s = ([f[b] for f in lower] + [banded(B[-1][b][s])]
+                      for b in (0, 1))
         uh = kron_apply(B0_s, u_coeffs)
         grad_xi = [kron_apply([(B1_s if l == b else B0_s)[l] for l in range(d)],
                               u_coeffs) for b in range(d)]

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .kron import CostMeter, kron_apply
 from .splines import map_distinct
-from .wq import exact_gram
+from .wq import exact_grams
 
 
 class IndefiniteOperatorError(RuntimeError):
@@ -38,8 +38,9 @@ class KrylovReport:
 
 def _eigen_pair(kv):
     """Generalized eigenpairs (lam, U) of the interior stiffness/mass Grams."""
-    K = exact_gram(kv, 1, 1).toarray()[1:-1, 1:-1]
-    M = exact_gram(kv, 0, 0).toarray()[1:-1, 1:-1]
+    grams = exact_grams(kv)
+    K = grams[(1, 1)].toarray()[1:-1, 1:-1]
+    M = grams[(0, 0)].toarray()[1:-1, 1:-1]
     try:
         return scipy.linalg.eigh(K, M)
     except scipy.linalg.LinAlgError as err:

@@ -53,14 +53,20 @@ def gauss_points_weights(kv: KnotVector, pts_per_span: int):
     return x.ravel(), w.ravel()
 
 
-def exact_gram(kv: KnotVector, a: int, b: int) -> sp.csr_matrix:
-    """Exact univariate Gram matrix int D^a b_i D^b b_j (sparse, m x m)."""
+def exact_grams(kv: KnotVector) -> dict:
+    """Exact univariate Gram matrices int D^a b_i D^b b_j (sparse, m x m).
+
+    Returns ``{(a, b): G}`` for the four pairs a, b in {0, 1}, all from
+    one Gauss collocation of the values and one of the first derivatives.
+    """
     x, w = gauss_points_weights(kv, kv.degree + 1)
-    Ba = collocation_matrix(kv, x, a)
-    Bb = Ba if b == a else collocation_matrix(kv, x, b)
-    G = (Ba.T @ sp.diags(w) @ Bb).tocsr()
-    G.eliminate_zeros()
-    return G
+    B = {b: collocation_matrix(kv, x, b) for b in (0, 1)}
+    grams = {}
+    for a, b in _DERIV_PAIRS:
+        G = (B[a].T @ sp.diags(w) @ B[b]).tocsr()
+        G.eliminate_zeros()
+        grams[(a, b)] = G
+    return grams
 
 
 def wq_points(kv: KnotVector, boundary_extra: int | None = None) -> np.ndarray:
@@ -87,11 +93,12 @@ def wq_points(kv: KnotVector, boundary_extra: int | None = None) -> np.ndarray:
     return pts[keep]
 
 
-def wq_weights(kv: KnotVector, points):
+def wq_weights(kv: KnotVector, points, grams):
     """All four weight matrices W^(a,b) (m x n_q) in one pass over the rows.
 
-    Returns ``(weights, colloc)``: ``weights[(a, b)]`` satisfies the
-    exactness conditions and ``colloc[b]`` is the collocation matrix
+    ``grams`` are the exact Grams of :func:`exact_grams`, the right-hand
+    sides.  Returns ``(weights, colloc)``: ``weights[(a, b)]`` satisfies
+    the exactness conditions and ``colloc[b]`` is the collocation matrix
     (n_q x m) of the b-th derivative at ``points``.  Row i uses the points
     in supp b_i and the trial functions j with |i - j| <= p, which are the
     ones overlapping b_i only for simple interior knots; any other knot
@@ -105,7 +112,7 @@ def wq_weights(kv: KnotVector, points):
     p, m = kv.degree, kv.n_funcs
     colloc = {b: collocation_matrix(kv, points, b) for b in (0, 1)}
     trial = {b: c.toarray().T for b, c in colloc.items()}  # (m, n_q)
-    gram = {ab: exact_gram(kv, *ab).toarray() for ab in _DERIV_PAIRS}
+    gram = {ab: G.toarray() for ab, G in grams.items()}
     indptr, indices = [0], []
     data = {ab: [] for ab in _DERIV_PAIRS}
     for i in range(m):
@@ -154,14 +161,16 @@ def build_wq_rule(kv: KnotVector) -> WQRule1D:
 
     Starts from the default point set and, if some exactness system is
     rank-deficient, adds boundary points and retries (bounded at 2p extra
-    per boundary span).
+    per boundary span).  The exact Grams do not depend on the points and
+    are built once, before the first attempt.
     """
     p = kv.degree
+    grams = exact_grams(kv)
     last_err = None
     for extra in range(max(p - 1, 0), 3 * p + 1):
         points = wq_points(kv, boundary_extra=extra)
         try:
-            weights, colloc = wq_weights(kv, points)
+            weights, colloc = wq_weights(kv, points, grams)
         except WQConstructionError as err:
             last_err = err
             continue

@@ -1,6 +1,6 @@
 import numpy as np
 
-from igamf import (GeometryMap, KnotVector, exact_gram, kron_apply,
+from igamf import (GeometryMap, KnotVector, exact_grams, kron_apply,
                    make_uniform_knots, tensor_grid)
 
 
@@ -45,8 +45,8 @@ def fd_forward(space, v):
     P = sum_l M x ... x K_l x ... x M, with K and M the interior blocks of
     the univariate stiffness and mass Grams.
     """
-    K = [exact_gram(kv, 1, 1).toarray()[1:-1, 1:-1] for kv in space.knotvectors]
-    M = [exact_gram(kv, 0, 0).toarray()[1:-1, 1:-1] for kv in space.knotvectors]
+    K = [exact_grams(kv)[(1, 1)].toarray()[1:-1, 1:-1] for kv in space.knotvectors]
+    M = [exact_grams(kv)[(0, 0)].toarray()[1:-1, 1:-1] for kv in space.knotvectors]
     v = np.asarray(v, dtype=float).ravel()
     d = space.dim
     out = np.zeros_like(v)

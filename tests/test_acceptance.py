@@ -21,7 +21,7 @@ import pytest
 from conftest import fd_forward, max_row_nnz, perturbed_knots
 from igamf import (FDPreconditioner, assemble_sgq, assemble_wq_explicit,
                    bicgstab, build_tensor_rule, build_wq_rule, cg,
-                   CostMeter, exact_gram, identity_map, kron_apply,
+                   CostMeter, exact_grams, identity_map, kron_apply,
                    kron_materialize, make_uniform_knots, quarter_ring_map,
                    setup_mass, setup_stiffness, tensor_space)
 from igamf.cli import RunConfig, run_solve
@@ -47,7 +47,7 @@ def test_criterion_1_wq_exactness_suite():
                 rule = build_wq_rule(kv)
                 for (a, b), W in rule.weights.items():
                     defect = np.abs(
-                        (W @ rule.colloc[b] - exact_gram(kv, a, b)).toarray()
+                        (W @ rule.colloc[b] - exact_grams(kv)[(a, b)]).toarray()
                     ).max()
                     worst = max(worst, defect)
     elapsed = time.perf_counter() - t0

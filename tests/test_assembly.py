@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from conftest import affine_map, max_row_nnz
 from igamf import (MemoryGuardError, assembly, assemble_rhs, assemble_sgq,
                    assemble_wq_explicit, build_tensor_rule, collocation_matrix,
-                   exact_gram, estimate_matrix_nnz, gauss_points_weights,
+                   exact_grams, estimate_matrix_nnz, gauss_points_weights,
                    gauss_tensor_rule, identity_map, kron, kron_materialize,
                    oscillating_case, pullback, quarter_ring_map,
                    quarter_ring_rational_map, tensor_grid, tensor_space,
@@ -22,13 +22,13 @@ class TestSGQ:
     def test_1d_p2_against_gauss_gram(self):
         space = tensor_space(2, 4, 1)
         M = assemble_sgq(space, identity_map(1), kind="mass").matrix.toarray()
-        G = exact_gram(space.knotvectors[0], 0, 0).toarray()[1:-1, 1:-1]
+        G = exact_grams(space.knotvectors[0])[(0, 0)].toarray()[1:-1, 1:-1]
         assert np.allclose(M, G, atol=1e-14)
 
     def test_cube_mass_is_kron_of_grams(self):
         space = tensor_space(2, 3, 3)
         M = assemble_sgq(space, identity_map(3), kind="mass").matrix
-        G = exact_gram(space.knotvectors[0], 0, 0)[1:-1, 1:-1]
+        G = exact_grams(space.knotvectors[0])[(0, 0)][1:-1, 1:-1]
         ref = kron_materialize([G, G, G])
         assert np.abs((M - ref).toarray()).max() <= 1e-13
 

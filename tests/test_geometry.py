@@ -3,6 +3,7 @@ import pytest
 
 from conftest import affine_map
 from igamf import identity_map, quarter_ring_map, quarter_ring_rational_map
+from igamf.geometry import _sincos
 
 
 def jacobian_fd(geom, xi, eps=1e-6):
@@ -95,3 +96,17 @@ class TestSimpleMaps:
     def test_affine_rejects_orientation_reversal(self):
         with pytest.raises(ValueError):
             affine_map(np.diag([-1.0, 1.0, 1.0]), np.zeros(3))
+
+
+class TestSincos:
+    def test_matches_numpy(self):
+        # t = 5 pi x over x in [0, 2], the oscillating case's range, with the
+        # neighbours of every x = k/5: the poles of tan(t/2) (k odd) and the
+        # zeros of sin
+        k = np.arange(11) / 5
+        x = np.concatenate([np.linspace(0, 2, 200001), k,
+                            np.nextafter(k, -np.inf), np.nextafter(k, np.inf)])
+        t = 5 * np.pi * x
+        s, c = _sincos(t)
+        assert np.abs(s - np.sin(t)).max() <= 2.3e-16
+        assert np.abs(c - np.cos(t)).max() <= 2.3e-16

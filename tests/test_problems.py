@@ -3,14 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from igamf import (QUARTER_RING_H1_REFERENCE, assemble_rhs, assemble_sgq,
-                   bicgstab, build_tensor_rule, cg, cube_sine_case,
-                   FDPreconditioner, h1_relative_error, identity_map,
-                   l2_relative_error, oscillating_case,
+from igamf import (QUARTER_RING_H1_REFERENCE, TensorSpace, assemble_rhs,
+                   assemble_sgq, bicgstab, build_tensor_rule, cg,
+                   cube_sine_case, FDPreconditioner, h1_relative_error,
+                   identity_map, l2_relative_error, make_uniform_knots,
+                   oscillating_case,
                    quarter_ring_map, quarter_ring_rational_map,
                    relative_errors, setup_stiffness, tensor_space,
                    wq_load_vector)
-from igamf import kron
+from igamf import assembly, kron
 from igamf.assembly import tensor_gauss_sum
 from igamf.splines import collocation_matrix
 
@@ -210,6 +211,36 @@ class TestErrorNorms:
         h1_s, l2_s = relative_errors(space, geom, x, case)
         assert h1_s == pytest.approx(h1, rel=1e-13)
         assert l2_s == pytest.approx(l2, rel=1e-13)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_one_gauss_factor_set_per_distinct_knot_vector(self, monkeypatch,
+                                                           shared):
+        # two collocations (values and first derivatives) per distinct knot
+        # vector; two banded conversions per distinct lower-direction knot
+        # vector, and two for the last direction per slab
+        colloc, band = [], []
+
+        def counting(kv, points, deriv=0):
+            colloc.append(kv)
+            return collocation_matrix(kv, points, deriv)
+
+        def counting_banded(f):
+            band.append(f)
+            return kron.banded(f)
+
+        monkeypatch.setattr(assembly, "collocation_matrix", counting)
+        monkeypatch.setattr(assembly, "banded", counting_banded)
+        if shared:
+            space, n_distinct, n_lower = tensor_space(2, 4, 3), 1, 1
+        else:
+            kvs = tuple(make_uniform_knots(2, 4) for _ in range(3))
+            space, n_distinct, n_lower = TensorSpace(kvs), 3, 2
+        x = np.random.default_rng(0).standard_normal(space.n_dofs)
+        relative_errors(space, quarter_ring_rational_map(), x,
+                        oscillating_case())
+        assert len(colloc) == 2 * n_distinct
+        # the 16^3-point Gauss grid is one slab
+        assert len(band) == 2 * n_lower + 2
 
     def test_peak_memory_tracks_slab(self):
         # the pass keeps about 12 slab-sized float64 arrays alive at once;

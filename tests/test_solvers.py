@@ -5,7 +5,7 @@ import scipy.linalg
 from conftest import fd_forward
 from igamf import (FDPreconditioner, IndefiniteOperatorError, TensorSpace,
                    assemble_rhs, assemble_sgq, bicgstab, build_tensor_rule,
-                   cg, exact_gram,
+                   cg, exact_grams,
                    identity_map, kron_materialize, make_uniform_knots,
                    oscillating_case, quarter_ring_map, setup_stiffness,
                    stopping_tolerance, tensor_space)
@@ -15,8 +15,8 @@ class TestUnivariateMatrices:
     @pytest.mark.parametrize("p,n_el", [(1, 4), (4, 8), (8, 32)])
     def test_generalized_eigendecomposition_residual(self, p, n_el):
         kv = make_uniform_knots(p, n_el)
-        K = exact_gram(kv, 1, 1).toarray()[1:-1, 1:-1]
-        M = exact_gram(kv, 0, 0).toarray()[1:-1, 1:-1]
+        K = exact_grams(kv)[(1, 1)].toarray()[1:-1, 1:-1]
+        M = exact_grams(kv)[(0, 0)].toarray()[1:-1, 1:-1]
         import scipy.linalg
         lam, U = scipy.linalg.eigh(K, M)
         assert np.abs(K @ U - M @ U @ np.diag(lam)).max() <= 1e-10
@@ -64,7 +64,7 @@ class TestFDPreconditioner:
     def test_1d_exact_solve(self):
         space = tensor_space(3, 8, 1)
         P = FDPreconditioner(space)
-        K = exact_gram(space.knotvectors[0], 1, 1).toarray()[1:-1, 1:-1]
+        K = exact_grams(space.knotvectors[0])[(1, 1)].toarray()[1:-1, 1:-1]
         rng = np.random.default_rng(1)
         v = rng.standard_normal(space.n_dofs)
         assert np.allclose(P.apply(K @ v), v, atol=1e-10)
@@ -84,8 +84,8 @@ class TestFDForwardOracle:
     def test_matches_materialized_kronecker_sum(self, p):
         # fd_forward (the round-trip tests' P v) against the assembled sum
         space = tensor_space(p, 3, 3)
-        K = [exact_gram(kv, 1, 1)[1:-1, 1:-1] for kv in space.knotvectors]
-        M = [exact_gram(kv, 0, 0)[1:-1, 1:-1] for kv in space.knotvectors]
+        K = [exact_grams(kv)[(1, 1)][1:-1, 1:-1] for kv in space.knotvectors]
+        M = [exact_grams(kv)[(0, 0)][1:-1, 1:-1] for kv in space.knotvectors]
         P = sum(kron_materialize([K[k] if k == l else M[k] for k in range(3)])
                 for l in range(3))
         v = np.random.default_rng(p).standard_normal(space.n_dofs)

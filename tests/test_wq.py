@@ -5,7 +5,7 @@ from conftest import perturbed_knots, point_arrays
 from igamf import (EXACTNESS_TOL, KnotVector, TensorSpace,
                    WQConstructionError, build_tensor_rule, build_wq_rule,
                    collocation_matrix,
-                   exact_gram,
+                   exact_grams,
                    gauss_tensor_rule, make_uniform_knots, tensor_space)
 import igamf.wq
 from igamf.wq import gauss_points_weights, wq_points, wq_weights
@@ -16,7 +16,7 @@ DERIV_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 def exactness_defect(rule, a, b):
     """Max abs deviation of the materialized W^(a,b) B^(b) from the Gram."""
     approx = rule.weights[(a, b)] @ rule.colloc[b]
-    exact = exact_gram(rule.kv, a, b)
+    exact = exact_grams(rule.kv)[(a, b)]
     return np.abs((approx - exact).toarray()).max()
 
 
@@ -86,13 +86,13 @@ class TestWQWeights:
         kv = make_uniform_knots(3, 4)
         pts = wq_points(kv, boundary_extra=0)
         with pytest.raises(WQConstructionError) as exc:
-            wq_weights(kv, pts)
+            wq_weights(kv, pts, exact_grams(kv))
         assert exc.value.row >= 0
 
     def test_weights_reject_repeated_interior_knot(self):
         kv = KnotVector(2, [0, 0, 0, 0.5, 0.5, 1, 1, 1])
         with pytest.raises(ValueError, match="multiplicity 1"):
-            wq_weights(kv, np.linspace(0, 1, 9))
+            wq_weights(kv, np.linspace(0, 1, 9), exact_grams(kv))
 
     def test_one_collocation_per_trial_derivative(self, monkeypatch):
         # the four weight families and the rule share the collocations at
@@ -107,6 +107,31 @@ class TestWQWeights:
         rule = build_wq_rule(make_uniform_knots(3, 6))
         at_rule = [x for x in calls if np.array_equal(x, rule.points)]
         assert len(at_rule) == 2
+        # the four Grams come from one collocation of the values and one of
+        # the first derivatives at the Gauss points
+        assert len(calls) == 4
+
+    def test_grams_built_once_before_retries(self, monkeypatch):
+        # at p=3 on 4 elements a point set without boundary points fails;
+        # the retry collocates at its own points only
+        calls, extras = [], []
+
+        def counting(kv, points, deriv=0):
+            calls.append(deriv)
+            return collocation_matrix(kv, points, deriv)
+
+        def first_without_boundary_points(kv, boundary_extra):
+            extras.append(boundary_extra)
+            return wq_points(kv, 0 if len(extras) == 1 else boundary_extra)
+
+        monkeypatch.setattr(igamf.wq, "collocation_matrix", counting)
+        monkeypatch.setattr(igamf.wq, "wq_points",
+                            first_without_boundary_points)
+        rule = build_wq_rule(make_uniform_knots(3, 4))
+        assert len(extras) == 2
+        assert len(calls) == 2 + 2 * len(extras)
+        for a, b in DERIV_PAIRS:
+            assert exactness_defect(rule, a, b) <= EXACTNESS_TOL
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_exactness_all_pairs_uniform(self, p):
@@ -133,13 +158,13 @@ class TestGaussOracle:
 
     def test_gram_symmetry(self):
         kv = make_uniform_knots(2, 5)
-        G = exact_gram(kv, 0, 0)
+        G = exact_grams(kv)[(0, 0)]
         assert np.abs((G - G.T).toarray()).max() <= 1e-14
 
     def test_stiffness_gram_row_sums_vanish(self):
         # d/dx of the constant is zero, so K rows sum to zero
         kv = make_uniform_knots(3, 4)
-        K = exact_gram(kv, 1, 1)
+        K = exact_grams(kv)[(1, 1)]
         assert np.allclose(np.asarray(K.sum(axis=1)).ravel(), 0.0, atol=1e-13)
 
 
