@@ -16,10 +16,13 @@ The apply holds every factor as a :class:`BandedFactor`: dense row blocks,
 each over the window of columns its rows touch.  A dense factor is one
 block; a sparse (WQ or collocation) factor is cut into blocks of
 :data:`ROWS_PER_BLOCK` rows, so its band costs a few small dense products
-instead of a sparse one.  Each mode reads the grid's slowest axis and
-writes its new axis as the fastest, so the grid is never transposed or
-copied between modes.  The flop meter charges 2 nnz per grid column and
-mode, with nnz the source factor's stored count, not the padded blocks.
+instead of a sparse one (:func:`block_matmul`, the one loop over blocks).
+Each mode reads the grid's slowest axis and writes its new axis as the
+fastest, so the grid is never transposed or copied between modes
+(:func:`contract_modes`; the WQ operators' fused apply runs its modes
+through the same two functions).  The flop meter charges 2 nnz per grid
+column and mode, with nnz the source factor's stored count, not the
+padded blocks (:func:`kron_flops`).
 """
 
 import numpy as np
@@ -36,11 +39,24 @@ import scipy.sparse as sp
 #: 2^19 points per slab and 1.9-2.5 s at 2^21, and its peak RSS grew from
 #: 108 MB (2^15) to 196 MB (2^18) and 689 MB (2^21)
 SLAB_POINTS = 2**18
-#: rows per dense block of a sparse factor (:func:`banded`)
+#: rows per dense block of a sparse factor (:func:`banded`).  Median
+#: fused stiffness apply on the rational ring at k=5 (32^3 elements, one
+#: BLAS thread, 2-core x86 host, settings taken in turn over 8 rounds):
+#: p=8: 61 ms (2 rows), 45 (4), 33 (8), 35 (16), 52 (32), 54 (one dense
+#: block); p=3: 39, 31, 22, 23, 34, 33 ms.  Fewer rows pay more Python
+#: calls per mode, more rows multiply more padding inside the band.
 ROWS_PER_BLOCK = 8
 #: grid columns per matrix product of :func:`kron_apply`; bounds the
 #: working set of one row block's product
 TILE_COLS = 4096
+#: quadrature points per row tile of the operators' fused apply
+#: (:meth:`~igamf.operators._WQOperator._tile_pass`); a tile's B values,
+#: its product with one coefficient grid and that grid's tile then stay in
+#: a 2 MB L2 cache.  Median apply as for :data:`ROWS_PER_BLOCK`, from
+#: two sweeps: p=8: 63-69 ms (2^12 points), 43-49 (2^13), 36-40 (2^14),
+#: 31-34 (2^15), 29-34 (2^16), 34-41 (2^17); p=3: 38-43, 28-32, 21-24,
+#: 19-21, 18-20, 20-26 ms.  Smaller tiles pay more Python calls.
+TILE_POINTS = 2**16
 
 
 class CostMeter:
@@ -89,14 +105,59 @@ def banded(A) -> BandedFactor:
     return BandedFactor((m, n), A.nnz, blocks)
 
 
+def block_matmul(A: BandedFactor, XT, out=None) -> np.ndarray:
+    """``XT @ A.T`` for a (cols, n) array ``XT``, one product per row block
+    of ``A`` into ``out`` (allocated as (cols, m) when not given)."""
+    if out is None:
+        out = np.empty((XT.shape[0], A.shape[0]))
+    for r0, r1, c0, c1, blockT in A.blocks:
+        if c0 == c1:
+            out[:, r0:r1] = 0.0
+        else:
+            np.matmul(XT[:, c0:c1], blockT, out=out[:, r0:r1])
+    return out
+
+
+def contract_modes(factors, X) -> np.ndarray:
+    """Contract the slowest axes of the flat grid ``X`` with the
+    :class:`BandedFactor` list ``factors``, the last factor first.
+
+    Each mode reads the grid's slowest axis, of length ``A.shape[1]``, and
+    writes its new axis as the fastest, one :func:`block_matmul` per tile
+    of :data:`TILE_COLS` grid columns.  Axes of ``X`` beyond the factors'
+    (its fastest ones) ride along and come out slowest.
+    """
+    for A in reversed(factors):
+        m, n = A.shape
+        X2 = X.reshape(n, -1)
+        cols = X2.shape[1]
+        Z = np.empty((cols, m))
+        for t0 in range(0, cols, TILE_COLS):
+            tile = slice(t0, t0 + TILE_COLS)
+            block_matmul(A, X2[:, tile].T, Z[tile])
+        X = Z
+    return X.ravel()
+
+
+def kron_flops(factors) -> int:
+    """Flops the meter charges for :func:`kron_apply` of the banded
+    ``factors``: 2 nnz per grid column and mode, direction d first."""
+    cols = int(np.prod([A.shape[1] for A in factors]))
+    flops = 0
+    for A in reversed(factors):
+        cols //= A.shape[1]
+        flops += 2 * A.nnz * cols
+        cols *= A.shape[0]
+    return flops
+
+
 def kron_apply(factors, x, meter: CostMeter | None = None) -> np.ndarray:
     """Compute (A^(d) x ... x A^(1)) x by d sequential one-mode contractions.
 
     Each mode contracts the slowest axis of the current grid and writes its
     new axis as the fastest, so after d modes the axes are back in their
-    original order without a transpose.  Factors are converted by
-    :func:`banded` on entry; each step is one matrix product per column
-    tile and row block.
+    original order without a transpose (:func:`contract_modes`).  Factors
+    are converted by :func:`banded` on entry.
     """
     factors = [banded(f) for f in factors]
     x = np.asarray(x, dtype=float).ravel()
@@ -105,23 +166,9 @@ def kron_apply(factors, x, meter: CostMeter | None = None) -> np.ndarray:
         raise ValueError(
             f"vector length {x.size} does not match operator columns {n_cols}"
         )
-    X = x
-    for A in reversed(factors):  # contract direction d first
-        m, n = A.shape
-        X2 = X.reshape(n, -1)
-        cols = X2.shape[1]
-        Z = np.empty((cols, m))
-        for t0 in range(0, cols, TILE_COLS):
-            tile = slice(t0, t0 + TILE_COLS)
-            for r0, r1, c0, c1, blockT in A.blocks:
-                if c0 == c1:
-                    Z[tile, r0:r1] = 0.0
-                else:
-                    np.matmul(X2[c0:c1, tile].T, blockT, out=Z[tile, r0:r1])
-        if meter is not None:
-            meter.add_flops(2 * A.nnz * cols)
-        X = Z
-    return X.ravel()
+    if meter is not None:
+        meter.add_flops(kron_flops(factors))
+    return contract_modes(factors, x)
 
 
 def kron_materialize(factors, max_entries: int = 10**7):
@@ -158,9 +205,10 @@ def tensor_grid(points_per_dir):
     return out.reshape(len(pts), -1)
 
 
-def grid_slabs(n_per_dir):
+def grid_slabs(n_per_dir, points=None):
     """Last-direction slices cutting a tensor grid into slabs of at most
-    about :data:`SLAB_POINTS` points, each at least one layer thick.
+    about ``points`` points (default :data:`SLAB_POINTS`), each at least
+    one layer thick.
 
     Slab ``s`` holds the flat grid points ``s.start * lower`` to
     ``s.stop * lower`` (clipped to the grid), with ``lower`` the product
@@ -168,7 +216,7 @@ def grid_slabs(n_per_dir):
     """
     n_last = n_per_dir[-1]
     lower = int(np.prod(n_per_dir[:-1]))
-    block = max(1, min(n_last, SLAB_POINTS // lower))
+    block = max(1, min(n_last, (points or SLAB_POINTS) // lower))
     return [slice(start, start + block) for start in range(0, n_last, block)]
 
 

@@ -4,6 +4,18 @@ from igamf import (GeometryMap, KnotVector, exact_grams, kron_apply,
                    make_uniform_knots, tensor_grid)
 
 
+class NaNEmpty:
+    """numpy, except that ``empty`` arrays start as NaN; patched over a
+    module's ``np``, it shows any output entry a kernel fails to write."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, *args, **kwargs):
+        return np.full(shape, np.nan)
+
+
 def affine_map(A, b):
     """The geometry F(xi) = A xi + b (orientation-preserving A)."""
     A = np.asarray(A, dtype=float)

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NaNEmpty
 import igamf.kron
 from igamf import CostMeter, kron_apply, kron_materialize, tensor_grid
 from igamf.kron import banded
@@ -117,17 +118,6 @@ def mode_flops(factors):
     return total
 
 
-class _NaNEmpty:
-    """numpy, except that ``empty`` arrays start as NaN."""
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    @staticmethod
-    def empty(shape, *args, **kwargs):
-        return np.full(shape, np.nan)
-
-
 class TestBandedKernel:
     """The banded-block kernel against the materialized Kronecker matrix.
 
@@ -137,7 +127,7 @@ class TestBandedKernel:
 
     @pytest.fixture(autouse=True)
     def nan_scratch(self, monkeypatch):
-        monkeypatch.setattr(igamf.kron, "np", _NaNEmpty())
+        monkeypatch.setattr(igamf.kron, "np", NaNEmpty())
 
     @pytest.mark.parametrize("kinds", [("dense",) * 3, ("csr",) * 3,
                                        ("banded",) * 3,

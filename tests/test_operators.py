@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import affine_map, point_arrays
+from conftest import NaNEmpty, affine_map, perturbed_knots, point_arrays
 from igamf import (CostMeter, DegenerateGeometryError, GeometryMap,
                    TensorSpace, assemble_rhs, assemble_sgq,
                    assemble_wq_explicit, build_tensor_rule, coefficient_grids,
@@ -32,6 +32,21 @@ def split_into_slabs(monkeypatch, rule, n_slabs):
     ``n_slabs`` slabs."""
     monkeypatch.setattr(kron, "SLAB_POINTS", rule.n_points // (n_slabs + 1))
     assert len(kron.grid_slabs(rule.n_points_per_dir)) >= n_slabs
+
+
+def warped_map(d):
+    """F(xi)_l = xi_l + 0.2 xi_{l+1}^2 (directions cyclic): a curved map of
+    any dimension with det J_F > 0 on the unit cube."""
+    def _map(xi):
+        return xi + 0.2 * np.roll(xi, -1, axis=1)**2
+
+    def _jacobian(xi):
+        J = np.broadcast_to(np.eye(d), (len(xi), d, d)).copy()
+        for l in range(d):
+            J[:, l, (l + 1) % d] += 0.4 * xi[:, (l + 1) % d]
+        return J
+
+    return GeometryMap(dim=d, _map=_map, _jacobian=_jacobian)
 
 
 def folded_map():
@@ -357,6 +372,108 @@ class TestStiffnessApply:
                 key = (min(a, b), max(a, b))
                 w += kron_apply(W, coeffs[key] * vt)
         assert np.abs(w).max() <= 1e-11
+
+
+SETUPS = {"mass": setup_mass, "stiffness": setup_stiffness}
+
+
+class TestFusedApply:
+    """The fused apply of both operators against the materialized WQ
+    matrix, in the settings that exercise its axis order and its tiles."""
+
+    @staticmethod
+    def assert_matches_explicit(op, space, rule, geom, kind):
+        mat = assemble_wq_explicit(space, rule, geom, kind=kind).matrix
+        v = np.random.default_rng(7).standard_normal(space.n_dofs)
+        ref = mat @ v
+        assert np.linalg.norm(op.apply(v) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("kind", ["mass", "stiffness"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_dimension(self, d, kind):
+        space, rule, geom = make(3, 6, warped_map(d), d)
+        op = SETUPS[kind](space, rule, geom)
+        self.assert_matches_explicit(op, space, rule, geom, kind)
+
+    @pytest.mark.parametrize("kind", ["mass", "stiffness"])
+    def test_anisotropic_space(self, kind):
+        # every direction has its own degree, mesh and size, so any
+        # mis-ordered axis of the fused pass or its final permutation fails
+        space = TensorSpace((make_uniform_knots(2, 6),
+                             perturbed_knots(3, 3, seed=1),
+                             make_uniform_knots(4, 5)))
+        rule = build_tensor_rule(space)
+        Q, N = rule.n_points_per_dir, space.n_per_dir
+        assert len(set(Q) | set(N)) == 6
+        geom = quarter_ring_rational_map()
+        op = SETUPS[kind](space, rule, geom)
+        self.assert_matches_explicit(op, space, rule, geom, kind)
+
+    @pytest.mark.parametrize("kind", ["mass", "stiffness"])
+    def test_ragged_last_tile(self, monkeypatch, kind):
+        # tiles of 7 rows of Q_1 points; the last tile is shorter, and the
+        # NaN scratch shows any row the tiles fail to write
+        space, rule, geom = make(3, 6, quarter_ring_rational_map())
+        q1 = rule.n_points_per_dir[0]
+        rows = rule.n_points // q1
+        monkeypatch.setattr(kron, "TILE_POINTS", 7 * q1)
+        assert rows % 7 != 0
+        op = SETUPS[kind](space, rule, geom)
+        monkeypatch.setattr(operators, "np", NaNEmpty())
+        monkeypatch.setattr(kron, "np", NaNEmpty())
+        self.assert_matches_explicit(op, space, rule, geom, kind)
+
+    @pytest.mark.parametrize("kind", ["mass", "stiffness"])
+    def test_all_zero_row_block(self, monkeypatch, kind):
+        # with one row per block, the points xi = 0 and 1, where only the
+        # dropped boundary functions are nonzero, give B^(0) empty blocks
+        monkeypatch.setattr(kron, "ROWS_PER_BLOCK", 1)
+        space, rule, geom = make(2, 5, quarter_ring_rational_map())
+        op = SETUPS[kind](space, rule, geom)
+        assert any(c0 == c1 for B, _ in op.groups
+                   for f in B for _, _, c0, c1, _ in f.blocks)
+        monkeypatch.setattr(operators, "np", NaNEmpty())
+        monkeypatch.setattr(kron, "np", NaNEmpty())
+        self.assert_matches_explicit(op, space, rule, geom, kind)
+
+    def test_meter_charges_term_by_term_count(self):
+        # the fused pass contracts direction 1 of W first but is charged
+        # what kron_apply charges for each B and W list, plus nq + 2 n_dofs
+        # per term; the term-by-term apply gave 1,397,601 for this stiffness
+        space, rule, geom = make(3, 8, quarter_ring_rational_map())
+        nq, N = rule.n_points, space.n_dofs
+        flops = {}
+        for kind, setup in SETUPS.items():
+            op = setup(space, rule, geom)
+            expected = 0
+            for B, pairs in op.groups:
+                meter = CostMeter()
+                kron_apply(B, np.zeros(N), meter)
+                for W, _ in pairs:
+                    kron_apply(W, np.zeros(nq), meter)
+                expected += meter.flops + len(pairs) * (nq + 2 * N)
+            meter = CostMeter()
+            op.apply(np.zeros(N), meter)
+            flops[kind] = meter.flops
+            assert flops[kind] == expected
+        assert flops["stiffness"] == 1_397_601
+
+    def test_apply_scratch_peak(self):
+        # one trial group's per-term grids after their direction-1 W mode
+        # (N_1 Q_2 Q_3 each), its B grid, the result and two tiles: the
+        # peak stays <= 3 float64 scalars per quadrature point (2.4 here;
+        # the term-by-term apply took 2.86)
+        space = tensor_space(8, 32)
+        rule = build_tensor_rule(space)
+        op = setup_stiffness(space, rule, quarter_ring_rational_map())
+        v = np.random.default_rng(0).standard_normal(space.n_dofs)
+        tracemalloc.start()
+        try:
+            op.apply(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * rule.n_points) <= 3
 
 
 class TestSetupMemory:
