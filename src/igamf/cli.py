@@ -1,15 +1,18 @@
 """Benchmark command line: solve single instances, sweep convergence, profile cost.
 
-Three subcommands share one CSV schema so the outputs concatenate cleanly:
+Three subcommands share one CSV schema, the fields of :class:`RunRecord`
+but ``converged``, so the outputs concatenate cleanly.  ``solve`` runs one
+(p, k) instance, ``convergence`` a grid of them, and ``profile`` skips the
+linear solve and instead reports per-apply cost (solve_s holds the average
+seconds over 10 operator applications; the error and iteration columns are
+left empty).  ``error_s`` is the time spent in error norms after set-up,
+outside ``total_s``.
 
-    method,p,k,N,error_h1,error_l2,iters,setup_s,solve_s,total_s,error_s,
-    matvec_flops,setup_flops,coeff_scalars,nnz
-
-``solve`` runs one (p, k) instance, ``convergence`` a grid of them, and
-``profile`` skips the linear solve and instead reports per-apply cost
-(solve_s holds the average seconds over 10 operator applications; the
-error and iteration columns are left empty).  ``error_s`` is the time spent
-in error norms after set-up, outside ``total_s``.
+An argument ``@FILE`` is replaced by the flags written in FILE, one or more
+per line as on a shell line, with ``#`` comments and blank lines allowed.
+Flags are read in order, so a flag after ``@FILE`` overrides the file and
+one before it is overridden.  The option defaults are those of
+:class:`RunConfig`.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import shlex
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -32,11 +36,8 @@ from .solvers import FDPreconditioner, bicgstab, cg, stopping_tolerance
 from .splines import tensor_space
 from .wq import build_tensor_rule, gauss_tensor_rule
 
-CSV_HEADER = ["method", "p", "k", "N", "error_h1", "error_l2", "iters",
-              "setup_s", "solve_s", "total_s", "error_s", "matvec_flops",
-              "setup_flops", "coeff_scalars", "nnz"]
-
 _METHOD_SOLVER = {"mfwq": "bicgstab", "wq": "bicgstab", "sgq": "cg"}
+_GEOMETRIES = ("cube", "ring", "ring-polar")
 _DEFAULT_MAX_K = 6
 #: nominal flops charged per coefficient value evaluated during set-up
 #: (geometry Jacobian, cofactors and determinant), for ``setup_flops`` only
@@ -51,7 +52,7 @@ def _check_options(method, geometry, eta, maxit, nnz_guard):
     """Reject the values no run can honour (the (p, k)-independent checks)."""
     if method not in _METHOD_SOLVER:
         raise ConfigError(f"unknown method {method!r}")
-    if geometry not in ("cube", "ring", "ring-polar"):
+    if geometry not in _GEOMETRIES:
         raise ConfigError(f"unknown geometry {geometry!r}")
     if not eta > 0:
         raise ConfigError(f"eta must be > 0, got {eta}")
@@ -121,6 +122,12 @@ class RunRecord:
                 return f"{v:.6e}"
             return str(v)
         return [fmt(getattr(self, name)) for name in CSV_HEADER]
+
+
+CSV_HEADER = [f.name for f in fields(RunRecord) if f.name != "converged"]
+#: the :class:`RunConfig` fields set by flags besides (p, k), with defaults
+_OPTION_DEFAULTS = {f.name: f.default for f in fields(RunConfig)
+                    if f.default is not MISSING}
 
 
 def _geometry(kind):
@@ -230,18 +237,6 @@ def _write_csv(rows, out):
             stream.close()
 
 
-def _write_time_error(rows, out):
-    """Companion (total time, H1 error) pairs for time-error plotting."""
-    path = str(out) + ".time_error.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "p", "k", "total_s", "error_h1"])
-        for rec in rows:
-            if rec.error_h1 != "" and rec.total_s != "":
-                writer.writerow([rec.method, rec.p, rec.k,
-                                 f"{rec.total_s:.6e}", f"{rec.error_h1:.6e}"])
-
-
 def _sweep(p_list, k_list, options, runner):
     """One row per (p, k); a row whose config or run fails is kept empty."""
     rows = []
@@ -264,102 +259,59 @@ def _parse_int_list(text):
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
 
 
-def _read_config_file(path):
-    """key = value lines, '#' comments; keys match the long flag names."""
-    values = {}
+def _split_arg_line(line):
+    """One argument-file line split as a shell would, '#' starting a comment."""
     try:
-        fh = open(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = val.strip()
-    return values
-
-
-#: the spellings a config file may give a switch; any other value is an error
-_SWITCH_VALUES = {**dict.fromkeys(("1", "true", "yes", "on"), True),
-                  **dict.fromkeys(("0", "false", "no", "off"), False)}
-_DEFAULTS = dict(geometry="ring", method="mfwq", eta=0.1,
-                 maxit=1000, allow_large=False, nnz_guard=NNZ_GUARD, out=None)
-
-
-def _merge(args, key, cast=str):
-    """Flag value if given, else config-file value, else hard default."""
-    cli_val = getattr(args, key, None)
-    if cli_val is not None:
-        return cli_val
-    cfg_file = getattr(args, "_file_values", {})
-    if key in cfg_file:
-        raw = cfg_file[key]
-        try:
-            return cast(raw)
-        except (KeyError, ValueError):
-            raise ConfigError(f"bad value {raw!r} for {key}") from None
-    return _DEFAULTS.get(key)
+        return shlex.split(line, comments=True)
+    except ValueError as exc:  # an unclosed quote or a trailing backslash
+        raise argparse.ArgumentError(
+            None, f"bad argument-file line {line!r}: {exc}") from None
 
 
 def _add_common(sub):
-    sub.add_argument("--geometry", choices=["cube", "ring", "ring-polar"])
-    sub.add_argument("--method", choices=["mfwq", "wq", "sgq"])
+    sub.add_argument("--geometry", choices=_GEOMETRIES)
+    sub.add_argument("--method", choices=list(_METHOD_SOLVER))
     sub.add_argument("--eta", type=float)
     sub.add_argument("--maxit", type=int)
-    sub.add_argument("--allow-large", dest="allow_large", action="store_true",
-                     default=None)
-    sub.add_argument("--nnz-guard", dest="nnz_guard", type=float)
-    sub.add_argument("--out", type=str)
-    sub.add_argument("--config", type=str, help="key=value file; flags win")
+    sub.add_argument("--allow-large", action="store_true")
+    sub.add_argument("--nnz-guard", type=float)
+    sub.add_argument("--out")
+    sub.set_defaults(**_OPTION_DEFAULTS)
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="igamf-bench",
-        description="Matrix-free isogeometric benchmark harness")
+        prog="igamf-bench", fromfile_prefix_chars="@",
+        description="Matrix-free isogeometric benchmark harness; "
+                    "@FILE reads further flags from FILE")
+    parser.convert_arg_line_to_args = _split_arg_line
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("solve", help="solve one instance")
     s.add_argument("--degree", type=int, required=True)
-    s.add_argument("--mesh-exp", dest="mesh_exp", type=int, required=True)
+    s.add_argument("--mesh-exp", type=int, required=True)
     _add_common(s)
 
     c = subs.add_parser("convergence", help="sweep a (p, k) grid")
     c.add_argument("--degree", type=_parse_int_list, required=True)
-    c.add_argument("--mesh-exp", dest="mesh_exp", type=_parse_int_list,
-                   required=True)
+    c.add_argument("--mesh-exp", type=_parse_int_list, required=True)
     _add_common(c)
 
     f = subs.add_parser("profile", help="setup and per-apply cost over p")
     f.add_argument("--degree", type=_parse_int_list, required=True)
-    f.add_argument("--mesh-exp", dest="mesh_exp", type=int, required=True)
+    f.add_argument("--mesh-exp", type=int, required=True)
     _add_common(f)
     return parser
 
 
 def _run_options(args):
-    """RunConfig fields other than (p, k), each resolved by :func:`_merge`.
+    """RunConfig fields other than (p, k), read from ``args``.
 
-    Resolved and checked once per command, so a bad flag or file value is
-    a command error, not a failed sweep row; only the (p, k) checks of
-    :class:`RunConfig` are left to each row.
+    Checked once per command, so a bad value is a command error, not a
+    failed sweep row; only the (p, k) checks of :class:`RunConfig` are
+    left to each row.
     """
-    options = dict(
-        geometry=_merge(args, "geometry"),
-        method=_merge(args, "method"),
-        eta=_merge(args, "eta", float),
-        maxit=_merge(args, "maxit", int),
-        allow_large=bool(_merge(args, "allow_large",
-                                lambda raw: _SWITCH_VALUES[raw.lower()])),
-        nnz_guard=float(_merge(args, "nnz_guard", float)),
-    )
+    options = {name: getattr(args, name) for name in _OPTION_DEFAULTS}
     _check_options(options["method"], options["geometry"], options["eta"],
                    options["maxit"], options["nnz_guard"])
     return options
@@ -368,23 +320,18 @@ def _run_options(args):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args._file_values = _read_config_file(args.config) if args.config else {}
-        out = _merge(args, "out")
         options = _run_options(args)
         if args.command == "solve":
             rec = run_solve(RunConfig(degree=args.degree,
                                       mesh_exp=args.mesh_exp, **options))
-            _write_csv([rec], out)
+            _write_csv([rec], args.out)
             return 0 if rec.converged else 1
 
         if args.command == "convergence":
             rows = _sweep(args.degree, args.mesh_exp, options, run_solve)
-            _write_csv(rows, out)
-            if out:
-                _write_time_error(rows, out)
         else:
             rows = _sweep(args.degree, [args.mesh_exp], options, run_profile)
-            _write_csv(rows, out)
+        _write_csv(rows, args.out)
         return 0
     except (ConfigError, MemoryGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)

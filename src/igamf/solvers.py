@@ -130,8 +130,9 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000, seed=0):
     ||b - A x|| / ||b|| only in exact arithmetic, so a caller that needs
     the true residual recomputes it.
 
-    On a rho/omega breakdown the iteration restarts once with a randomly
-    perturbed shadow vector, then reports failure.
+    On a breakdown (rho or omega, seeded ``seed``; r_shadow . v, seeded
+    ``seed + 1``) the iteration restarts once with a randomly perturbed
+    shadow vector, then reports failure.
     """
     b = np.asarray(b, dtype=float).ravel()
     x = np.zeros_like(b)
@@ -142,24 +143,32 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000, seed=0):
     eps = np.finfo(float).eps
     matvecs = 0
     residuals = [1.0]
-    restarts = 0
+    restarted = False
     r = b.copy()  # the residual of x = 0
     r_shadow = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
+
+    def restart(rng_seed):
+        """Perturb the shadow residual and reset once; False if already done."""
+        nonlocal restarted, r_shadow, rho, alpha, omega, v, p
+        if restarted:
+            return False
+        restarted = True
+        rng = np.random.default_rng(rng_seed)
+        r_shadow = r + 1e-8 * bnorm * rng.standard_normal(len(b))
+        rho = alpha = omega = 1.0
+        v = np.zeros_like(b)
+        p = np.zeros_like(b)
+        return True
+
     k = 0
     while k < maxit:
         k += 1
         rho_new = r_shadow @ r
         if abs(rho_new) < eps * bnorm**2 or abs(omega) < eps:
-            if restarts == 0:
-                restarts += 1
-                rng = np.random.default_rng(seed)
-                r_shadow = r + 1e-8 * bnorm * rng.standard_normal(len(b))
-                rho = alpha = omega = 1.0
-                v[:] = 0.0
-                p[:] = 0.0
+            if restart(seed):
                 continue
             return x, KrylovReport(k, residuals, False, matvecs)
         beta = (rho_new / rho) * (alpha / omega)
@@ -170,13 +179,7 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000, seed=0):
         matvecs += 1
         denom = r_shadow @ v
         if abs(denom) < eps * bnorm**2:
-            if restarts == 0:
-                restarts += 1
-                rng = np.random.default_rng(seed + 1)
-                r_shadow = r + 1e-8 * bnorm * rng.standard_normal(len(b))
-                rho = alpha = omega = 1.0
-                v[:] = 0.0
-                p[:] = 0.0
+            if restart(seed + 1):
                 continue
             return x, KrylovReport(k, residuals, False, matvecs)
         alpha = rho / denom

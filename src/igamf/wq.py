@@ -57,14 +57,14 @@ def exact_grams(kv: KnotVector) -> dict:
     """Exact univariate Gram matrices int D^a b_i D^b b_j (sparse, m x m).
 
     Returns ``{(a, b): G}`` for the four pairs a, b in {0, 1}, all from
-    one Gauss collocation of the values and one of the first derivatives.
+    the p+1-point Gauss rule of :func:`_gauss_rule`, G = W^(a,b) D^b B.
     """
-    x, w = gauss_points_weights(kv, kv.degree + 1)
-    B = {b: collocation_matrix(kv, x, b) for b in (0, 1)}
+    R = _gauss_rule(kv, kv.degree + 1)
     grams = {}
     for a, b in _DERIV_PAIRS:
-        G = (B[a].T @ sp.diags(w) @ B[b]).tocsr()
+        G = R.weights[(a, b)] @ R.colloc[b]
         G.eliminate_zeros()
+        G.sort_indices()
         grams[(a, b)] = G
     return grams
 
@@ -210,23 +210,28 @@ def build_tensor_rule(space) -> TensorRule:
     return TensorRule(tuple(map_distinct(build_wq_rule, space.knotvectors)))
 
 
+def _gauss_rule(kv: KnotVector, pts_per_span: int) -> WQRule1D:
+    """Gauss quadrature on ``kv`` as a :class:`WQRule1D`.
+
+    ``pts_per_span`` Gauss nodes x per knot span as points, ``colloc[b]``
+    the b-th derivative collocation matrix at x and ``weights[(a, b)]`` =
+    ``colloc[a]^T diag(w)``.
+    """
+    x, w = gauss_points_weights(kv, pts_per_span)
+    colloc = {b: collocation_matrix(kv, x, b) for b in (0, 1)}
+    test = {a: (colloc[a].T @ sp.diags(w)).tocsr() for a in (0, 1)}
+    weights = {(a, b): test[a] for (a, b) in _DERIV_PAIRS}
+    return WQRule1D(kv=kv, points=x, weights=weights, colloc=colloc)
+
+
 def gauss_tensor_rule(space, pts_per_span: int | None = None) -> TensorRule:
     """Standard Gauss quadrature as a :class:`TensorRule`.
 
-    Per direction: ``pts_per_span`` Gauss nodes x per knot span as points
-    (default p+1, exact for degree 2p+1), ``colloc[b]`` the b-th
-    derivative collocation matrix at x and ``weights[(a, b)]`` =
-    ``colloc[a]^T diag(w)``; one rule per distinct knot-vector object, as in
-    :func:`build_tensor_rule`.
+    Per direction the rule of :func:`_gauss_rule` with ``pts_per_span``
+    points per knot span (default p+1, exact for degree 2p+1); one rule
+    per distinct knot-vector object, as in :func:`build_tensor_rule`.
     """
     if pts_per_span is None:
         pts_per_span = max(kv.degree for kv in space.knotvectors) + 1
-
-    def rule(kv):
-        x, w = gauss_points_weights(kv, pts_per_span)
-        colloc = {b: collocation_matrix(kv, x, b) for b in (0, 1)}
-        test = {a: (colloc[a].T @ sp.diags(w)).tocsr() for a in (0, 1)}
-        weights = {(a, b): test[a] for (a, b) in _DERIV_PAIRS}
-        return WQRule1D(kv=kv, points=x, weights=weights, colloc=colloc)
-
-    return TensorRule(tuple(map_distinct(rule, space.knotvectors)))
+    return TensorRule(tuple(map_distinct(
+        lambda kv: _gauss_rule(kv, pts_per_span), space.knotvectors)))

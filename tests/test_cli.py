@@ -115,9 +115,6 @@ class TestConvergenceCommand:
         assert len(rows) == 5
         errs = {(r[1], r[2]): float(r[4]) for r in rows[1:]}
         assert errs[("2", "3")] < errs[("2", "2")]
-        companion = read_csv(str(out) + ".time_error.csv")
-        assert companion[0] == ["method", "p", "k", "total_s", "error_h1"]
-        assert len(companion) == 5
 
     def test_empty_degree_list(self, tmp_path):
         out = tmp_path / "empty.csv"
@@ -157,57 +154,115 @@ class TestProfileCommand:
         assert rec.solve_s > 0
 
 
+def exit_code(argv):
+    """``main``'s return code, or the code of the SystemExit of an argparse error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def src_env():
+    """The environment with this checkout's ``igamf`` first on PYTHONPATH."""
+    src = str(Path(igamf.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 class TestConfigFile:
+    """Run options given in an argument file (``@FILE``) and as flags.
+
+    A value argparse cannot parse, a malformed line, an unknown flag and a
+    missing file exit through ``SystemExit(2)``; a parsed value no run can
+    honour makes ``main`` return 2.
+    """
+
     def test_file_values_and_flag_override(self, tmp_path):
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text("geometry = cube\nmethod = sgq\n# comment\neta = 0.2\n")
+        cfg = tmp_path / "bench.args"
+        cfg.write_text("--geometry cube\n--method sgq\n# comment\n--eta 0.2\n")
         out = tmp_path / "out.csv"
         rc = main(["solve", "--degree", "1", "--mesh-exp", "2",
-                   "--config", str(cfg), "--method", "mfwq",
-                   "--out", str(out)])
+                   f"@{cfg}", "--method", "mfwq", "--out", str(out)])
         assert rc == 0
         rec = dict(zip(*read_csv(out)))
-        assert rec["method"] == "mfwq"  # flag beats file
+        assert rec["method"] == "mfwq"  # a flag after the file beats it
         assert rec["nnz"] == ""  # matrix-free: no stored matrix
 
+    def test_flag_before_file_loses(self, tmp_path):
+        cfg = tmp_path / "bench.args"
+        cfg.write_text("--method sgq --eta 0.2\n")
+        args = cli.build_parser().parse_args(
+            ["solve", "--degree", "1", "--method", "mfwq", "--eta", "0.5",
+             f"@{cfg}", "--eta", "0.3", "--mesh-exp", "2"])
+        assert args.method == "sgq"
+        assert args.eta == 0.3
+
+    def test_comments_blank_lines_and_defaults(self, tmp_path):
+        cfg = tmp_path / "bench.args"
+        cfg.write_text("# sweep settings\n\n--degree 1,2  # degrees\n   \n"
+                       "--mesh-exp 2 --maxit 50\n")
+        args = cli.build_parser().parse_args(["convergence", f"@{cfg}"])
+        assert (args.degree, args.mesh_exp, args.maxit) == ([1, 2], [2], 50)
+        # every option not given takes its RunConfig default
+        default = RunConfig(1, 2)
+        assert cli._run_options(args) == dict(
+            geometry=default.geometry, method=default.method,
+            eta=default.eta, maxit=50, allow_large=default.allow_large,
+            nnz_guard=default.nnz_guard)
+
+    def test_allow_large_in_file(self, tmp_path):
+        cfg = tmp_path / "large.args"
+        cfg.write_text("--allow-large\n")
+        argv = ["solve", "--degree", "1", "--mesh-exp", "7"]
+        parser = cli.build_parser()
+        with pytest.raises(ConfigError, match="--allow-large"):
+            RunConfig(1, 7, **cli._run_options(parser.parse_args(argv)))
+        options = cli._run_options(parser.parse_args(argv + [f"@{cfg}"]))
+        assert options["allow_large"] is True
+        assert RunConfig(1, 7, **options).allow_large
+
     def test_bad_config_line(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("geometry cube\n")
-        rc = main(["solve", "--degree", "1", "--mesh-exp", "2",
-                   "--config", str(cfg)])
-        assert rc == 2
-        assert "bad.cfg:1: expected key = value" in capsys.readouterr().err
+        cfg = tmp_path / "bad.args"
+        cfg.write_text('--geometry "cube\n')
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--degree", "1", "--mesh-exp", "2", f"@{cfg}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: bad argument-file line" in err
+        assert "No closing quotation" in err
 
     def test_unknown_config_key(self, tmp_path, capsys):
-        cfg = tmp_path / "stale.cfg"
-        cfg.write_text("geometry = cube\non-the-fly = true\n")
-        rc = main(["solve", "--degree", "1", "--mesh-exp", "2",
-                   "--config", str(cfg)])
-        assert rc == 2
-        assert "stale.cfg:2: unknown key 'on_the_fly'" in capsys.readouterr().err
+        cfg = tmp_path / "stale.args"
+        cfg.write_text("--geometry cube\n--on-the-fly\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--degree", "1", "--mesh-exp", "2", f"@{cfg}"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --on-the-fly" in capsys.readouterr().err
 
     def test_bad_config_value(self, tmp_path, capsys):
-        cfg = tmp_path / "value.cfg"
-        cfg.write_text("eta = small\n")
-        rc = main(["solve", "--degree", "1", "--mesh-exp", "2",
-                   "--config", str(cfg)])
-        assert rc == 2
-        assert "bad value 'small' for eta" in capsys.readouterr().err
+        cfg = tmp_path / "value.args"
+        cfg.write_text("--eta small\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--degree", "1", "--mesh-exp", "2", f"@{cfg}"])
+        assert exc.value.code == 2
+        assert ("argument --eta: invalid float value: 'small'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["convergence", "profile"])
     @pytest.mark.parametrize("file_text, flags, message", [
-        ("eta = small\n", [], "bad value 'small' for eta"),
-        ("method = foo\n", [], "unknown method 'foo'"),
-        ("geometry = sphere\n", [], "unknown geometry 'sphere'"),
+        ("--eta small\n", [], "argument --eta: invalid float value: 'small'"),
+        ("--method foo\n", [], "argument --method: invalid choice: 'foo'"),
+        ("--geometry sphere\n", [],
+         "argument --geometry: invalid choice: 'sphere'"),
     ])
     def test_bad_config_value_stops_sweep(self, tmp_path, capsys, command,
                                           file_text, flags, message):
         # a bad flag or file value is a command error, not a failed row
-        cfg = tmp_path / "value.cfg"
+        cfg = tmp_path / "value.args"
         cfg.write_text(file_text)
         out = tmp_path / "sweep.csv"
-        rc = main([command, "--degree", "1", "--mesh-exp", "2", "--config",
-                   str(cfg), "--out", str(out)] + flags)
+        rc = exit_code([command, "--degree", "1", "--mesh-exp", "2",
+                        f"@{cfg}", "--out", str(out)] + flags)
         assert rc == 2
         err = capsys.readouterr().err
         assert f"error: {message}" in err
@@ -216,19 +271,20 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command", ["solve", "convergence", "profile"])
     @pytest.mark.parametrize("file_text, flags, message", [
-        ("allow_large = ture\n", [], "bad value 'ture' for allow_large"),
-        ("eta = -1\n", [], "eta must be > 0"),
+        ("--allow-large=ture\n", [],
+         "argument --allow-large: ignored explicit argument 'ture'"),
+        ("--eta -1\n", [], "eta must be > 0"),
         ("", ["--eta", "0"], "eta must be > 0"),
-        ("maxit = 0\n", [], "maxit must be >= 1"),
+        ("--maxit 0\n", [], "maxit must be >= 1"),
         ("", ["--maxit", "-3"], "maxit must be >= 1"),
     ])
     def test_value_no_run_can_honour(self, tmp_path, capsys, command,
                                      file_text, flags, message):
-        cfg = tmp_path / "value.cfg"
+        cfg = tmp_path / "value.args"
         cfg.write_text(file_text)
         out = tmp_path / "run.csv"
-        rc = main([command, "--degree", "1", "--mesh-exp", "2", "--config",
-                   str(cfg), "--out", str(out)] + flags)
+        rc = exit_code([command, "--degree", "1", "--mesh-exp", "2",
+                        f"@{cfg}", "--out", str(out)] + flags)
         assert rc == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
@@ -239,22 +295,35 @@ class TestConfigFile:
     def test_nnz_guard_that_disables_the_guard(self, tmp_path, capsys, command,
                                                value, source):
         # est > nan is always False, so a NaN guard would let any size through
-        cfg = tmp_path / "guard.cfg"
-        cfg.write_text(f"nnz_guard = {value}\n" if source == "file" else "")
+        cfg = tmp_path / "guard.args"
+        cfg.write_text(f"--nnz-guard {value}\n" if source == "file" else "")
         flags = ["--nnz-guard", value] if source == "flag" else []
         out = tmp_path / "run.csv"
         rc = main([command, "--degree", "1", "--mesh-exp", "2", "--method",
-                   "sgq", "--geometry", "cube", "--config", str(cfg),
+                   "sgq", "--geometry", "cube", f"@{cfg}",
                    "--out", str(out)] + flags)
         assert rc == 2
         assert "error: nnz_guard must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
-        rc = main(["solve", "--degree", "1", "--mesh-exp", "2",
-                   "--config", str(tmp_path / "absent.cfg")])
-        assert rc == 2
-        assert "cannot read config file" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--degree", "1", "--mesh-exp", "2",
+                  f"@{tmp_path / 'absent.args'}"])
+        assert exc.value.code == 2
+        assert "No such file or directory" in capsys.readouterr().err
+
+    def test_module_run_with_argument_file(self, tmp_path):
+        (tmp_path / "bench.args").write_text(
+            "--geometry cube --method sgq  # assembled Gauss\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "igamf.cli", "solve", "--degree", "1",
+             "--mesh-exp", "2", "@bench.args", "--out", "run.csv"],
+            cwd=tmp_path, env=src_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        rec = dict(zip(*read_csv(tmp_path / "run.csv")))
+        assert (rec["method"], rec["p"], rec["k"]) == ("sgq", "1", "2")
+        assert int(rec["nnz"]) > 0
 
 
 class TestEntryPoint:
@@ -267,12 +336,9 @@ class TestEntryPoint:
     def test_import_loads_no_symbolic_package(self):
         # the closed forms are plain numpy: a fresh process importing the
         # command line pulls in neither sympy nor its mpmath dependency
-        src = str(Path(igamf.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         code = ("import sys, igamf.cli; "
                 "print(sorted({'sympy', 'mpmath'} & set(sys.modules)))")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

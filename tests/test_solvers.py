@@ -196,6 +196,24 @@ class TestBiCGStab:
         assert r1.iterations == r2.iterations
         assert np.array_equal(x1, x2)
 
+    def test_breakdown_restarts_once_then_reports_failure(self, monkeypatch):
+        # skew-symmetric A: b.Ab = 0, so r_shadow.v breaks down on the first
+        # iteration (restart seeded seed + 1); after the restart omega = 0
+        # exactly, the second breakdown, and the solve stops unconverged
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        _, report = bicgstab(lambda v: A @ v, np.array([1.0, 2.0]))
+        assert seeds == [1]
+        assert not report.converged
+        assert report.matvecs == 3
+
 
 class TestStoppingTolerance:
     def test_table_value_p2(self):
