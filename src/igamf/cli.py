@@ -1,12 +1,13 @@
 """Benchmark command line: solve single instances, sweep convergence, profile cost.
 
-Three subcommands share one CSV schema, the fields of :class:`RunRecord`
-but ``converged``, so the outputs concatenate cleanly.  ``solve`` runs one
-(p, k) instance, ``convergence`` a grid of them, and ``profile`` skips the
-linear solve and instead reports per-apply cost (solve_s holds the average
-seconds over 10 operator applications; the error and iteration columns are
-left empty).  ``error_s`` is the time spent in error norms after set-up,
-outside ``total_s``.
+Three subcommands share one run path and the CSV columns of :class:`RunRecord`.
+``solve`` runs one (p, k) instance, ``convergence`` a grid of them, and
+``profile`` reports per-apply cost instead of solving (solve_s holds the mean
+seconds of 10 operator applications; the error, iteration and ``converged``
+columns stay empty).  ``error_s``, the time spent in error norms after set-up,
+is outside ``total_s``.  A failed run writes an empty row and its cause on
+stderr.  Every subcommand exits 2 on an option no run can honour (writing
+nothing) or a failed run, else 1 if a run did not converge, else 0.
 
 An argument ``@FILE`` is replaced by the flags written in FILE, one or more
 per line as on a shell line, with ``#`` comments and blank lines allowed.
@@ -23,7 +24,7 @@ import math
 import shlex
 import sys
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -37,7 +38,12 @@ from .splines import tensor_space
 from .wq import build_tensor_rule, gauss_tensor_rule
 
 _METHOD_SOLVER = {"mfwq": "bicgstab", "wq": "bicgstab", "sgq": "cg"}
-_GEOMETRIES = ("cube", "ring", "ring-polar")
+#: geometry name -> (map factory, manufactured-case factory)
+_GEOMETRIES = {
+    "cube": (lambda: identity_map(3), cube_sine_case),
+    "ring": (quarter_ring_rational_map, oscillating_case),
+    "ring-polar": (quarter_ring_map, oscillating_case),
+}
 _DEFAULT_MAX_K = 6
 #: nominal flops charged per coefficient value evaluated during set-up
 #: (geometry Jacobian, cofactors and determinant), for ``setup_flops`` only
@@ -54,8 +60,8 @@ def _check_options(method, geometry, eta, maxit, nnz_guard):
         raise ConfigError(f"unknown method {method!r}")
     if geometry not in _GEOMETRIES:
         raise ConfigError(f"unknown geometry {geometry!r}")
-    if not eta > 0:
-        raise ConfigError(f"eta must be > 0, got {eta}")
+    if not (math.isfinite(eta) and eta > 0):
+        raise ConfigError(f"eta must be > 0 and finite, got {eta}")
     if maxit < 1:
         raise ConfigError(f"maxit must be >= 1, got {maxit}")
     # a NaN guard would switch the guard off: est > nan is always False
@@ -114,7 +120,7 @@ class RunRecord:
     setup_flops: int | str = ""
     coeff_scalars: int | str = ""
     nnz: int | str = ""
-    converged: bool = field(default=True, compare=False)
+    converged: bool | str = ""
 
     def row(self):
         def fmt(v):
@@ -124,22 +130,10 @@ class RunRecord:
         return [fmt(getattr(self, name)) for name in CSV_HEADER]
 
 
-CSV_HEADER = [f.name for f in fields(RunRecord) if f.name != "converged"]
+CSV_HEADER = [f.name for f in fields(RunRecord)]
 #: the :class:`RunConfig` fields set by flags besides (p, k), with defaults
 _OPTION_DEFAULTS = {f.name: f.default for f in fields(RunConfig)
                     if f.default is not MISSING}
-
-
-def _geometry(kind):
-    if kind == "cube":
-        return identity_map(3)
-    if kind == "ring":
-        return quarter_ring_rational_map()
-    return quarter_ring_map()
-
-
-def _case(kind):
-    return cube_sine_case() if kind == "cube" else oscillating_case()
 
 
 def _setup(cfg: RunConfig, geom, case):
@@ -182,19 +176,21 @@ def _setup(cfg: RunConfig, geom, case):
 
 
 def run_solve(cfg: RunConfig) -> RunRecord:
-    geom = _geometry(cfg.geometry)
-    case = _case(cfg.geometry)
+    geom, case = (make() for make in _GEOMETRIES[cfg.geometry])
     space, apply_A, rhs, precond, rec = _setup(cfg, geom, case)
     krylov = bicgstab if cfg.solver == "bicgstab" else cg
 
     ref = case.reference_h1_errors.get((cfg.degree, cfg.mesh_exp))
     error_s = 0.0
+    estimate_ok = True
     t0 = time.perf_counter()
     if ref is None:
         # No tabulated discretization error for this configuration: solve
         # tightly once to estimate it, then re-solve at the scaled tolerance.
         # Both solves count in solve_s, the estimate's error pass in error_s.
-        x, _ = krylov(apply_A, rhs, precond.apply, tol=1e-8, maxit=cfg.maxit)
+        x, estimate = krylov(apply_A, rhs, precond.apply, tol=1e-8,
+                             maxit=cfg.maxit)
+        estimate_ok = estimate.converged
         te = time.perf_counter()
         ref, _ = relative_errors(space, geom, x, case)
         error_s = time.perf_counter() - te
@@ -202,7 +198,7 @@ def run_solve(cfg: RunConfig) -> RunRecord:
                        tol=stopping_tolerance(ref, cfg.eta), maxit=cfg.maxit)
     rec.solve_s = time.perf_counter() - t0 - error_s
     rec.iters = report.iterations
-    rec.converged = report.converged
+    rec.converged = estimate_ok and report.converged
     rec.total_s = rec.setup_s + rec.solve_s
     t0 = time.perf_counter()
     rec.error_h1, rec.error_l2 = relative_errors(space, geom, x, case)
@@ -211,8 +207,7 @@ def run_solve(cfg: RunConfig) -> RunRecord:
 
 
 def run_profile(cfg: RunConfig, n_applies: int = 10) -> RunRecord:
-    geom = _geometry(cfg.geometry)
-    case = _case(cfg.geometry)
+    geom, case = (make() for make in _GEOMETRIES[cfg.geometry])
     space, apply_A, _, _, rec = _setup(cfg, geom, case)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(space.n_dofs)
@@ -238,8 +233,8 @@ def _write_csv(rows, out):
 
 
 def _sweep(p_list, k_list, options, runner):
-    """One row per (p, k); a row whose config or run fails is kept empty."""
-    rows = []
+    """One row per (p, k), and whether any failed; a failed row is kept empty."""
+    rows, failed = [], False
     for p in p_list:
         for k in k_list:
             try:
@@ -249,7 +244,8 @@ def _sweep(p_list, k_list, options, runner):
                 print(f"run p={p} k={k} failed: {exc}", file=sys.stderr)
                 rows.append(RunRecord(method=options["method"], p=p, k=k,
                                       N=0, converged=False))
-    return rows
+                failed = True
+    return rows, failed
 
 
 def _parse_int_list(text):
@@ -321,21 +317,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         options = _run_options(args)
-        if args.command == "solve":
-            rec = run_solve(RunConfig(degree=args.degree,
-                                      mesh_exp=args.mesh_exp, **options))
-            _write_csv([rec], args.out)
-            return 0 if rec.converged else 1
-
-        if args.command == "convergence":
-            rows = _sweep(args.degree, args.mesh_exp, options, run_solve)
-        else:
-            rows = _sweep(args.degree, [args.mesh_exp], options, run_profile)
-        _write_csv(rows, args.out)
-        return 0
-    except (ConfigError, MemoryGuardError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    listed = lambda v: v if isinstance(v, list) else [v]
+    runner = run_profile if args.command == "profile" else run_solve
+    rows, failed = _sweep(listed(args.degree), listed(args.mesh_exp),
+                          options, runner)
+    _write_csv(rows, args.out)
+    if failed:
+        return 2
+    return 1 if any(rec.converged is False for rec in rows) else 0
 
 
 if __name__ == "__main__":

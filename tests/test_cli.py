@@ -51,6 +51,7 @@ class TestSolveCommand:
         assert float(rec["error_h1"]) > float(rec["error_l2"]) > 0
         assert int(rec["nnz"]) > 0
         assert float(rec["error_s"]) > 0
+        assert rec["converged"] == "True"
 
     def test_error_s_counts_every_error_pass(self, monkeypatch):
         # the cube case has no reference table, so run_solve makes one error
@@ -97,11 +98,45 @@ class TestSolveCommand:
         assert rec.total_s == pytest.approx(rec.setup_s + rec.solve_s)
 
     @pytest.mark.parametrize("method", ["wq", "sgq"])
-    def test_guard_exit_code(self, capsys, method):
+    def test_guard_exit_code(self, tmp_path, capsys, method):
+        out = tmp_path / "guard.csv"
         rc = main(["solve", "--degree", "3", "--mesh-exp", "5",
-                   "--method", method, "--nnz-guard", "1000"])
+                   "--method", method, "--nnz-guard", "1000",
+                   "--out", str(out)])
         assert rc == 2
         assert "stored entries" in capsys.readouterr().err
+        rows = read_csv(out)
+        assert rows[0] == CSV_HEADER
+        rec = dict(zip(*rows))
+        assert (rec["method"], rec["p"], rec["k"]) == (method, "3", "5")
+        assert (rec["N"], rec["converged"]) == ("0", "False")
+        assert rec["error_h1"] == rec["iters"] == ""
+
+    def test_unconverged_exit_code(self, tmp_path):
+        # ring (2, 3) has no tabulated error, so a one-iteration estimate
+        # solve sets the re-solve's tolerance
+        out = tmp_path / "run.csv"
+        rc = main(["solve", "--degree", "2", "--mesh-exp", "3", "--maxit", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        rec = dict(zip(*read_csv(out)))
+        assert rec["converged"] == "False"
+        assert rec["iters"] == "1"
+
+    def test_unconverged_estimate_solve(self, monkeypatch):
+        # ring (2, 3) has no tabulated error: the tight estimate solve fails
+        # in one iteration, the re-solve at its loose tolerance converges
+        reports = []
+
+        def recording_krylov(*args, **kwargs):
+            x, report = bicgstab(*args, **kwargs)
+            reports.append(report.converged)
+            return x, report
+
+        monkeypatch.setattr(cli, "bicgstab", recording_krylov)
+        rec = run_solve(RunConfig(2, 3, geometry="ring", maxit=1))
+        assert reports == [False, True]
+        assert rec.converged is False
 
 
 class TestConvergenceCommand:
@@ -128,10 +163,20 @@ class TestConvergenceCommand:
         rc = main(["convergence", "--degree", "2", "--mesh-exp", "2,4",
                    "--geometry", "cube", "--method", "sgq",
                    "--nnz-guard", "40000", "--out", str(out)])
-        assert rc == 0
+        assert rc == 2  # the sweep finishes, but a failed row fails it
         rows = read_csv(out)
         assert len(rows) == 3  # header + both rows, one of them empty-failed
-        assert "failed" in capsys.readouterr().err
+        recs = [dict(zip(rows[0], r)) for r in rows[1:]]
+        assert [r["converged"] for r in recs] == ["True", "False"]
+        assert recs[1]["N"] == "0"
+        assert "run p=2 k=4 failed" in capsys.readouterr().err
+
+    def test_unconverged_row_exit_code(self, tmp_path):
+        out = tmp_path / "conv.csv"
+        rc = main(["convergence", "--degree", "3", "--mesh-exp", "3",
+                   "--maxit", "1", "--out", str(out)])
+        assert rc == 1
+        assert dict(zip(*read_csv(out)))["converged"] == "False"
 
 
 class TestProfileCommand:
@@ -146,6 +191,7 @@ class TestProfileCommand:
         recs = [dict(zip(rows[0], r)) for r in rows[1:]]
         assert all(int(r["matvec_flops"]) > 0 for r in recs)
         assert all(r["iters"] == "" for r in recs)
+        assert all(r["converged"] == "" for r in recs)  # profile does not solve
         assert int(recs[1]["matvec_flops"]) > int(recs[0]["matvec_flops"])
 
     def test_profile_record_fields(self):
@@ -277,6 +323,8 @@ class TestConfigFile:
         ("", ["--eta", "0"], "eta must be > 0"),
         ("--maxit 0\n", [], "maxit must be >= 1"),
         ("", ["--maxit", "-3"], "maxit must be >= 1"),
+        ("--eta inf\n", [], "eta must be > 0 and finite, got inf"),
+        ("", ["--eta", "inf"], "eta must be > 0 and finite, got inf"),
     ])
     def test_value_no_run_can_honour(self, tmp_path, capsys, command,
                                      file_text, flags, message):
