@@ -1,5 +1,5 @@
 # -*- coding: utf-8 -*-
-"""Explicit sparse assembly oracles, the Gauss load vector and Gauss slab sums.
+"""Explicit sparse assembly oracles and the Gauss load vector.
 
 Standard Gauss quadrature (SGQ, symmetric) and explicit weighted
 quadrature (generally nonsymmetric on curved geometries) are one term
@@ -9,19 +9,15 @@ baselines, not fast paths.  The Gauss load vector is
 :func:`~igamf.operators.wq_load_vector` on the Gauss rule.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import _ROW_CHUNK, pullback
-from .kron import (banded, grid_slabs, kron_apply, kron_materialize,
-                   slab_grid)
+from .kron import kron_materialize
 from .operators import _rule_grids, wq_load_vector, wq_terms
-from .splines import collocation_matrix, map_distinct
-from .wq import gauss_points_weights, gauss_tensor_rule
+from .wq import gauss_tensor_rule
 
 #: conservative default guard on assembled nonzeros
 NNZ_GUARD = 5 * 10**7
@@ -54,55 +50,6 @@ def estimate_matrix_nnz(space) -> int:
         p, n = kv.degree, kv.n_interior
         nnz *= sum(min(i + p, n - 1) - max(i - p, 0) + 1 for i in range(n))
     return nnz
-
-
-def tensor_gauss_sum(space, geom, pts_per_span, u_coeffs, integrand):
-    """Sum ``integrand`` of the field u_h with coefficients ``u_coeffs``
-    over the tensor Gauss grid of ``space``.
-
-    The grid (``pts_per_span`` points per knot span and direction) is split
-    into the slabs of :func:`~igamf.kron.grid_slabs`; per slab, u_h and its
-    parametric gradient come from Kronecker contractions with the interior
-    collocation factors.  The pointwise part then runs ``_ROW_CHUNK``
-    points at a time, calling ``integrand(x, measure, uh, grad_h)`` with the
-    physical points, Gauss weight times det J_F, and the values of u_h and
-    of its physical gradient J_F^-T grad u_h (shapes (n,) and (n, d)).
-    """
-    d = space.dim
-
-    def factors(kv):
-        x, w = gauss_points_weights(kv, pts_per_span)
-        return x, w, [collocation_matrix(kv, x, b)[:, 1:-1].tocsr()
-                      for b in (0, 1)]
-
-    # one set of Gauss factors per distinct knot vector, as in set-up
-    pts, wts, B = zip(*map_distinct(factors, space.knotvectors))
-    # the banded factors of all but the last direction serve every slab
-    lower = map_distinct(lambda Bl: [banded(f) for f in Bl], B[:-1])
-    total = 0.0
-    for s in grid_slabs([len(q) for q in pts]):
-        B0_s, B1_s = ([f[b] for f in lower] + [banded(B[-1][b][s])]
-                      for b in (0, 1))
-        uh = kron_apply(B0_s, u_coeffs)
-        grad_xi = [kron_apply([(B1_s if l == b else B0_s)[l] for l in range(d)],
-                              u_coeffs) for b in range(d)]
-        xi = slab_grid(pts, s).T
-        # weight products with direction 1 fastest, as in slab_grid
-        w = functools.reduce(lambda acc, q: np.multiply.outer(q, acc),
-                             list(wts[:-1]) + [wts[-1][s]]).ravel()
-        for c0 in range(0, len(w), _ROW_CHUNK):
-            c = slice(c0, c0 + _ROW_CHUNK)
-            det, cof = pullback(geom, xi[c])
-            grad_h = np.empty((d, len(det)))
-            for i, g in enumerate(grad_h):
-                # component i of J_F^-T grad = cof grad / det
-                np.multiply(cof[:, i, 0], grad_xi[0][c], out=g)
-                for j in range(1, d):
-                    g += cof[:, i, j] * grad_xi[j][c]
-                g /= det
-            total = total + integrand(geom.evaluate(xi[c]), w[c] * det,
-                                      uh[c], grad_h.T)
-    return total
 
 
 def _materialize(space, rule, geom, coeff, kind, nnz_guard, provenance):
@@ -141,7 +88,7 @@ def assemble_sgq(space, geom, coeff=None, kind="mass", gauss_pts_per_span=None,
                  nnz_guard=NNZ_GUARD) -> AssembledMatrix:
     """Element-wise Gauss assembly of the mass or stiffness matrix.
 
-    Default p+1 points per span per direction, exact for integrands of
+    Default p+1 points per span per direction, exact for polynomials of
     degree <= 2p+1 per direction.
     """
     rule = gauss_tensor_rule(space, gauss_pts_per_span)

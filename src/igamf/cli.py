@@ -6,8 +6,9 @@ Three subcommands share one run path and the CSV columns of :class:`RunRecord`.
 seconds of 10 operator applications; the error, iteration and ``converged``
 columns stay empty).  ``error_s``, the time spent in error norms after set-up,
 is outside ``total_s``.  A failed run writes an empty row and its cause on
-stderr.  Every subcommand exits 2 on an option no run can honour (writing
-nothing) or a failed run, else 1 if a run did not converge, else 0.
+stderr.  Every subcommand exits 2 on an option no run can honour or an
+``--out`` it cannot open (before any run, writing nothing) or on a failed
+run, else 1 if a run did not converge, else 0.
 
 An argument ``@FILE`` is replaced by the flags written in FILE, one or more
 per line as on a shell line, with ``#`` comments and blank lines allowed.
@@ -19,6 +20,7 @@ one before it is overridden.  The option defaults are those of
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import shlex
@@ -220,18 +222,6 @@ def run_profile(cfg: RunConfig, n_applies: int = 10) -> RunRecord:
     return rec
 
 
-def _write_csv(rows, out):
-    stream = open(out, "w", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(stream)
-        writer.writerow(CSV_HEADER)
-        for rec in rows:
-            writer.writerow(rec.row())
-    finally:
-        if out:
-            stream.close()
-
-
 def _sweep(p_list, k_list, options, runner):
     """One row per (p, k), and whether any failed; a failed row is kept empty."""
     rows, failed = [], False
@@ -250,9 +240,12 @@ def _sweep(p_list, k_list, options, runner):
 
 def _parse_int_list(text):
     try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip()]
+        values = [int(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+    return values
 
 
 def _split_arg_line(line):
@@ -317,14 +310,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         options = _run_options(args)
-    except ConfigError as exc:
+        # opened before the first run, emptied once the rows are ready
+        out = (open(args.out, "a", newline="") if args.out
+               else contextlib.nullcontext(sys.stdout))
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     listed = lambda v: v if isinstance(v, list) else [v]
     runner = run_profile if args.command == "profile" else run_solve
-    rows, failed = _sweep(listed(args.degree), listed(args.mesh_exp),
-                          options, runner)
-    _write_csv(rows, args.out)
+    with out as stream:
+        rows, failed = _sweep(listed(args.degree), listed(args.mesh_exp),
+                              options, runner)
+        if args.out:
+            stream.truncate(0)
+        csv.writer(stream).writerows([CSV_HEADER] + [r.row() for r in rows])
     if failed:
         return 2
     return 1 if any(rec.converged is False for rec in rows) else 0

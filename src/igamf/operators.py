@@ -12,10 +12,10 @@ in one fused pass per group of terms sharing their collocation factors:
 the products with the grids run tile by tile between the last collocation
 mode and the first weight mode, so no quadrature-point vector is formed.
 The load vector is the mass term's weight factors alone applied to a grid
-of source values (:func:`wq_load_vector`).  Factors are restricted to the
-Dirichlet-interior basis; boundary rows/columns are never formed.  The
-operators, the load vector and explicit assembly get a rule's grids from
-one chunked pass (:func:`_rule_grids`).  On a Gauss rule
+of source values, streamed chunk by chunk (:func:`wq_load_vector`).
+Factors are restricted to the Dirichlet-interior basis.  The operators,
+the load vector and explicit assembly get a rule's grids from one chunk
+walk (:func:`_grid_chunks`).  On a Gauss rule
 (:func:`~igamf.wq.gauss_tensor_rule`) all of this is standard Gauss
 quadrature.
 """
@@ -25,7 +25,7 @@ import numpy as np
 from .geometry import _ROW_CHUNK, pullback
 from . import kron
 from .kron import (CostMeter, banded, block_matmul, contract_modes,
-                   grid_slabs, kron_apply, kron_flops, slab_grid)
+                   grid_slabs, kron_flops, slab_grid)
 from .splines import map_distinct
 from .wq import TensorRule
 
@@ -66,7 +66,7 @@ def coefficient_grids(kind: str, geom, xi, coeff=None):
     """Pulled-back coefficient values at parametric points, keyed as in :func:`wq_terms`.
 
     ``xi`` is an (npts, d) point array; every value depends on its own
-    point only, so :func:`_rule_grids` calls this per chunk of the rule's
+    point only, so :func:`_grid_chunks` calls this per chunk of the rule's
     grid and gets the values of one whole-grid call.
 
     ``"mass"``: {None: alpha det J_F}, with ``coeff`` = alpha a scalar or a
@@ -100,36 +100,52 @@ def coefficient_grids(kind: str, geom, xi, coeff=None):
     return grids
 
 
-def _rule_grids(kind: str, rule: TensorRule, geom, coeff):
-    """:func:`coefficient_grids` over all ``rule.n_points`` points, laid out
-    per slab of :func:`~igamf.kron.grid_slabs` and evaluated ``_ROW_CHUNK``
-    points at a time straight into the returned (n_points,) arrays."""
+def _grid_chunks(kind: str, rule: TensorRule, geom, coeff):
+    """Yield ``(q, grids)``: :func:`coefficient_grids` of the flat grid points
+    q to q + len(grid), whole direction-1 rows of about ``_ROW_CHUNK``
+    points, laid out per slab of :func:`~igamf.kron.grid_slabs`."""
     pts = [r.points for r in rule.rules]
+    q1 = rule.n_points_per_dir[0]
     lower = rule.n_points // rule.n_points_per_dir[-1]
-    grids = {}
+    step = max(1, _ROW_CHUNK // q1) * q1
     for s in grid_slabs(rule.n_points_per_dir):
         xi = slab_grid(pts, s).T
-        for c in range(0, len(xi), _ROW_CHUNK):
-            q = s.start * lower + c
-            chunk = coefficient_grids(kind, geom, xi[c:c + _ROW_CHUNK], coeff)
-            for key, g in chunk.items():
-                if key not in grids:
-                    grids[key] = np.empty(rule.n_points)
-                grids[key][q:q + len(g)] = g
+        for c in range(0, len(xi), step):
+            yield (s.start * lower + c,
+                   coefficient_grids(kind, geom, xi[c:c + step], coeff))
+
+
+def _rule_grids(kind: str, rule: TensorRule, geom, coeff):
+    """:func:`coefficient_grids` over all ``rule.n_points`` points, written
+    chunk by chunk (:func:`_grid_chunks`) into (n_points,) arrays."""
+    grids = {}
+    for q, chunk in _grid_chunks(kind, rule, geom, coeff):
+        for key, g in chunk.items():
+            if key not in grids:
+                grids[key] = np.empty(rule.n_points)
+            grids[key][q:q + len(g)] = g
     return grids
 
 
 def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
     """Load vector f_i = int det(J_F) b_i (f o F) dxi by weighted quadrature.
 
-    The mass term's weight factors W^(0,0) applied in one Kronecker product
-    to the grid (f o F) det J_F of :func:`_rule_grids`; on a Gauss rule this
-    is the Gauss load vector.  ``f`` is a physical-space field taking an
-    (npts, d) coordinate array.  Raises
+    The mass term's weight factors W^(0,0) applied to the grid
+    (f o F) det J_F (on a Gauss rule, the Gauss load vector), which is never
+    held whole: as in the fused apply, the direction-1 mode runs per chunk
+    of :func:`_grid_chunks` into one (Q_2 ... Q_d, N_1) array, the other
+    modes once after.  ``f`` is a physical-space field taking an (npts, d)
+    coordinate array.  Raises
     :class:`~igamf.geometry.DegenerateGeometryError` where det J_F <= 0.
     """
     (_, [(W, _)]), = wq_terms(rule, "mass")
-    return kron_apply(W, _rule_grids("mass", rule, geom, f)[None])
+    W = [banded(w) for w in W]
+    q1 = rule.n_points_per_dir[0]
+    Y = np.empty((rule.n_points // q1, W[0].shape[0]))
+    for q, chunk in _grid_chunks("mass", rule, geom, f):
+        rows = chunk[None].reshape(-1, q1)
+        block_matmul(W[0], rows, Y[q // q1:q // q1 + len(rows)])
+    return contract_modes(W[1:], Y).reshape(W[0].shape[0], -1).T.ravel()
 
 
 class _WQOperator:

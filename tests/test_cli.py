@@ -151,13 +151,6 @@ class TestConvergenceCommand:
         errs = {(r[1], r[2]): float(r[4]) for r in rows[1:]}
         assert errs[("2", "3")] < errs[("2", "2")]
 
-    def test_empty_degree_list(self, tmp_path):
-        out = tmp_path / "empty.csv"
-        rc = main(["convergence", "--degree", "", "--mesh-exp", "3",
-                   "--geometry", "cube", "--out", str(out)])
-        assert rc == 0
-        assert read_csv(out) == [CSV_HEADER]
-
     def test_failed_row_does_not_stop_sweep(self, tmp_path, capsys):
         out = tmp_path / "mixed.csv"
         rc = main(["convergence", "--degree", "2", "--mesh-exp", "2,4",
@@ -177,6 +170,29 @@ class TestConvergenceCommand:
                    "--maxit", "1", "--out", str(out)])
         assert rc == 1
         assert dict(zip(*read_csv(out)))["converged"] == "False"
+
+    def test_interrupted_sweep_keeps_existing_file(self, tmp_path,
+                                                   monkeypatch):
+        out = tmp_path / "conv.csv"
+        out.write_text("earlier results\n" * 100)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_sweep", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["convergence", "--degree", "1", "--mesh-exp", "2",
+                  "--geometry", "cube", "--out", str(out)])
+        assert out.read_text() == "earlier results\n" * 100
+
+    def test_finished_sweep_replaces_existing_file(self, tmp_path):
+        out = tmp_path / "conv.csv"
+        out.write_text("earlier results\n" * 100)
+        rc = main(["convergence", "--degree", "1", "--mesh-exp", "2",
+                   "--geometry", "cube", "--out", str(out)])
+        assert rc == 0
+        rows = read_csv(out)
+        assert rows[0] == list(CSV_HEADER) and len(rows) == 2
 
 
 class TestProfileCommand:
@@ -206,6 +222,10 @@ def exit_code(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def no_run(*args):
+    pytest.fail("a run started")
 
 
 def src_env():
@@ -336,6 +356,32 @@ class TestConfigFile:
         assert rc == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["convergence", "profile"])
+    @pytest.mark.parametrize("degrees", ["", ",", " , "])
+    def test_empty_integer_list(self, tmp_path, capsys, monkeypatch, command,
+                                degrees):
+        # a list naming no degree is an argument error, not an empty sweep
+        monkeypatch.setattr(cli, "_sweep", no_run)
+        out = tmp_path / "empty.csv"
+        rc = exit_code([command, "--degree", degrees, "--mesh-exp", "3",
+                        "--geometry", "cube", "--out", str(out)])
+        assert rc == 2
+        assert "argument --degree: bad integer list" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "convergence", "profile"])
+    def test_unwritable_out(self, tmp_path, capsys, monkeypatch, command):
+        # the path is opened before the first run: exit 2, one line, no run
+        monkeypatch.setattr(cli, "_sweep", no_run)
+        out = tmp_path / "absent" / "run.csv"
+        rc = main([command, "--degree", "1", "--mesh-exp", "2",
+                   "--geometry", "cube", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "No such file or directory" in err and str(out) in err
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("command", ["solve", "convergence", "profile"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])

@@ -11,8 +11,7 @@ from igamf import (QUARTER_RING_H1_REFERENCE, TensorSpace, assemble_rhs,
                    quarter_ring_map, quarter_ring_rational_map,
                    relative_errors, setup_stiffness, tensor_space,
                    wq_load_vector)
-from igamf import assembly, kron
-from igamf.assembly import tensor_gauss_sum
+from igamf import kron, problems
 from igamf.splines import collocation_matrix
 
 
@@ -146,9 +145,11 @@ class TestErrorNorms:
         assert abs(e1 - e2) <= 1e-3 * e2
 
     @staticmethod
-    def seminorm_sums(space, geom, u_coeffs, case, pts_per_span):
-        """Squared H1-seminorm of u - u_h and of u, summed over one whole
-        tensor Gauss grid with dense collocation, np.linalg.det and solve."""
+    def norm_sums(space, geom, u_coeffs, case, pts_per_span):
+        """Squared L2 norms and H1 seminorms of u - u_h and of u, summed
+        over one whole tensor Gauss grid with dense collocation,
+        np.linalg.det and solve: (L2 error, L2 reference, seminorm error,
+        seminorm reference)."""
         nodes, weights = np.polynomial.legendre.leggauss(pts_per_span)
         pts, wts, B0, B1 = [], [], [], []
         for kv in space.knotvectors:
@@ -164,21 +165,26 @@ class TestErrorNorms:
                        reversed(np.meshgrid(*reversed(pts), indexing="ij"))],
                       axis=1)
         w = np.einsum("c,b,a->cba", *reversed(wts)).ravel()
-        grad_xi = np.stack([
-            np.einsum("ck,bj,ai,kji->cba",
-                      *[(B1 if l == m else B0)[l] for l in (2, 1, 0)],
-                      U).ravel() for m in range(3)], axis=1)
+
+        def field(F):
+            return np.einsum("ck,bj,ai,kji->cba", F[2], F[1], F[0], U).ravel()
+
+        uh = field(B0)
+        grad_xi = np.stack([field([(B1 if l == m else B0)[l]
+                                   for l in range(3)]) for m in range(3)],
+                           axis=1)
         J = geom.jacobian(xi)
         grad_h = np.linalg.solve(np.swapaxes(J, 1, 2), grad_xi[:, :, None])[:, :, 0]
         measure = w * np.abs(np.linalg.det(J))
-        _, grad_u = case.u_grad(geom.evaluate(xi))
-        return (measure @ ((grad_h - grad_u)**2).sum(axis=1),
+        u, grad_u = case.u_grad(geom.evaluate(xi))
+        return (measure @ (uh - u)**2, measure @ u**2,
+                measure @ ((grad_h - grad_u)**2).sum(axis=1),
                 measure @ (grad_u**2).sum(axis=1))
 
     def test_one_pass_matches_each_norm(self):
-        # both halves of the one-pass sums equal separate computations: the
-        # L2 part an L2-only tensor-Gauss pass, the gradient part a whole-grid
-        # sum that does not go through the cofactors or the slab loop
+        # both halves of the one-pass sums equal a whole-grid sum that does
+        # not go through the Kronecker contractions, the cofactors or the
+        # slab loop
         space = tensor_space(2, 4, 3)
         geom = quarter_ring_rational_map()
         case = oscillating_case()
@@ -188,14 +194,9 @@ class TestErrorNorms:
         x, _ = bicgstab(stiff.apply, b, FDPreconditioner(space).apply,
                         tol=1e-10)
         h1, l2 = relative_errors(space, geom, x, case)
-
-        def l2_only(xp, measure, uh, grad_h):
-            ue, _ = case.u_grad(xp)
-            return np.array([measure @ (ue - uh)**2, measure @ ue**2])
-
-        err2, ref2 = tensor_gauss_sum(space, geom, 4, x, l2_only)
-        assert l2 == pytest.approx(np.sqrt(err2 / ref2), rel=1e-14)
-        semi_err2, semi_ref2 = self.seminorm_sums(space, geom, x, case, 4)
+        err2, ref2, semi_err2, semi_ref2 = self.norm_sums(space, geom, x,
+                                                          case, 4)
+        assert l2 == pytest.approx(np.sqrt(err2 / ref2), rel=1e-13)
         assert h1 == pytest.approx(
             np.sqrt((err2 + semi_err2) / (ref2 + semi_ref2)), rel=1e-13)
 
@@ -228,8 +229,8 @@ class TestErrorNorms:
             band.append(f)
             return kron.banded(f)
 
-        monkeypatch.setattr(assembly, "collocation_matrix", counting)
-        monkeypatch.setattr(assembly, "banded", counting_banded)
+        monkeypatch.setattr(problems, "collocation_matrix", counting)
+        monkeypatch.setattr(problems, "banded", counting_banded)
         if shared:
             space, n_distinct, n_lower = tensor_space(2, 4, 3), 1, 1
         else:

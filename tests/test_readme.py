@@ -1,5 +1,8 @@
-"""The README's quick start runs; its CLI examples and CSV columns match the CLI."""
+"""The README's quick start runs; its CLI examples and CSV columns match the
+CLI; the names its Layout table gives exist."""
 
+import dataclasses
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -43,3 +46,21 @@ def test_csv_columns_match_cli():
     block = re.search(r"Output CSV columns:\n\n```\n(.*?)```",
                       README.read_text(), re.S).group(1)
     assert "".join(block.split()).split(",") == cli.CSV_HEADER
+
+
+def test_layout_names_exist():
+    # every backticked identifier in the Layout table is an attribute of an
+    # igamf module or a field of an igamf dataclass, so a deleted name
+    # cannot linger in the docs
+    table = README.read_text().split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    names = {n for n in re.findall(r"`([^`]+)`", table) if n.isidentifier()}
+    modules = [importlib.import_module(m)
+               for m in re.findall(r"^\| `(igamf\.\w+)` \|", table, re.M)]
+    assert len(names) >= 20 and len(modules) >= 9
+    known = set()
+    for mod in modules:
+        known.update(vars(mod))
+        known.update(f.name for obj in vars(mod).values()
+                     if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                     for f in dataclasses.fields(obj))
+    assert not names - known, f"Layout names no igamf attribute: {names - known}"
