@@ -13,8 +13,9 @@ from .wq import (EXACTNESS_TOL, TensorRule, WQConstructionError, WQRule1D,
                  build_tensor_rule, build_wq_rule, exact_grams,
                  gauss_points_weights, gauss_tensor_rule, wq_points,
                  wq_weights)
-from .geometry import (DegenerateGeometryError, GeometryMap, identity_map,
-                       pullback, quarter_ring_map, quarter_ring_rational_map)
+from .geometry import (DegenerateGeometryError, GeometryMap, extrude,
+                       identity_map, pullback, quarter_ring_map,
+                       quarter_ring_rational_map)
 from .operators import (MassOperator, StiffnessOperator, coefficient_grids,
                         setup_mass, setup_stiffness, wq_load_vector, wq_terms)
 from .assembly import (AssembledMatrix, MemoryGuardError, assemble_rhs,

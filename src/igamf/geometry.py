@@ -2,10 +2,13 @@
 """Parametric-to-physical geometry maps with exact Jacobians.
 
 A :class:`GeometryMap` evaluates F and J_F at batches of parametric points
-given as an array of shape (npts, d).  The two quarter-ring maps (polar
-coordinates and the rational quadratic arc) are numpy closed forms,
-evaluated ``_ROW_CHUNK`` points at a time by :func:`_eval_rows`, and
-parametrize the thick quarter annulus
+given as an array of shape (npts, d).  A map may declare itself an
+extrusion in its last direction, F(xi) = (G(xi_1, ..., xi_{d-1}), xi_d)
+with J_F = blockdiag(J_G, 1): :func:`extrude` builds it from the planar
+map G, kept as ``planar``.  The 3D cube and both quarter rings are
+extrusions.  The rings' planar maps (polar coordinates and the rational
+quadratic arc) are numpy closed forms, evaluated ``_ROW_CHUNK`` points at
+a time by :func:`_eval_rows`, and parametrize the thick quarter annulus
 {1 <= x1^2 + x2^2 <= 4, x1 >= 0, x2 >= 0, 0 <= x3 <= 1} exactly.
 
 Every sine and cosine of a closed form, here and in
@@ -14,14 +17,17 @@ form: sin t and cos t from one tan(t/2), within 2.2e-16 absolute of
 numpy's sine and cosine at a fraction of their cost.
 
 Point arrays keep the shape (npts, d) and Jacobians (npts, d, d), but the
-two ring maps and :func:`pullback` return them as views of component-major
-(d, npts) and (d, d, npts) storage, so that every coordinate array
-``x[:, l]`` and entry array ``J[:, i, j]`` is contiguous.  Every function
-here accepts either layout.
+ring maps, extrusions and :func:`pullback` return them as views of
+component-major (d, npts) and (d, d, npts) storage, so that every
+coordinate array ``x[:, l]`` and entry array ``J[:, i, j]`` is contiguous.
+Every function here accepts either layout.
 
 :func:`pullback` is the one place where Jacobians are turned into the
 quantities integrals need (det J_F and its cofactors), and the one place
-where a degenerate map is detected.
+where a degenerate map is detected.  On an extrusion it forms them from
+J_G alone, and they do not depend on xi_d, which
+:func:`~igamf.problems.relative_errors` uses to evaluate them once per
+point of the (xi_1, ..., xi_{d-1}) plane.
 """
 
 from dataclasses import dataclass
@@ -49,6 +55,9 @@ class GeometryMap:
     dim: int
     _map: Callable
     _jacobian: Callable
+    #: G when the map is the extrusion F(xi) = (G(xi_1, ..., xi_{d-1}), xi_d)
+    #: (see :func:`extrude`); None for any other map
+    planar: "GeometryMap | None" = None
 
     def evaluate(self, xi: np.ndarray) -> np.ndarray:
         """Physical coordinates of parametric points, shape (npts, d)."""
@@ -97,22 +106,31 @@ def pullback(geom: GeometryMap, xi: np.ndarray):
     Returns ``(det, cof)`` of shapes (npts,) and (npts, d, d), in closed
     form from the entries of J_F, so that J_F^-1 = cof^T / det and
     J_F^-T grad = cof @ grad / det; ``cof`` is stored component-major.
-    J_F is evaluated ``_ROW_CHUNK`` points at a time into these outputs
-    and never kept.  Raises :class:`DegenerateGeometryError` at the first
-    point where det J_F <= 0.
+    On an extrusion (:func:`extrude`) only J_G is evaluated, and
+    det = det J_G, cof = blockdiag(cof_G, det J_G).  The Jacobian is
+    evaluated ``_ROW_CHUNK`` points at a time into these outputs and never
+    kept.  Raises :class:`DegenerateGeometryError` at the first point where
+    det J_F <= 0, reporting its full d-dimensional parametric point.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     n, d = xi.shape
     if d > 3:
         raise ValueError(f"closed-form pullback needs dimension <= 3, got {d}")
     det = np.empty(n)
-    cof = np.empty((d, d, n)).transpose(2, 0, 1)
+    if geom.planar is None:
+        jacobian, xj, cof = geom.jacobian, xi, np.empty((d, d, n))
+    else:
+        # only cof_G is written below: the off-diagonal blocks stay zero
+        jacobian, xj = geom.planar.jacobian, xi[:, :-1]
+        cof = np.zeros((d, d, n))
+    cof = cof.transpose(2, 0, 1)
+    k = xj.shape[1]
     for s in range(0, n, _ROW_CHUNK):
-        J = geom.jacobian(xi[s:s + _ROW_CHUNK])
-        dt, cf = det[s:s + _ROW_CHUNK], cof[s:s + _ROW_CHUNK]
-        if d == 1:
+        J = jacobian(xj[s:s + _ROW_CHUNK])
+        dt, cf = det[s:s + _ROW_CHUNK], cof[s:s + _ROW_CHUNK, :k, :k]
+        if k == 1:
             cf[:, 0, 0] = 1.0
-        elif d == 2:
+        elif k == 2:
             cf[:, 0, 0] = J[:, 1, 1]
             cf[:, 0, 1] = -J[:, 1, 0]
             cf[:, 1, 0] = -J[:, 0, 1]
@@ -126,16 +144,46 @@ def pullback(geom: GeometryMap, xi: np.ndarray):
                     np.multiply(J[:, i1, j1], J[:, i2, j2], out=c)
                     c -= J[:, i1, j2] * J[:, i2, j1]
         np.multiply(J[:, 0, 0], cf[:, 0, 0], out=dt)
-        for j in range(1, d):
+        for j in range(1, k):
             dt += J[:, 0, j] * cf[:, 0, j]
         bad = dt <= 0
         if np.any(bad):
             q = s + int(np.argmax(bad))
             raise DegenerateGeometryError(tuple(xi[q]), float(det[q]))
+    if geom.planar is not None:
+        cof[:, -1, -1] = det
     return det, cof
 
 
+def extrude(planar: GeometryMap) -> GeometryMap:
+    """The map F(xi) = (G(xi_1, ..., xi_{d-1}), xi_d) of the planar map G.
+
+    J_F = blockdiag(J_G, 1), and ``planar`` is G, which :func:`pullback`
+    and the error pass use directly.  F and J_F call G's own functions, so
+    one evaluation of F is one evaluation of G.
+    """
+    d = planar.dim + 1
+
+    def _map(xi):
+        x = np.empty((d, len(xi))).T
+        x[:, :-1] = planar._map(xi[:, :-1])
+        x[:, -1] = xi[:, -1]
+        return x
+
+    def _jac(xi):
+        J = np.zeros((d, d, len(xi))).transpose(2, 0, 1)
+        J[:, :-1, :-1] = planar._jacobian(xi[:, :-1])
+        J[:, -1, -1] = 1.0
+        return J
+
+    return GeometryMap(dim=d, _map=_map, _jacobian=_jac, planar=planar)
+
+
 def identity_map(d: int = 3) -> GeometryMap:
+    """The identity of [0, 1]^d; in 3D, the extrusion of the 2D identity."""
+    if d == 3:
+        return extrude(identity_map(2))
+
     def _map(xi):
         return xi.copy(order="K")
 
@@ -146,35 +194,35 @@ def identity_map(d: int = 3) -> GeometryMap:
 
 
 def _row_map(map_rows, jacobian_rows) -> GeometryMap:
-    """A 3D map whose F and J_F are row functions of :func:`_eval_rows`
-    (3 and 9 rows, J_F row-major)."""
+    """A 2D map whose G and J_G are row functions of :func:`_eval_rows`
+    (2 and 4 rows, J_G row-major)."""
 
     def _jac(xi):
-        J = _eval_rows(jacobian_rows, xi, 9)
-        return J.reshape(3, 3, -1).transpose(2, 0, 1)
+        J = _eval_rows(jacobian_rows, xi, 4)
+        return J.reshape(2, 2, -1).transpose(2, 0, 1)
 
-    return GeometryMap(dim=3, _map=lambda xi: _eval_rows(map_rows, xi, 3).T,
+    return GeometryMap(dim=2, _map=lambda xi: _eval_rows(map_rows, xi, 2).T,
                        _jacobian=_jac)
 
 
-def _polar_map_rows(a, b, c):
+def _polar_map_rows(a, b):
     r = 1.0 + a
     s, co = _sincos(np.pi / 2 * b)
-    return r * co, r * s, c
+    return r * co, r * s
 
 
-def _polar_jacobian_rows(a, b, _):
+def _polar_jacobian_rows(a, b):
     r = 1.0 + a
     s, c = _sincos(np.pi / 2 * b)
-    return c, -np.pi / 2 * r * s, 0.0, s, np.pi / 2 * r * c, 0.0, 0.0, 0.0, 1.0
+    return c, -np.pi / 2 * r * s, s, np.pi / 2 * r * c
 
 
 def quarter_ring_map() -> GeometryMap:
     """Thick quarter ring: F(xi) = ((1+xi1) cos(pi xi2 / 2), (1+xi1) sin(pi xi2 / 2), xi3).
 
-    det J_F = (pi/2) (1 + xi1) > 0 on [0,1]^3.
+    An extrusion (:func:`extrude`); det J_F = (pi/2) (1 + xi1) > 0 on [0,1]^3.
     """
-    return _row_map(_polar_map_rows, _polar_jacobian_rows)
+    return extrude(_row_map(_polar_map_rows, _polar_jacobian_rows))
 
 
 def _arc(b):
@@ -191,20 +239,20 @@ def _arc(b):
     return nx, bb + q, nx + bb
 
 
-def _ring_map_rows(a, b, c):
+def _ring_map_rows(a, b):
     nx, ny, w = _arc(b)
     r = (1 + a) / w
-    return nx * r, ny * r, c
+    return nx * r, ny * r
 
 
-def _ring_jacobian_rows(a, b, c):
+def _ring_jacobian_rows(a, b):
     # the arc point (cx, cy) is a unit vector turning at angular speed
     # sqrt(2) / w, so d(cx, cy)/db = sqrt(2) / w * (-cy, cx)
     nx, ny, w = _arc(b)
     inv = 1 / w
     cx, cy = nx * inv, ny * inv
     speed = np.sqrt(2) * (1 + a) * inv
-    return cx, -speed * cy, 0.0, cy, speed * cx, 0.0, 0.0, 0.0, 1.0
+    return cx, -speed * cy, cy, speed * cx
 
 
 def quarter_ring_rational_map() -> GeometryMap:
@@ -218,7 +266,7 @@ def quarter_ring_rational_map() -> GeometryMap:
     is the one the benchmark reproduction targets.
 
     F(a, b, c) = ((1+a) cx(b), (1+a) cy(b), c) with the arc (cx, cy) of
-    :func:`_arc`; every Jacobian entry depends on b alone, up to the
-    factor (1+a), and the third row and column are e_3.
+    :func:`_arc`, an extrusion (:func:`extrude`); every Jacobian entry
+    depends on b alone, up to the factor (1+a).
     """
-    return _row_map(_ring_map_rows, _ring_jacobian_rows)
+    return extrude(_row_map(_ring_map_rows, _ring_jacobian_rows))

@@ -125,7 +125,12 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
     ``gauss_pts`` points per span and direction (default p+2); the L2 sums
     are the value part of the H1 sums.  Per slab of
     :func:`~igamf.kron.grid_slabs`, u_h and its parametric gradient are
-    Kronecker contractions; the pointwise work runs per ``_ROW_CHUNK`` points.
+    Kronecker contractions; the pointwise work runs per chunk of at most
+    ``_ROW_CHUNK`` points.  On an extrusion
+    (:func:`~igamf.geometry.extrude`), det J_F, cof / det and F are
+    evaluated once per point of the grid's (xi_1, ..., xi_{d-1}) plane and
+    reused for every xi_d layer (:func:`_plane_values`); any other map is
+    pulled back and evaluated at every Gauss point.
     """
     u_coeffs = np.asarray(u_coeffs, dtype=float).ravel()
     if u_coeffs.size != space.n_dofs:
@@ -146,6 +151,7 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
     pts, wts, B = zip(*map_distinct(factors, space.knotvectors))
     # the banded factors of all but the last direction serve every slab
     lower = map_distinct(lambda Bl: [banded(f) for f in Bl], B[:-1])
+    plane = None if geom.planar is None else _plane_values(geom, pts, wts)
     sums = np.zeros(4)
     for s in grid_slabs([len(q) for q in pts]):
         B0_s, B1_s = ([f[b] for f in lower] + [banded(B[-1][b][s])]
@@ -153,31 +159,106 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
         uh = kron_apply(B0_s, u_coeffs)
         grad_xi = [kron_apply([(B1_s if l == b else B0_s)[l] for l in range(d)],
                               u_coeffs) for b in range(d)]
-        xi = slab_grid(pts, s).T
-        # weight products with direction 1 fastest, as in slab_grid
-        w = functools.reduce(lambda acc, q: np.multiply.outer(q, acc),
-                             list(wts[:-1]) + [wts[-1][s]]).ravel()
-        for c0 in range(0, len(w), _ROW_CHUNK):
-            c = slice(c0, c0 + _ROW_CHUNK)
-            det, cof = pullback(geom, xi[c])
-            grad_h = np.empty((d, len(det)))
-            for i, gi in enumerate(grad_h):
-                # component i of J_F^-T grad u_h = cof grad / det
-                np.multiply(cof[:, i, 0], grad_xi[0][c], out=gi)
-                for j in range(1, d):
-                    gi += cof[:, i, j] * grad_xi[j][c]
-                gi /= det
-            measure = w[c] * det
-            ue, ge = case.u_grad(geom.evaluate(xi[c]))
-            l2_err2 = measure @ (ue - uh[c])**2
-            l2_ref2 = measure @ (ue * ue)
-            sums += (l2_err2 + measure @ ((grad_h.T - ge)**2).sum(axis=1),
-                     l2_ref2 + measure @ (ge * ge).sum(axis=1),
-                     l2_err2, l2_ref2)
-            # free the chunk's arrays before the next chunk allocates its own
-            del measure, ue, ge
+        if plane is None:
+            w = _weights(list(wts[:-1]) + [wts[-1][s]])
+            sums += _pointwise_sums(geom, case, slab_grid(pts, s).T, w, uh,
+                                    grad_xi)
+        else:
+            sums += _extruded_sums(plane, case, pts[-1][s], wts[-1][s], uh,
+                                   grad_xi)
     h1_err2, h1_ref2, l2_err2, l2_ref2 = sums
     return float(np.sqrt(h1_err2 / h1_ref2)), float(np.sqrt(l2_err2 / l2_ref2))
+
+
+def _weights(per_dir):
+    """Tensor products of per-direction weights, direction 1 fastest as in
+    :func:`~igamf.kron.slab_grid`."""
+    return functools.reduce(lambda acc, q: np.multiply.outer(q, acc),
+                            per_dir).ravel()
+
+
+def _chunk_sums(case, measure, uh, grad_h, x):
+    """The chunk's (H1 error, H1 reference, L2 error, L2 reference) sums
+    from the measure, u_h and its physical gradient (d, npts) at the
+    physical points x."""
+    ue, ge = case.u_grad(x)
+    l2_err2 = measure @ (ue - uh)**2
+    l2_ref2 = measure @ (ue * ue)
+    return (l2_err2 + measure @ ((grad_h.T - ge)**2).sum(axis=1),
+            l2_ref2 + measure @ (ge * ge).sum(axis=1), l2_err2, l2_ref2)
+
+
+def _pointwise_sums(geom, case, xi, w, uh, grad_xi):
+    """Sums of :func:`_chunk_sums` over a slab's points xi with weights w,
+    pulling back and evaluating ``geom`` at every point."""
+    d = xi.shape[1]
+    sums = np.zeros(4)
+    for c0 in range(0, len(w), _ROW_CHUNK):
+        c = slice(c0, c0 + _ROW_CHUNK)
+        det, cof = pullback(geom, xi[c])
+        grad_h = np.empty((d, len(det)))
+        for i, gi in enumerate(grad_h):
+            # component i of J_F^-T grad u_h = cof grad / det
+            np.multiply(cof[:, i, 0], grad_xi[0][c], out=gi)
+            for j in range(1, d):
+                gi += cof[:, i, j] * grad_xi[j][c]
+            gi /= det
+        # the measure and F are arguments only, freed before the next chunk
+        sums += _chunk_sums(case, w[c] * det, uh[c], grad_h,
+                            geom.evaluate(xi[c]))
+    return sums
+
+
+def _plane_values(geom, pts, wts):
+    """An extrusion's geometry on the Gauss grid's (xi_1, ..., xi_{d-1})
+    plane, which serves every xi_d layer: the plane weights times det J_F,
+    the entries cof_ij / det J_F of the planar block (i, j < d - 1) and
+    the planar coordinates G as rows.
+
+    They are evaluated on the grid's first layer, so a degenerate point is
+    reported, with its full parametric point, where the grid meets it first.
+    """
+    xi = slab_grid(pts, slice(0, 1)).T
+    det, cof = pullback(geom, xi)
+    k = len(pts) - 1
+    inv = [[cof[:, i, j] / det for j in range(k)] for i in range(k)]
+    return _weights(wts[:-1]) * det, inv, geom.evaluate(xi)[:, :k].T
+
+
+def _extruded_sums(plane, case, t, wt, uh, grad_xi):
+    """Sums of :func:`_chunk_sums` over the slab of xi_d layers t (weights
+    wt), from the :func:`_plane_values` ``plane``: measure = wt (w det),
+    grad u_h = (cof_G / det grad_{1..d-1} u_h, d_d u_h), F = (G, t).
+
+    A chunk is whole layers when the plane has at most ``_ROW_CHUNK``
+    points, else an equal part of one layer, so it is one flat range of
+    the slab.
+    """
+    wdet, inv, G = plane
+    k, n = G.shape
+    pieces = -(-n // _ROW_CHUNK)  # chunks per layer, of equal size
+    step, layers = -(-n // pieces), max(1, _ROW_CHUNK // n)
+    sums = np.zeros(4)
+    for l0 in range(0, len(t), layers):
+        l = slice(l0, l0 + layers)
+        for p0 in range(0, n, step):
+            p = slice(p0, p0 + step)
+            shape = (len(t[l]), len(wdet[p]))
+            c = slice(l0 * n + p0, (l0 + shape[0] - 1) * n + p0 + shape[1])
+            g = [gx[c].reshape(shape) for gx in grad_xi]
+            grad_h = np.empty((k + 1,) + shape)
+            for i in range(k):
+                np.multiply(inv[i][0][p], g[0], out=grad_h[i])
+                for j in range(1, k):
+                    grad_h[i] += inv[i][j][p] * g[j]
+            grad_h[k] = g[k]
+            x = np.empty((k + 1,) + shape)
+            x[:k] = G[:, None, p]
+            x[k] = t[l, None]
+            sums += _chunk_sums(case, np.multiply.outer(wt[l], wdet[p]).ravel(),
+                                uh[c], grad_h.reshape(k + 1, -1),
+                                x.reshape(k + 1, -1).T)
+    return sums
 
 
 def h1_relative_error(space, geom, u_coeffs, case, gauss_pts=None) -> float:

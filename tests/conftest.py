@@ -33,6 +33,12 @@ def affine_map(A, b):
     return GeometryMap(dim=d, _map=_map, _jacobian=_jac)
 
 
+def not_extruded(geom):
+    """``geom`` as a plain map that declares no extrusion, so that
+    ``pullback`` and the error pass take their generic per-point paths."""
+    return GeometryMap(dim=geom.dim, _map=geom.evaluate, _jacobian=geom.jacobian)
+
+
 def point_arrays(rule):
     """A tensor rule's grid coordinates as a (d, n_points) array, direction 1
     fastest; the transpose is the (n_points, d) point array."""

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import affine_map
-from igamf import identity_map, quarter_ring_map, quarter_ring_rational_map
-from igamf.geometry import _sincos
+from conftest import affine_map, not_extruded
+from igamf import (identity_map, pullback, quarter_ring_map,
+                   quarter_ring_rational_map)
+from igamf.geometry import _ROW_CHUNK, _sincos
 
 
 def jacobian_fd(geom, xi, eps=1e-6):
@@ -96,6 +97,25 @@ class TestSimpleMaps:
     def test_affine_rejects_orientation_reversal(self):
         with pytest.raises(ValueError):
             affine_map(np.diag([-1.0, 1.0, 1.0]), np.zeros(3))
+
+
+EXTRUSIONS = [quarter_ring_map, quarter_ring_rational_map,
+              lambda: identity_map(3)]
+
+
+class TestExtrusion:
+    @pytest.mark.parametrize("make", EXTRUSIONS)
+    @pytest.mark.parametrize("layout", ["component-major", "c-order"])
+    def test_pullback_matches_generic_cofactors(self, make, layout):
+        # 2.5 chunks of points, so the planar path also runs chunk by chunk
+        geom = make()
+        assert geom.planar is not None and geom.planar.dim == 2
+        rows = np.random.default_rng(4).random((3, 5 * _ROW_CHUNK // 2))
+        xi = rows.T if layout == "component-major" else np.ascontiguousarray(rows.T)
+        det, cof = pullback(geom, xi)
+        det_g, cof_g = pullback(not_extruded(geom), xi)
+        assert np.abs(det - det_g).max() <= 1e-15 * np.abs(det_g).max()
+        assert np.abs(cof - cof_g).max() <= 1e-15 * np.abs(cof_g).max()
 
 
 class TestSincos:

@@ -7,11 +7,11 @@ from conftest import NaNEmpty, affine_map, perturbed_knots, point_arrays
 from igamf import (CostMeter, DegenerateGeometryError, GeometryMap,
                    TensorSpace, assemble_rhs, assemble_sgq,
                    assemble_wq_explicit, build_tensor_rule, coefficient_grids,
-                   cube_sine_case, gauss_tensor_rule, h1_relative_error,
-                   identity_map, kron_apply, make_uniform_knots,
-                   oscillating_case, pullback, quarter_ring_map,
-                   quarter_ring_rational_map, setup_mass, setup_stiffness,
-                   tensor_space, wq_load_vector, wq_terms)
+                   cube_sine_case, extrude, gauss_tensor_rule,
+                   h1_relative_error, identity_map, kron_apply,
+                   make_uniform_knots, oscillating_case, pullback,
+                   quarter_ring_map, quarter_ring_rational_map, setup_mass,
+                   setup_stiffness, tensor_space, wq_load_vector, wq_terms)
 from igamf import geometry, kron, operators
 from igamf.kron import BandedFactor, banded, contract_modes
 
@@ -163,20 +163,24 @@ class TestCoefficientGrids:
             assert np.array_equal(det[s:s + n], det_s)
             assert np.array_equal(cof[s:s + n], cof_s)
 
-    def test_pullback_reports_first_bad_point_of_later_chunk(self):
-        # det J_F <= 0 only on points n + 100 to n + 199, in the second chunk
+    @pytest.mark.parametrize("extruded", [False, True])
+    def test_pullback_reports_first_bad_point_of_later_chunk(self, extruded):
+        # det J_F <= 0 only on points n + 100 to n + 199, in the second
+        # chunk; an extrusion reports the point with its xi_3 too
         n = geometry._ROW_CHUNK
         N = 5 * n // 2
         xi = np.random.default_rng(2).random((N, 3))
         xi[:, 0] = np.arange(N) / N
 
         def jacobian(x):
-            J = np.broadcast_to(np.eye(3), (len(x), 3, 3)).copy()
+            d = x.shape[1]
+            J = np.broadcast_to(np.eye(d), (len(x), d, d)).copy()
             bad = (x[:, 0] >= (n + 100) / N) & (x[:, 0] < (n + 200) / N)
-            J[bad, 2, 2] = -1.0
+            J[bad, 1, 1] = -1.0
             return J
 
-        geom = GeometryMap(dim=3, _map=None, _jacobian=jacobian)
+        geom = (extrude(GeometryMap(dim=2, _map=None, _jacobian=jacobian))
+                if extruded else GeometryMap(dim=3, _map=None, _jacobian=jacobian))
         with pytest.raises(DegenerateGeometryError) as err:
             pullback(geom, xi)
         assert err.value.point == tuple(xi[n + 100])

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import not_extruded
 from igamf import (QUARTER_RING_H1_REFERENCE, TensorSpace, assemble_rhs,
                    assemble_sgq, bicgstab, build_tensor_rule, cg,
                    cube_sine_case, FDPreconditioner, h1_relative_error,
@@ -12,6 +13,7 @@ from igamf import (QUARTER_RING_H1_REFERENCE, TensorSpace, assemble_rhs,
                    relative_errors, setup_stiffness, tensor_space,
                    wq_load_vector)
 from igamf import kron, problems
+from igamf.cli import _GEOMETRIES
 from igamf.splines import collocation_matrix
 
 
@@ -200,9 +202,14 @@ class TestErrorNorms:
         assert h1 == pytest.approx(
             np.sqrt((err2 + semi_err2) / (ref2 + semi_ref2)), rel=1e-13)
 
-    def test_slab_invariance(self, monkeypatch):
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_slab_invariance(self, monkeypatch, wrapped):
+        # on the extrusion (one pullback per plane point) and on the same
+        # map wrapped as a generic one (one pullback per Gauss point)
         space = tensor_space(2, 4, 3)
         geom = quarter_ring_rational_map()
+        if wrapped:
+            geom = not_extruded(geom)
         x = np.random.default_rng(0).standard_normal(space.n_dofs)
         case = oscillating_case()
         h1, l2 = relative_errors(space, geom, x, case)
@@ -212,6 +219,25 @@ class TestErrorNorms:
         h1_s, l2_s = relative_errors(space, geom, x, case)
         assert h1_s == pytest.approx(h1, rel=1e-13)
         assert l2_s == pytest.approx(l2, rel=1e-13)
+
+    @pytest.mark.parametrize("geometry", ["ring", "ring-polar", "cube"])
+    @pytest.mark.parametrize("p, n_el", [(3, 4), (8, 2)])
+    @pytest.mark.parametrize("chunk", [None, 150])
+    def test_extruded_pass_matches_pointwise_pass(self, monkeypatch, geometry,
+                                                  p, n_el, chunk):
+        # the plane-once pass against the per-point pass on the same map;
+        # a 150-point chunk cuts each plane (12^2 or 20^2 points) into
+        # parts of a layer, the default one takes whole layers
+        geom, case = (make() for make in _GEOMETRIES[geometry])
+        assert geom.planar is not None
+        space = tensor_space(p, n_el, 3)
+        x = np.random.default_rng(p).standard_normal(space.n_dofs)
+        if chunk is not None:
+            monkeypatch.setattr(problems, "_ROW_CHUNK", chunk)
+        h1, l2 = relative_errors(space, geom, x, case)
+        h1_g, l2_g = relative_errors(space, not_extruded(geom), x, case)
+        assert h1 == pytest.approx(h1_g, rel=1e-12)
+        assert l2 == pytest.approx(l2_g, rel=1e-12)
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_one_gauss_factor_set_per_distinct_knot_vector(self, monkeypatch,
@@ -244,9 +270,10 @@ class TestErrorNorms:
         assert len(band) == 2 * n_lower + 2
 
     def test_peak_memory_tracks_slab(self):
-        # the pass keeps about 12 slab-sized float64 arrays alive at once;
-        # at p=3 on 16^3 elements the 80^3-point grid is two slabs.  The
-        # next test holds the chunked pointwise work to a tighter bound
+        # the pass peaks at 7.3 slab-sized float64 arrays on the ring (an
+        # extrusion; 10.6 on the same map wrapped as a generic one); at p=3
+        # on 16^3 elements the 80^3-point grid is two slabs.  The next test
+        # holds the chunked pointwise work to a tighter bound
         space = tensor_space(3, 16, 3)
         geom = quarter_ring_rational_map()
         x = np.random.default_rng(0).standard_normal(space.n_dofs)
@@ -261,11 +288,13 @@ class TestErrorNorms:
 
     def test_peak_memory_pointwise_work_chunked(self):
         # slab-sized arrays are only the Kronecker contractions' u_h and
-        # parametric gradient and the slab's points and weights; pullback,
-        # u_grad and the error arithmetic run in small chunks.  At p=3 on
+        # parametric gradient (on the ring, an extrusion, the slab's points
+        # and weights are never laid out); the geometry, u_grad and the
+        # error arithmetic run in small chunks.  At p=3 on
         # 32^3 elements the 160^3-point grid is 16 slabs.  The peak was
-        # measured at 11.5x, against 36x with the pointwise work done per
-        # slab, so this also fails a pass over the whole grid
+        # measured at 7.9x with the ring's geometry once per plane point
+        # (10.7x pulled back per Gauss point, 36x with the pointwise work
+        # done per slab), so this also fails a pass over the whole grid
         space = tensor_space(3, 32, 3)
         geom = quarter_ring_rational_map()
         x = np.random.default_rng(0).standard_normal(space.n_dofs)
