@@ -33,10 +33,10 @@ import scipy.sparse as sp
 #: the grids it returns, a coefficient pass keeps the slab's 3 point
 #: arrays alive; the error pass peaks at 7.3-7.9 slab-sized float64 arrays,
 #: u_h, its 3 parametric derivatives and the contractions' scratch, and at
-#: 10.6 on a map that is not an extrusion, whose slab points and weights
-#: are laid out too (tracemalloc, p=3 on 16^3 and 32^3 elements); their
-#: pointwise work runs in smaller chunks, see
-#: :func:`~igamf.geometry.pullback`).  When the error pass
+#: 7.2-7.5 on the ring wrapped as a map that is not an extrusion
+#: (tracemalloc, p=3 on 16^3 and 32^3 elements); their pointwise work
+#: runs in smaller chunks, see :func:`~igamf.geometry.pullback` and
+#: :func:`~igamf.problems.relative_errors`).  When the error pass
 #: still held 37 slab-sized arrays, the ring error pass at p=3 on 32^3
 #: elements (one BLAS thread, 2-core x86 host) took 1.3-1.8 s at 2^15 to
 #: 2^19 points per slab and 1.9-2.5 s at 2^21, and its peak RSS grew from

@@ -139,7 +139,7 @@ def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
     :class:`~igamf.geometry.DegenerateGeometryError` where det J_F <= 0.
     """
     (_, [(W, _)]), = wq_terms(rule, "mass")
-    W = [banded(w) for w in W]
+    W = map_distinct(banded, W)
     q1 = rule.n_points_per_dir[0]
     Y = np.empty((rule.n_points // q1, W[0].shape[0]))
     for q, chunk in _grid_chunks("mass", rule, geom, f):

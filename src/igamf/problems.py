@@ -53,7 +53,6 @@ class ManufacturedCase:
 
     u_grad: callable = field(repr=False)
     f: callable = field(repr=False)
-    alpha: float = 0.0
     reference_h1_errors: dict = field(default_factory=dict, repr=False)
 
 
@@ -69,8 +68,7 @@ def _case(u_grad_rows, f_rows, reference):
     def f(x):
         return _eval_rows(f_rows, np.atleast_2d(x), 1)[0]
 
-    return ManufacturedCase(u_grad=u_grad, f=f, alpha=0.0,
-                            reference_h1_errors=reference)
+    return ManufacturedCase(u_grad=u_grad, f=f, reference_h1_errors=reference)
 
 
 def _oscillating_parts(x1, x2, x3):
@@ -125,12 +123,14 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
     ``gauss_pts`` points per span and direction (default p+2); the L2 sums
     are the value part of the H1 sums.  Per slab of
     :func:`~igamf.kron.grid_slabs`, u_h and its parametric gradient are
-    Kronecker contractions; the pointwise work runs per chunk of at most
-    ``_ROW_CHUNK`` points.  On an extrusion
-    (:func:`~igamf.geometry.extrude`), det J_F, cof / det and F are
-    evaluated once per point of the grid's (xi_1, ..., xi_{d-1}) plane and
-    reused for every xi_d layer (:func:`_plane_values`); any other map is
-    pulled back and evaluated at every Gauss point.
+    Kronecker contractions; the pointwise work (:func:`_chunk_sums`) runs
+    per chunk of at most ``_ROW_CHUNK`` points: whole xi_d layers when the
+    grid's (xi_1, ..., xi_{d-1}) plane has at most that many points, else
+    an equal part of one layer, so a chunk is one flat range of the slab.
+    On an extrusion (:func:`~igamf.geometry.extrude`), det J_F, cof / det
+    and F are evaluated once per plane point and reused for every layer
+    (:func:`_plane_values`); any other map is pulled back and evaluated
+    on each chunk's points.
     """
     u_coeffs = np.asarray(u_coeffs, dtype=float).ravel()
     if u_coeffs.size != space.n_dofs:
@@ -151,7 +151,10 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
     pts, wts, B = zip(*map_distinct(factors, space.knotvectors))
     # the banded factors of all but the last direction serve every slab
     lower = map_distinct(lambda Bl: [banded(f) for f in Bl], B[:-1])
-    plane = None if geom.planar is None else _plane_values(geom, pts, wts)
+    plane = _plane_values(geom, pts, wts)
+    n = len(plane[0])
+    pieces = -(-n // _ROW_CHUNK)  # chunks per layer, of equal size
+    step, layers = -(-n // pieces), max(1, _ROW_CHUNK // n)
     sums = np.zeros(4)
     for s in grid_slabs([len(q) for q in pts]):
         B0_s, B1_s = ([f[b] for f in lower] + [banded(B[-1][b][s])]
@@ -159,106 +162,82 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
         uh = kron_apply(B0_s, u_coeffs)
         grad_xi = [kron_apply([(B1_s if l == b else B0_s)[l] for l in range(d)],
                               u_coeffs) for b in range(d)]
-        if plane is None:
-            w = _weights(list(wts[:-1]) + [wts[-1][s]])
-            sums += _pointwise_sums(geom, case, slab_grid(pts, s).T, w, uh,
-                                    grad_xi)
-        else:
-            sums += _extruded_sums(plane, case, pts[-1][s], wts[-1][s], uh,
-                                   grad_xi)
+        t, wt = pts[-1][s], wts[-1][s]
+        # per-slab totals first; another order moves h1 by an ulp
+        slab = np.zeros(4)
+        for l0 in range(0, len(t), layers):
+            l = slice(l0, l0 + layers)
+            for p0 in range(0, n, step):
+                p = slice(p0, min(p0 + step, n))
+                c = slice(l0 * n + p0, (l0 + len(t[l]) - 1) * n + p.stop)
+                slab += _chunk_sums(geom, plane, case, t[l], wt[l], p, uh[c],
+                                    [gx[c] for gx in grad_xi])
+        sums += slab
     h1_err2, h1_ref2, l2_err2, l2_ref2 = sums
     return float(np.sqrt(h1_err2 / h1_ref2)), float(np.sqrt(l2_err2 / l2_ref2))
 
 
-def _weights(per_dir):
-    """Tensor products of per-direction weights, direction 1 fastest as in
-    :func:`~igamf.kron.slab_grid`."""
-    return functools.reduce(lambda acc, q: np.multiply.outer(q, acc),
-                            per_dir).ravel()
+def _plane_values(geom, pts, wts):
+    """The Gauss grid's (xi_1, ..., xi_{d-1}) plane, which serves every
+    xi_d layer: ``(w, inv, rows)`` with the plane weights w and the
+    coordinate rows (d-1, n_plane).  On an extrusion, w carries the factor
+    det J_F, inv holds the entries cof_ij / det J_F of the planar block
+    (i, j < d - 1) and the rows are G; on any other map, inv is None.
+
+    An extrusion is pulled back on the grid's first layer, so a degenerate
+    point is reported, with its full parametric point, where the grid meets
+    it first.
+    """
+    xi = slab_grid(pts, slice(0, 1)).T
+    k = len(pts) - 1
+    w = functools.reduce(lambda acc, q: np.multiply.outer(q, acc), wts[:-1],
+                         np.ones(1)).ravel()
+    if geom.planar is None:
+        return w, None, xi[:, :k].T
+    det, cof = pullback(geom, xi)
+    inv = cof.transpose(1, 2, 0)[:k, :k] / det
+    return w * det, inv, geom.evaluate(xi)[:, :k].T
 
 
-def _chunk_sums(case, measure, uh, grad_h, x):
-    """The chunk's (H1 error, H1 reference, L2 error, L2 reference) sums
-    from the measure, u_h and its physical gradient (d, npts) at the
-    physical points x."""
+def _chunk_sums(geom, plane, case, t, wt, p, uh, grad_xi):
+    """The (H1 error, H1 reference, L2 error, L2 reference) sums over the
+    chunk of layers t (weights wt) and points p of the
+    :func:`_plane_values` ``plane``, from u_h and its parametric gradient
+    there: measure = wt (w det J_F), grad u_h = cof / det J_F grad_xi u_h
+    and x = F(xi).  On an extrusion these take the plane's values:
+    cof / det = blockdiag(inv, 1) and x = (G, t); any other map is pulled
+    back and evaluated at the chunk's points xi = (plane point, t).
+    """
+    w, inv, rows = plane
+    d = len(rows) + 1
+    shape = (len(t), len(w[p]))
+    x = np.empty((d,) + shape)
+    x[:-1] = rows[:, None, p]
+    x[-1] = t[:, None]
+    x = x.reshape(d, -1).T
+    measure = np.multiply.outer(wt, w[p]).ravel()
+    if inv is None:
+        det, cof = pullback(geom, x)
+        measure *= det
+        inv = cof.transpose(1, 2, 0).reshape((d, d) + shape)
+        inv /= det.reshape(shape)
+        x = geom.evaluate(x)
+    else:
+        inv = inv[..., p]
+    g = [gx.reshape(shape) for gx in grad_xi]
+    grad_h = np.empty((d,) + shape)
+    for i, row in enumerate(inv):
+        np.multiply(row[0], g[0], out=grad_h[i])
+        for j in range(1, len(row)):
+            grad_h[i] += row[j] * g[j]
+    for i in range(len(inv), d):
+        grad_h[i] = g[i]
+    grad_h = grad_h.reshape(d, -1)
     ue, ge = case.u_grad(x)
     l2_err2 = measure @ (ue - uh)**2
     l2_ref2 = measure @ (ue * ue)
     return (l2_err2 + measure @ ((grad_h.T - ge)**2).sum(axis=1),
             l2_ref2 + measure @ (ge * ge).sum(axis=1), l2_err2, l2_ref2)
-
-
-def _pointwise_sums(geom, case, xi, w, uh, grad_xi):
-    """Sums of :func:`_chunk_sums` over a slab's points xi with weights w,
-    pulling back and evaluating ``geom`` at every point."""
-    d = xi.shape[1]
-    sums = np.zeros(4)
-    for c0 in range(0, len(w), _ROW_CHUNK):
-        c = slice(c0, c0 + _ROW_CHUNK)
-        det, cof = pullback(geom, xi[c])
-        grad_h = np.empty((d, len(det)))
-        for i, gi in enumerate(grad_h):
-            # component i of J_F^-T grad u_h = cof grad / det
-            np.multiply(cof[:, i, 0], grad_xi[0][c], out=gi)
-            for j in range(1, d):
-                gi += cof[:, i, j] * grad_xi[j][c]
-            gi /= det
-        # the measure and F are arguments only, freed before the next chunk
-        sums += _chunk_sums(case, w[c] * det, uh[c], grad_h,
-                            geom.evaluate(xi[c]))
-    return sums
-
-
-def _plane_values(geom, pts, wts):
-    """An extrusion's geometry on the Gauss grid's (xi_1, ..., xi_{d-1})
-    plane, which serves every xi_d layer: the plane weights times det J_F,
-    the entries cof_ij / det J_F of the planar block (i, j < d - 1) and
-    the planar coordinates G as rows.
-
-    They are evaluated on the grid's first layer, so a degenerate point is
-    reported, with its full parametric point, where the grid meets it first.
-    """
-    xi = slab_grid(pts, slice(0, 1)).T
-    det, cof = pullback(geom, xi)
-    k = len(pts) - 1
-    inv = [[cof[:, i, j] / det for j in range(k)] for i in range(k)]
-    return _weights(wts[:-1]) * det, inv, geom.evaluate(xi)[:, :k].T
-
-
-def _extruded_sums(plane, case, t, wt, uh, grad_xi):
-    """Sums of :func:`_chunk_sums` over the slab of xi_d layers t (weights
-    wt), from the :func:`_plane_values` ``plane``: measure = wt (w det),
-    grad u_h = (cof_G / det grad_{1..d-1} u_h, d_d u_h), F = (G, t).
-
-    A chunk is whole layers when the plane has at most ``_ROW_CHUNK``
-    points, else an equal part of one layer, so it is one flat range of
-    the slab.
-    """
-    wdet, inv, G = plane
-    k, n = G.shape
-    pieces = -(-n // _ROW_CHUNK)  # chunks per layer, of equal size
-    step, layers = -(-n // pieces), max(1, _ROW_CHUNK // n)
-    sums = np.zeros(4)
-    for l0 in range(0, len(t), layers):
-        l = slice(l0, l0 + layers)
-        for p0 in range(0, n, step):
-            p = slice(p0, p0 + step)
-            shape = (len(t[l]), len(wdet[p]))
-            c = slice(l0 * n + p0, (l0 + shape[0] - 1) * n + p0 + shape[1])
-            g = [gx[c].reshape(shape) for gx in grad_xi]
-            grad_h = np.empty((k + 1,) + shape)
-            for i in range(k):
-                np.multiply(inv[i][0][p], g[0], out=grad_h[i])
-                for j in range(1, k):
-                    grad_h[i] += inv[i][j][p] * g[j]
-            grad_h[k] = g[k]
-            x = np.empty((k + 1,) + shape)
-            x[:k] = G[:, None, p]
-            x[k] = t[l, None]
-            sums += _chunk_sums(case, np.multiply.outer(wt[l], wdet[p]).ravel(),
-                                uh[c], grad_h.reshape(k + 1, -1),
-                                x.reshape(k + 1, -1).T)
-    return sums
 
 
 def h1_relative_error(space, geom, u_coeffs, case, gauss_pts=None) -> float:

@@ -35,7 +35,7 @@ def affine_map(A, b):
 
 def not_extruded(geom):
     """``geom`` as a plain map that declares no extrusion, so that
-    ``pullback`` and the error pass take their generic per-point paths."""
+    ``pullback`` and the error pass evaluate it at every point."""
     return GeometryMap(dim=geom.dim, _map=geom.evaluate, _jacobian=geom.jacobian)
 
 

@@ -264,6 +264,27 @@ class TestWQLoadVector:
                               grid)
         assert np.abs(b - default).max() <= 1e-15 * np.abs(default).max()
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_one_conversion_per_distinct_factor(self, monkeypatch, shared):
+        # the directions of an isotropic space share one W^(0,0) object,
+        # converted to a banded factor once; three knot vectors, three times
+        converted = []
+
+        def counting(f):
+            converted.append(f)
+            return banded(f)
+
+        monkeypatch.setattr(operators, "banded", counting)
+        if shared:
+            space, n_distinct = tensor_space(2, 4), 1
+        else:
+            kvs = tuple(make_uniform_knots(2, 4 + l) for l in range(3))
+            space, n_distinct = TensorSpace(kvs), 3
+        rule = build_tensor_rule(space)
+        b = wq_load_vector(rule, quarter_ring_map(), oscillating_case().f)
+        assert len(converted) == n_distinct
+        assert b.shape == (space.n_dofs,)
+
     @pytest.mark.parametrize("gauss", [False, True], ids=["wq", "gauss"])
     def test_peak_is_buffer_plus_chunk_scratch(self, gauss):
         # the (Q_2 Q_3, N_1) buffer of the direction-1 mode (twice: the next

@@ -3,12 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import not_extruded
+from conftest import affine_map, not_extruded
 from igamf import (QUARTER_RING_H1_REFERENCE, TensorSpace, assemble_rhs,
                    assemble_sgq, bicgstab, build_tensor_rule, cg,
-                   cube_sine_case, FDPreconditioner, h1_relative_error,
-                   identity_map, l2_relative_error, make_uniform_knots,
-                   oscillating_case,
+                   cube_sine_case, extrude, FDPreconditioner,
+                   h1_relative_error, identity_map, l2_relative_error,
+                   make_uniform_knots, oscillating_case,
                    quarter_ring_map, quarter_ring_rational_map,
                    relative_errors, setup_stiffness, tensor_space,
                    wq_load_vector)
@@ -54,7 +54,7 @@ class TestOscillatingCase:
             e = np.zeros(3)
             e[d] = h
             lap += (u(x + e) - 2 * u(x) + u(x - e)) / h**2
-        f_fd = -lap + case.alpha * u(x)
+        f_fd = -lap
         f = case.f(x)
         assert np.abs(f - f_fd).max() <= 1e-5 * max(1.0, np.abs(f).max())
 
@@ -77,26 +77,26 @@ class TestOscillatingCase:
 
 class TestErrorNorms:
     @staticmethod
-    def in_space_case(space):
-        """A tensor-product polynomial lying in V_h with zero boundary trace."""
+    def in_space_case():
+        """prod_l x_l (1 - x_l) in any dimension: on the identity map of a
+        space of degree >= 2, a function of V_h with zero boundary trace."""
 
         def u_grad(x):
             x = np.atleast_2d(x)
             full = np.prod(x * (1 - x), axis=1)
-            out = np.empty((len(x), 3))
-            for d in range(3):
-                fac = x[:, d] * (1 - x[:, d])
-                deriv = 1 - 2 * x[:, d]
+            out = np.empty(x.shape)
+            for l in range(x.shape[1]):
+                fac = x[:, l] * (1 - x[:, l])
+                deriv = 1 - 2 * x[:, l]
                 with np.errstate(invalid="ignore", divide="ignore"):
                     other = np.where(fac > 0, full / fac,
-                                     np.prod(np.delete(x * (1 - x), d, axis=1),
+                                     np.prod(np.delete(x * (1 - x), l, axis=1),
                                              axis=1))
-                out[:, d] = deriv * other
+                out[:, l] = deriv * other
             return full, out
 
         case = cube_sine_case()
-        return type(case)(u_grad=u_grad, f=case.f,
-                          alpha=0.0, reference_h1_errors={})
+        return type(case)(u_grad=u_grad, f=case.f, reference_h1_errors={})
 
     @staticmethod
     def interpolate_tensor_poly(space):
@@ -110,7 +110,7 @@ class TestErrorNorms:
     def test_in_space_function_has_tiny_error(self):
         space = tensor_space(2, 4, 3)
         coeffs = self.interpolate_tensor_poly(space)
-        case = self.in_space_case(space)
+        case = self.in_space_case()
         geom = identity_map(3)
         assert h1_relative_error(space, geom, coeffs, case) <= 1e-11
         assert l2_relative_error(space, geom, coeffs, case) <= 1e-12
@@ -151,7 +151,8 @@ class TestErrorNorms:
         """Squared L2 norms and H1 seminorms of u - u_h and of u, summed
         over one whole tensor Gauss grid with dense collocation,
         np.linalg.det and solve: (L2 error, L2 reference, seminorm error,
-        seminorm reference)."""
+        seminorm reference).  Any dimension d."""
+        d = space.dim
         nodes, weights = np.polynomial.legendre.leggauss(pts_per_span)
         pts, wts, B0, B1 = [], [], [], []
         for kv in space.knotvectors:
@@ -166,14 +167,19 @@ class TestErrorNorms:
         xi = np.stack([g.ravel() for g in
                        reversed(np.meshgrid(*reversed(pts), indexing="ij"))],
                       axis=1)
-        w = np.einsum("c,b,a->cba", *reversed(wts)).ravel()
+        w = np.prod(np.meshgrid(*reversed(wts), indexing="ij"), axis=0).ravel()
 
         def field(F):
-            return np.einsum("ck,bj,ai,kji->cba", F[2], F[1], F[0], U).ravel()
+            # contract the fastest remaining direction; its grid axis goes
+            # first, so direction d ends up slowest
+            V = U
+            for Fl in F:
+                V = np.tensordot(Fl, V, axes=([1], [-1]))
+            return V.ravel()
 
         uh = field(B0)
         grad_xi = np.stack([field([(B1 if l == m else B0)[l]
-                                   for l in range(3)]) for m in range(3)],
+                                   for l in range(d)]) for m in range(d)],
                            axis=1)
         J = geom.jacobian(xi)
         grad_h = np.linalg.solve(np.swapaxes(J, 1, 2), grad_xi[:, :, None])[:, :, 0]
@@ -202,10 +208,28 @@ class TestErrorNorms:
         assert h1 == pytest.approx(
             np.sqrt((err2 + semi_err2) / (ref2 + semi_ref2)), rel=1e-13)
 
+    @pytest.mark.parametrize("geom", [
+        identity_map(1), identity_map(2),
+        affine_map([[1.3, 0.4], [-0.2, 0.8]], [0.5, -1.0]),
+        extrude(identity_map(1))], ids=["line", "square", "affine-2d",
+                                        "extruded-2d"])
+    def test_low_dimensions_match_dense_sums(self, geom):
+        # d = 1 has an empty (xi_1, ..., xi_{d-1}) plane of one point; the
+        # 2D extrusion pulls back a 1D planar map
+        space = tensor_space(3, 5, geom.dim)
+        x = np.random.default_rng(geom.dim).standard_normal(space.n_dofs)
+        case = self.in_space_case()
+        h1, l2 = relative_errors(space, geom, x, case)
+        err2, ref2, semi_err2, semi_ref2 = self.norm_sums(space, geom, x,
+                                                          case, 5)
+        assert l2 == pytest.approx(np.sqrt(err2 / ref2), rel=1e-12)
+        assert h1 == pytest.approx(
+            np.sqrt((err2 + semi_err2) / (ref2 + semi_ref2)), rel=1e-12)
+
     @pytest.mark.parametrize("wrapped", [False, True])
     def test_slab_invariance(self, monkeypatch, wrapped):
         # on the extrusion (one pullback per plane point) and on the same
-        # map wrapped as a generic one (one pullback per Gauss point)
+        # map wrapped as a generic one (pulled back per chunk)
         space = tensor_space(2, 4, 3)
         geom = quarter_ring_rational_map()
         if wrapped:
@@ -225,9 +249,10 @@ class TestErrorNorms:
     @pytest.mark.parametrize("chunk", [None, 150])
     def test_extruded_pass_matches_pointwise_pass(self, monkeypatch, geometry,
                                                   p, n_el, chunk):
-        # the plane-once pass against the per-point pass on the same map;
-        # a 150-point chunk cuts each plane (12^2 or 20^2 points) into
-        # parts of a layer, the default one takes whole layers
+        # the plane-once geometry against the same map wrapped as a
+        # generic one, pulled back at every point; both walk the same
+        # chunks: a 150-point chunk cuts each plane (12^2 or 20^2 points)
+        # into parts of a layer, the default one takes whole layers
         geom, case = (make() for make in _GEOMETRIES[geometry])
         assert geom.planar is not None
         space = tensor_space(p, n_el, 3)
@@ -271,7 +296,7 @@ class TestErrorNorms:
 
     def test_peak_memory_tracks_slab(self):
         # the pass peaks at 7.3 slab-sized float64 arrays on the ring (an
-        # extrusion; 10.6 on the same map wrapped as a generic one); at p=3
+        # extrusion; 7.2 on the same map wrapped as a generic one); at p=3
         # on 16^3 elements the 80^3-point grid is two slabs.  The next test
         # holds the chunked pointwise work to a tighter bound
         space = tensor_space(3, 16, 3)
@@ -286,17 +311,21 @@ class TestErrorNorms:
             tracemalloc.stop()
         assert peak <= 48 * 8 * kron.SLAB_POINTS
 
-    def test_peak_memory_pointwise_work_chunked(self):
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_peak_memory_pointwise_work_chunked(self, wrapped):
         # slab-sized arrays are only the Kronecker contractions' u_h and
-        # parametric gradient (on the ring, an extrusion, the slab's points
-        # and weights are never laid out); the geometry, u_grad and the
-        # error arithmetic run in small chunks.  At p=3 on
-        # 32^3 elements the 160^3-point grid is 16 slabs.  The peak was
-        # measured at 7.9x with the ring's geometry once per plane point
-        # (10.7x pulled back per Gauss point, 36x with the pointwise work
-        # done per slab), so this also fails a pass over the whole grid
+        # parametric gradient (a slab's points and weights are never laid
+        # out); the geometry, u_grad and the error arithmetic run in small
+        # chunks.  At p=3 on 32^3 elements the 160^3-point grid is 16
+        # slabs.  The peak was measured at 7.9x with the ring's geometry
+        # once per plane point and 7.5x on the ring wrapped as a generic
+        # map, pulled back per chunk (10.7x when a generic map's slab
+        # points were laid out, 36x with the pointwise work done per slab),
+        # so this also fails a pass over the whole grid
         space = tensor_space(3, 32, 3)
         geom = quarter_ring_rational_map()
+        if wrapped:
+            geom = not_extruded(geom)
         x = np.random.default_rng(0).standard_normal(space.n_dofs)
         case = oscillating_case()
         tracemalloc.start()
