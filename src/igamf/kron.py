@@ -6,11 +6,11 @@ A^(1), ..., A^(d) in direction order; the operator is A^(d) x ... x A^(1)
 under the convention that direction 1 is the fastest-running index.
 :func:`kron_apply` contracts one mode at a time, starting from direction d,
 and never forms the full matrix; :func:`kron_materialize` forms it, as an
-oracle.  :func:`grid_slabs` cuts a tensor point grid into slabs of
-:data:`SLAB_POINTS` points and :func:`slab_grid` lays out one slab; every
-pass that evaluates fields on a tensor grid (coefficient grids, the load
-vector, error norms) runs slab by slab, so its scratch memory is a
-multiple of the slab, not of the grid.
+oracle.  :func:`grid_chunks` is the one walk over a tensor point grid:
+slabs of :data:`SLAB_POINTS` points (:func:`grid_slabs`) cut into chunks
+of xi_d layers times a part of the (xi_1, ..., xi_{d-1}) plane.  Every
+pass over a tensor grid (coefficient grids, the load vector, error norms)
+takes it, so its scratch memory is a multiple of the slab, not the grid.
 
 The apply holds every factor as a :class:`BandedFactor`: dense row blocks,
 each over the window of columns its rows touch.  A dense factor is one
@@ -35,12 +35,8 @@ import scipy.sparse as sp
 #: u_h, its 3 parametric derivatives and the contractions' scratch, and at
 #: 7.2-7.5 on the ring wrapped as a map that is not an extrusion
 #: (tracemalloc, p=3 on 16^3 and 32^3 elements); their pointwise work
-#: runs in smaller chunks, see :func:`~igamf.geometry.pullback` and
-#: :func:`~igamf.problems.relative_errors`).  When the error pass
-#: still held 37 slab-sized arrays, the ring error pass at p=3 on 32^3
-#: elements (one BLAS thread, 2-core x86 host) took 1.3-1.8 s at 2^15 to
-#: 2^19 points per slab and 1.9-2.5 s at 2^21, and its peak RSS grew from
-#: 108 MB (2^15) to 196 MB (2^18) and 689 MB (2^21)
+#: runs in the chunks of :func:`grid_chunks`, see
+#: :func:`~igamf.geometry.pullback` and :func:`~igamf.problems.relative_errors`)
 SLAB_POINTS = 2**18
 #: rows per dense block of a sparse factor (:func:`banded`).  Median
 #: fused stiffness apply on the rational ring at k=5 (32^3 elements, one
@@ -112,14 +108,12 @@ def banded(A) -> BandedFactor:
 
 def block_matmul(A: BandedFactor, XT, out=None) -> np.ndarray:
     """``XT @ A.T`` for a (cols, n) array ``XT``, one product per row block
-    of ``A`` into ``out`` (allocated as (cols, m) when not given)."""
+    of ``A`` into ``out`` (allocated as (cols, m) when not given); the
+    product over a block's empty window writes zeros."""
     if out is None:
         out = np.empty((XT.shape[0], A.shape[0]))
     for r0, r1, c0, c1, blockT in A.blocks:
-        if c0 == c1:
-            out[:, r0:r1] = 0.0
-        else:
-            np.matmul(XT[:, c0:c1], blockT, out=out[:, r0:r1])
+        np.matmul(XT[:, c0:c1], blockT, out=out[:, r0:r1])
     return out
 
 
@@ -156,6 +150,14 @@ def kron_flops(factors) -> int:
     return flops
 
 
+def checked_vector(x, n) -> np.ndarray:
+    """``x`` as a flat float vector of ``n`` entries, else ``ValueError``."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != n:
+        raise ValueError(f"expected a vector of length {n}, got {x.size}")
+    return x
+
+
 def kron_apply(factors, x, meter: CostMeter | None = None) -> np.ndarray:
     """Compute (A^(d) x ... x A^(1)) x by d sequential one-mode contractions.
 
@@ -165,12 +167,7 @@ def kron_apply(factors, x, meter: CostMeter | None = None) -> np.ndarray:
     are converted by :func:`banded` on entry.
     """
     factors = [banded(f) for f in factors]
-    x = np.asarray(x, dtype=float).ravel()
-    n_cols = int(np.prod([f.shape[1] for f in factors]))
-    if x.size != n_cols:
-        raise ValueError(
-            f"vector length {x.size} does not match operator columns {n_cols}"
-        )
+    x = checked_vector(x, int(np.prod([f.shape[1] for f in factors])))
     if meter is not None:
         meter.add_flops(kron_flops(factors))
     return contract_modes(factors, x)
@@ -213,18 +210,36 @@ def tensor_grid(points_per_dir):
 def grid_slabs(n_per_dir, points=None):
     """Last-direction slices cutting a tensor grid into slabs of at most
     about ``points`` points (default :data:`SLAB_POINTS`), each at least
-    one layer thick.
-
-    Slab ``s`` holds the flat grid points ``s.start * lower`` to
-    ``s.stop * lower`` (clipped to the grid), with ``lower`` the product
-    of the other directions' sizes.
-    """
+    one layer thick."""
     n_last = n_per_dir[-1]
     lower = int(np.prod(n_per_dir[:-1]))
     block = max(1, min(n_last, (points or SLAB_POINTS) // lower))
-    return [slice(start, start + block) for start in range(0, n_last, block)]
+    return [slice(start, min(start + block, n_last))
+            for start in range(0, n_last, block)]
 
 
-def slab_grid(per_dir, s):
-    """:func:`tensor_grid` of per-direction arrays, the last one cut to slab ``s``."""
-    return tensor_grid(list(per_dir[:-1]) + [per_dir[-1][s]])
+def grid_chunks(n_per_dir, points):
+    """The one walk over a tensor grid: yields ``(s, chunks)`` per slab ``s``
+    of :func:`grid_slabs`, with one ``(layers, part, flat)`` per chunk: the
+    slab's xi_d layers ``layers`` (counted from its first) times the points
+    ``part`` of the (xi_1, ..., xi_{d-1}) plane, the flat grid points
+    ``flat``.  A chunk is whole layers when the plane has at most
+    ``points`` points, else an equal part of one layer in whole direction-1
+    rows, so it exceeds ``points`` by less than one row.  In d = 1 the one
+    chunk is the whole grid, its one direction-1 row."""
+    *lower, n_last = n_per_dir
+    if not lower:
+        yield slice(0, n_last), [(slice(0, n_last), slice(0, 1), slice(0, n_last))]
+        return
+    n, q1 = int(np.prod(lower)), lower[0]
+    layers, parts = max(1, points // n), -(-n // points)  # parts per layer
+    step = -(-(n // q1) // parts) * q1  # points per part, in whole rows
+    for s in grid_slabs(n_per_dir):
+        chunks = []
+        for l0 in range(s.start, s.stop, layers):
+            l1 = min(l0 + layers, s.stop)
+            for p0 in range(0, n, step):
+                p1 = min(p0 + step, n)
+                chunks.append((slice(l0 - s.start, l1 - s.start), slice(p0, p1),
+                               slice(l0 * n + p0, (l1 - 1) * n + p1)))
+        yield s, chunks

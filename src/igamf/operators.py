@@ -14,8 +14,9 @@ mode and the first weight mode, so no quadrature-point vector is formed.
 The load vector is the mass term's weight factors alone applied to a grid
 of source values, streamed chunk by chunk (:func:`wq_load_vector`).
 Factors are restricted to the Dirichlet-interior basis.  The operators,
-the load vector and explicit assembly get a rule's grids from one chunk
-walk (:func:`_grid_chunks`).  On a Gauss rule
+the load vector and explicit assembly get a rule's grids chunk by chunk
+(:func:`_grid_chunks`), on the walk the error pass takes too
+(:func:`~igamf.kron.grid_chunks`).  On a Gauss rule
 (:func:`~igamf.wq.gauss_tensor_rule`) all of this is standard Gauss
 quadrature.
 """
@@ -24,8 +25,9 @@ import numpy as np
 
 from .geometry import _ROW_CHUNK, pullback
 from . import kron
-from .kron import (CostMeter, banded, block_matmul, contract_modes,
-                   grid_slabs, kron_flops, slab_grid)
+from .kron import (CostMeter, banded, block_matmul, checked_vector,
+                   contract_modes, grid_chunks, grid_slabs, kron_flops,
+                   tensor_grid)
 from .splines import map_distinct
 from .wq import TensorRule
 
@@ -101,29 +103,33 @@ def coefficient_grids(kind: str, geom, xi, coeff=None):
 
 
 def _grid_chunks(kind: str, rule: TensorRule, geom, coeff):
-    """Yield ``(q, grids)``: :func:`coefficient_grids` of the flat grid points
-    q to q + len(grid), whole direction-1 rows of about ``_ROW_CHUNK``
-    points, laid out per slab of :func:`~igamf.kron.grid_slabs`."""
-    pts = [r.points for r in rule.rules]
-    q1 = rule.n_points_per_dir[0]
-    lower = rule.n_points // rule.n_points_per_dir[-1]
-    step = max(1, _ROW_CHUNK // q1) * q1
-    for s in grid_slabs(rule.n_points_per_dir):
-        xi = slab_grid(pts, s).T
-        for c in range(0, len(xi), step):
-            yield (s.start * lower + c,
-                   coefficient_grids(kind, geom, xi[c:c + step], coeff))
+    """Yield ``(flat, grids)``: :func:`coefficient_grids` at the flat grid
+    points ``flat`` of each chunk of :func:`~igamf.kron.grid_chunks`.
+
+    Each slab's points are laid out whole on purpose: freeing slab-sized
+    arrays raises glibc's dynamic mmap and trim thresholds, so the stiffness
+    apply's scratch comes from the heap, not from fresh mmaps.  Laying out
+    only chunks' points made the apply 28.8 ms, not 18.3, at p=8 (18.9, not
+    11.4, at p=3): k=5 ring, medians of 30 applies over 8 processes taken
+    in turn, one BLAS thread, 2-core x86 host.
+    """
+    *lower, last = [r.points for r in rule.rules]
+    for s, chunks in grid_chunks(rule.n_points_per_dir, _ROW_CHUNK):
+        xi = tensor_grid(lower + [last[s]]).reshape(rule.dim, len(last[s]), -1)
+        for layers, part, flat in chunks:
+            points = xi[:, layers, part].reshape(rule.dim, -1).T
+            yield flat, coefficient_grids(kind, geom, points, coeff)
 
 
 def _rule_grids(kind: str, rule: TensorRule, geom, coeff):
     """:func:`coefficient_grids` over all ``rule.n_points`` points, written
     chunk by chunk (:func:`_grid_chunks`) into (n_points,) arrays."""
     grids = {}
-    for q, chunk in _grid_chunks(kind, rule, geom, coeff):
+    for flat, chunk in _grid_chunks(kind, rule, geom, coeff):
         for key, g in chunk.items():
             if key not in grids:
                 grids[key] = np.empty(rule.n_points)
-            grids[key][q:q + len(g)] = g
+            grids[key][flat] = g
     return grids
 
 
@@ -142,9 +148,9 @@ def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
     W = map_distinct(banded, W)
     q1 = rule.n_points_per_dir[0]
     Y = np.empty((rule.n_points // q1, W[0].shape[0]))
-    for q, chunk in _grid_chunks("mass", rule, geom, f):
+    for flat, chunk in _grid_chunks("mass", rule, geom, f):
         rows = chunk[None].reshape(-1, q1)
-        block_matmul(W[0], rows, Y[q // q1:q // q1 + len(rows)])
+        block_matmul(W[0], rows, Y[flat.start // q1:flat.stop // q1])
     return contract_modes(W[1:], Y).reshape(W[0].shape[0], -1).T.ravel()
 
 
@@ -152,10 +158,9 @@ class _WQOperator:
     """Term groups and stored coefficient grids of one WQ operator.
 
     ``groups`` is :func:`wq_terms` with each distinct factor converted once
-    by :func:`~igamf.kron.banded`.  ``coeffs`` holds the
-    :func:`coefficient_grids` over all ``rule.n_points`` points
-    (:func:`_rule_grids`): set-up needs the stored grids, one slab's points
-    and one chunk's scratch.
+    by :func:`~igamf.kron.banded`.  ``coeffs`` holds the grids of all
+    ``rule.n_points`` points (:func:`_rule_grids`): set-up needs them, one
+    slab's points and one chunk's scratch.
     """
 
     def __init__(self, space, rule: TensorRule, geom, kind, coeff):
@@ -175,12 +180,6 @@ class _WQOperator:
         """Stored coefficient-grid scalars."""
         return sum(g.size for g in self.coeffs.values())
 
-    def _vector(self, v):
-        v = np.asarray(v, dtype=float).ravel()
-        if v.size != self.n_dofs:
-            raise ValueError(f"expected vector of length {self.n_dofs}, got {v.size}")
-        return v
-
     def apply(self, v, meter: CostMeter | None = None) -> np.ndarray:
         """The sum over terms of W diag(c) B v, fused at the quadrature points.
 
@@ -193,7 +192,7 @@ class _WQOperator:
         term-by-term count: the :func:`~igamf.kron.kron_flops` of each B
         and W list (direction d first) plus nq + 2 n_dofs per term.
         """
-        v = self._vector(v)
+        v = checked_vector(v, self.n_dofs)
         nq = self.rule.n_points
         w = np.zeros(self.n_dofs)
         for B, pairs in self.groups:

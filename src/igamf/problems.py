@@ -15,6 +15,8 @@ sine and its cosine come from one tan(t/2) per point and direction
 (:func:`~igamf.geometry._sincos`, within 2.2e-16 absolute of numpy's
 sine and cosine).  The test suite checks the formulas against a symbolic
 derivation (with a test-only dependency) and against finite differences.
+The error norms (:func:`relative_errors`) walk a tensor Gauss grid in the
+chunks of :func:`~igamf.kron.grid_chunks`, as coefficient set-up does.
 """
 
 import functools
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import _ROW_CHUNK, _eval_rows, _sincos, pullback
-from .kron import banded, grid_slabs, kron_apply, slab_grid
+from .kron import (banded, checked_vector, grid_chunks, kron_apply,
+                   tensor_grid)
 from .splines import collocation_matrix, map_distinct
 from .wq import gauss_points_weights
 
@@ -122,21 +125,15 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
     Returns ``(h1, l2)`` from one pass over the tensor Gauss grid with
     ``gauss_pts`` points per span and direction (default p+2); the L2 sums
     are the value part of the H1 sums.  Per slab of
-    :func:`~igamf.kron.grid_slabs`, u_h and its parametric gradient are
+    :func:`~igamf.kron.grid_chunks`, u_h and its parametric gradient are
     Kronecker contractions; the pointwise work (:func:`_chunk_sums`) runs
-    per chunk of at most ``_ROW_CHUNK`` points: whole xi_d layers when the
-    grid's (xi_1, ..., xi_{d-1}) plane has at most that many points, else
-    an equal part of one layer, so a chunk is one flat range of the slab.
-    On an extrusion (:func:`~igamf.geometry.extrude`), det J_F, cof / det
-    and F are evaluated once per plane point and reused for every layer
+    per chunk of about ``_ROW_CHUNK`` points.  On an extrusion
+    (:func:`~igamf.geometry.extrude`), det J_F, cof / det and F are
+    evaluated once per plane point and reused for every layer
     (:func:`_plane_values`); any other map is pulled back and evaluated
     on each chunk's points.
     """
-    u_coeffs = np.asarray(u_coeffs, dtype=float).ravel()
-    if u_coeffs.size != space.n_dofs:
-        raise ValueError(
-            f"expected coefficient vector of length {space.n_dofs}, got {u_coeffs.size}"
-        )
+    u_coeffs = checked_vector(u_coeffs, space.n_dofs)
     if gauss_pts is None:
         gauss_pts = max(kv.degree for kv in space.knotvectors) + 2
 
@@ -152,26 +149,19 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
     # the banded factors of all but the last direction serve every slab
     lower = map_distinct(lambda Bl: [banded(f) for f in Bl], B[:-1])
     plane = _plane_values(geom, pts, wts)
-    n = len(plane[0])
-    pieces = -(-n // _ROW_CHUNK)  # chunks per layer, of equal size
-    step, layers = -(-n // pieces), max(1, _ROW_CHUNK // n)
     sums = np.zeros(4)
-    for s in grid_slabs([len(q) for q in pts]):
+    for s, chunks in grid_chunks([len(q) for q in pts], _ROW_CHUNK):
         B0_s, B1_s = ([f[b] for f in lower] + [banded(B[-1][b][s])]
                       for b in (0, 1))
-        uh = kron_apply(B0_s, u_coeffs)
-        grad_xi = [kron_apply([(B1_s if l == b else B0_s)[l] for l in range(d)],
-                              u_coeffs) for b in range(d)]
         t, wt = pts[-1][s], wts[-1][s]
+        uh = kron_apply(B0_s, u_coeffs).reshape(len(t), -1)
+        grad_xi = [kron_apply([(B1_s if l == b else B0_s)[l] for l in range(d)],
+                              u_coeffs).reshape(len(t), -1) for b in range(d)]
         # per-slab totals first; another order moves h1 by an ulp
         slab = np.zeros(4)
-        for l0 in range(0, len(t), layers):
-            l = slice(l0, l0 + layers)
-            for p0 in range(0, n, step):
-                p = slice(p0, min(p0 + step, n))
-                c = slice(l0 * n + p0, (l0 + len(t[l]) - 1) * n + p.stop)
-                slab += _chunk_sums(geom, plane, case, t[l], wt[l], p, uh[c],
-                                    [gx[c] for gx in grad_xi])
+        for l, p, _ in chunks:
+            slab += _chunk_sums(geom, plane, case, t[l], wt[l], p, uh[l, p],
+                                [gx[l, p] for gx in grad_xi])
         sums += slab
     h1_err2, h1_ref2, l2_err2, l2_ref2 = sums
     return float(np.sqrt(h1_err2 / h1_ref2)), float(np.sqrt(l2_err2 / l2_ref2))
@@ -188,7 +178,7 @@ def _plane_values(geom, pts, wts):
     point is reported, with its full parametric point, where the grid meets
     it first.
     """
-    xi = slab_grid(pts, slice(0, 1)).T
+    xi = tensor_grid(pts[:-1] + (pts[-1][:1],)).T
     k = len(pts) - 1
     w = functools.reduce(lambda acc, q: np.multiply.outer(q, acc), wts[:-1],
                          np.ones(1)).ravel()
@@ -203,14 +193,14 @@ def _chunk_sums(geom, plane, case, t, wt, p, uh, grad_xi):
     """The (H1 error, H1 reference, L2 error, L2 reference) sums over the
     chunk of layers t (weights wt) and points p of the
     :func:`_plane_values` ``plane``, from u_h and its parametric gradient
-    there: measure = wt (w det J_F), grad u_h = cof / det J_F grad_xi u_h
-    and x = F(xi).  On an extrusion these take the plane's values:
-    cof / det = blockdiag(inv, 1) and x = (G, t); any other map is pulled
-    back and evaluated at the chunk's points xi = (plane point, t).
+    there as (layer, plane point) arrays: measure = wt (w det J_F),
+    grad u_h = cof / det J_F grad_xi u_h and x = F(xi).  On an extrusion
+    these take the plane's values: cof / det = blockdiag(inv, 1) and
+    x = (G, t); any other map is pulled back and evaluated at the chunk's
+    points xi = (plane point, t).
     """
     w, inv, rows = plane
-    d = len(rows) + 1
-    shape = (len(t), len(w[p]))
+    d, shape = len(rows) + 1, uh.shape
     x = np.empty((d,) + shape)
     x[:-1] = rows[:, None, p]
     x[-1] = t[:, None]
@@ -224,17 +214,16 @@ def _chunk_sums(geom, plane, case, t, wt, p, uh, grad_xi):
         x = geom.evaluate(x)
     else:
         inv = inv[..., p]
-    g = [gx.reshape(shape) for gx in grad_xi]
     grad_h = np.empty((d,) + shape)
     for i, row in enumerate(inv):
-        np.multiply(row[0], g[0], out=grad_h[i])
+        np.multiply(row[0], grad_xi[0], out=grad_h[i])
         for j in range(1, len(row)):
-            grad_h[i] += row[j] * g[j]
+            grad_h[i] += row[j] * grad_xi[j]
     for i in range(len(inv), d):
-        grad_h[i] = g[i]
+        grad_h[i] = grad_xi[i]
     grad_h = grad_h.reshape(d, -1)
     ue, ge = case.u_grad(x)
-    l2_err2 = measure @ (ue - uh)**2
+    l2_err2 = measure @ (ue - uh.ravel())**2
     l2_ref2 = measure @ (ue * ue)
     return (l2_err2 + measure @ ((grad_h.T - ge)**2).sum(axis=1),
             l2_ref2 + measure @ (ge * ge).sum(axis=1), l2_err2, l2_ref2)

@@ -69,9 +69,6 @@ class FDPreconditioner:
         self.inv_diag = 1.0 / lam_sum.ravel()
 
     def apply(self, r, meter: CostMeter | None = None) -> np.ndarray:
-        r = np.asarray(r, dtype=float).ravel()
-        if r.size != self.n_dofs:
-            raise ValueError(f"expected vector of length {self.n_dofs}, got {r.size}")
         y = kron_apply([U.T for U in self.U], r, meter)
         y *= self.inv_diag
         if meter is not None:

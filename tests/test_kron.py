@@ -273,3 +273,44 @@ class TestTensorGrid:
         X = tensor_grid([np.array([0.0, 1.0]), np.array([10.0, 20.0])])
         pts = np.stack(X, axis=1)
         assert np.allclose(pts, [[0, 10], [1, 10], [0, 20], [1, 20]])
+
+
+class TestGridChunks:
+    @pytest.mark.parametrize("n_per_dir, points", [
+        ((50,), 16),  # d = 1: more points than `points`, one chunk
+        ((7, 40), 20),  # d = 2, rows below `points`: whole layers
+        ((30, 9), 20),  # d = 2, one row above `points`
+        ((4, 5, 23), 64),  # plane below `points`: whole layers
+        ((6, 5, 23), 12),  # anisotropic plane above `points`: plane parts
+        ((9, 9, 9), 20),  # plane parts of unequal row counts
+    ])
+    def test_covers_grid_once_in_whole_rows(self, monkeypatch, n_per_dir,
+                                            points):
+        # three layers per slab: 23, 40 and 9 layers leave a ragged slab
+        n = int(np.prod(n_per_dir[:-1]))
+        monkeypatch.setattr(igamf.kron, "SLAB_POINTS", 3 * n)
+        q1, total = n_per_dir[0], int(np.prod(n_per_dir))
+        index = np.arange(total).reshape(n_per_dir[-1], n)
+        slabs, flats = [], []
+        for s, chunks in igamf.kron.grid_chunks(n_per_dir, points):
+            slabs.append(s)
+            for layers, part, flat in chunks:
+                assert layers.stop <= s.stop - s.start
+                # the chunk's (layer, plane point) block is its flat range
+                assert np.array_equal(index[s][layers, part].ravel(),
+                                      np.arange(flat.start, flat.stop))
+                assert flat.start % q1 == 0 and flat.stop % q1 == 0
+                assert flat.stop - flat.start < points + q1
+                # whole layers, or a part of one layer
+                if n <= points:
+                    assert part == slice(0, n)
+                else:
+                    assert layers.stop - layers.start == 1
+                flats.append(flat)
+        assert [f.start for f in flats] == [0] + [f.stop for f in flats[:-1]]
+        assert flats[-1].stop == total
+        assert slabs[0].start == 0 and slabs[-1].stop == n_per_dir[-1]
+        if len(n_per_dir) == 1:
+            assert flats == [slice(0, total)]
+        else:
+            assert len(slabs) == -(-n_per_dir[-1] // 3)

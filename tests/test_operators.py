@@ -13,6 +13,7 @@ from igamf import (CostMeter, DegenerateGeometryError, GeometryMap,
                    quarter_ring_map, quarter_ring_rational_map, setup_mass,
                    setup_stiffness, tensor_space, wq_load_vector, wq_terms)
 from igamf import geometry, kron, operators
+from igamf.cli import _GEOMETRIES
 from igamf.kron import BandedFactor, banded, contract_modes
 
 
@@ -59,10 +60,19 @@ def folded_map():
 
 
 class TestCoefficientGrids:
+    @pytest.mark.parametrize("geometry", ["ring", "ring-polar", "cube"])
+    @pytest.mark.parametrize("plane_parts", [False, True])
     @pytest.mark.parametrize("p", [2, 3])
-    def test_slab_wise_setup_matches_whole_grid(self, monkeypatch, p):
-        space, rule, geom = make(p, 6, quarter_ring_rational_map())
+    def test_slab_wise_setup_matches_whole_grid(self, monkeypatch, geometry,
+                                                plane_parts, p):
+        # pointwise values do not depend on the chunks: slabs of whole
+        # layers, and with a chunk below the plane's size, parts of a layer
+        space, rule, _ = make(p, 6)
+        geom = _GEOMETRIES[geometry][0]()
         split_into_slabs(monkeypatch, rule, 8)
+        if plane_parts:
+            plane = rule.n_points // rule.n_points_per_dir[-1]
+            monkeypatch.setattr(operators, "_ROW_CHUNK", plane // 3)
         for op, kind in ((setup_stiffness(space, rule, geom), "stiffness"),
                          (setup_mass(space, rule, geom), "mass")):
             whole = coefficient_grids(kind, geom, point_arrays(rule).T)
