@@ -36,7 +36,6 @@ class MemoryGuardError(MemoryError):
 @dataclass(frozen=True)
 class AssembledMatrix:
     matrix: sp.csr_matrix = field(repr=False)
-    provenance: str
 
     @property
     def nnz(self):
@@ -52,7 +51,7 @@ def estimate_matrix_nnz(space) -> int:
     return nnz
 
 
-def _materialize(space, rule, geom, coeff, kind, nnz_guard, provenance):
+def _materialize(space, rule, geom, coeff, kind, nnz_guard):
     """Assemble the term groups of :func:`wq_terms` as a CSR matrix.
 
     As in the matrix-free apply, per group the sum of kron(W) diag(c) over
@@ -81,7 +80,7 @@ def _materialize(space, rule, geom, coeff, kind, nnz_guard, provenance):
         A = term if A is None else A + term
     A = A.tocsr()
     A.eliminate_zeros()
-    return AssembledMatrix(matrix=A, provenance=provenance)
+    return AssembledMatrix(matrix=A)
 
 
 def assemble_sgq(space, geom, coeff=None, kind="mass", gauss_pts_per_span=None,
@@ -92,7 +91,7 @@ def assemble_sgq(space, geom, coeff=None, kind="mass", gauss_pts_per_span=None,
     degree <= 2p+1 per direction.
     """
     rule = gauss_tensor_rule(space, gauss_pts_per_span)
-    return _materialize(space, rule, geom, coeff, kind, nnz_guard, "SGQ")
+    return _materialize(space, rule, geom, coeff, kind, nnz_guard)
 
 
 def assemble_wq_explicit(space, rule, geom, coeff=None, kind="mass",
@@ -102,8 +101,7 @@ def assemble_wq_explicit(space, rule, geom, coeff=None, kind="mass",
     With a WQ rule this is the weighted-quadrature matrix; with a rule of
     :func:`~igamf.wq.gauss_tensor_rule` it equals :func:`assemble_sgq`.
     """
-    return _materialize(space, rule, geom, coeff, kind, nnz_guard,
-                        "WQ-explicit")
+    return _materialize(space, rule, geom, coeff, kind, nnz_guard)
 
 
 def assemble_rhs(space, geom, f, gauss_pts_per_span=None) -> np.ndarray:

@@ -50,6 +50,8 @@ _DEFAULT_MAX_K = 6
 #: nominal flops charged per coefficient value evaluated during set-up
 #: (geometry Jacobian, cofactors and determinant), for ``setup_flops`` only
 _COEFF_EVAL_FLOPS = 60
+#: operator applications timed by ``profile``
+_PROFILE_APPLIES = 10
 
 
 class ConfigError(ValueError):
@@ -208,16 +210,16 @@ def run_solve(cfg: RunConfig) -> RunRecord:
     return rec
 
 
-def run_profile(cfg: RunConfig, n_applies: int = 10) -> RunRecord:
+def run_profile(cfg: RunConfig) -> RunRecord:
     geom, case = (make() for make in _GEOMETRIES[cfg.geometry])
     space, apply_A, _, _, rec = _setup(cfg, geom, case)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(space.n_dofs)
     apply_A(v)
     t0 = time.perf_counter()
-    for _ in range(n_applies):
+    for _ in range(_PROFILE_APPLIES):
         apply_A(v)
-    rec.solve_s = (time.perf_counter() - t0) / n_applies
+    rec.solve_s = (time.perf_counter() - t0) / _PROFILE_APPLIES
     rec.total_s = rec.setup_s + rec.solve_s
     return rec
 

@@ -7,8 +7,8 @@ extrusion in its last direction, F(xi) = (G(xi_1, ..., xi_{d-1}), xi_d)
 with J_F = blockdiag(J_G, 1): :func:`extrude` builds it from the planar
 map G, kept as ``planar``.  The 3D cube and both quarter rings are
 extrusions.  The rings' planar maps (polar coordinates and the rational
-quadratic arc) are numpy closed forms, evaluated ``_ROW_CHUNK`` points at
-a time by :func:`_eval_rows`, and parametrize the thick quarter annulus
+quadratic arc) are numpy closed forms, evaluated in chunks by
+:func:`_eval_rows`, and parametrize the thick quarter annulus
 {1 <= x1^2 + x2^2 <= 4, x1 >= 0, x2 >= 0, 0 <= x3 <= 1} exactly.
 
 Every sine and cosine of a closed form, here and in
@@ -35,10 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-#: points per call of a closed-form row function in :func:`_eval_rows` and
-#: per Jacobian evaluation in :func:`pullback`; keeps their intermediate
-#: arrays small
-_ROW_CHUNK = 2**14
+from . import kron
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -75,12 +72,14 @@ def _eval_rows(fn, xi, n_rows):
 
     ``fn`` takes the d coordinate arrays and returns ``n_rows`` value
     arrays (or scalars).  Returns (n_rows, npts) storage, filled
-    ``_ROW_CHUNK`` points at a time; constant entries are broadcast.
+    :data:`~igamf.kron.CHUNK_POINTS` points at a time; constant entries
+    are broadcast.
     """
     out = np.empty((n_rows, len(xi)))
-    for s in range(0, len(xi), _ROW_CHUNK):
-        for r, v in enumerate(fn(*xi[s:s + _ROW_CHUNK].T)):
-            out[r, s:s + _ROW_CHUNK] = v
+    step = kron.CHUNK_POINTS
+    for s in range(0, len(xi), step):
+        for r, v in enumerate(fn(*xi[s:s + step].T)):
+            out[r, s:s + step] = v
     return out
 
 
@@ -108,9 +107,10 @@ def pullback(geom: GeometryMap, xi: np.ndarray):
     J_F^-T grad = cof @ grad / det; ``cof`` is stored component-major.
     On an extrusion (:func:`extrude`) only J_G is evaluated, and
     det = det J_G, cof = blockdiag(cof_G, det J_G).  The Jacobian is
-    evaluated ``_ROW_CHUNK`` points at a time into these outputs and never
-    kept.  Raises :class:`DegenerateGeometryError` at the first point where
-    det J_F <= 0, reporting its full d-dimensional parametric point.
+    evaluated :data:`~igamf.kron.CHUNK_POINTS` points at a time into these
+    outputs and never kept.  Raises :class:`DegenerateGeometryError` at the
+    first point where det J_F <= 0, reporting its full d-dimensional
+    parametric point.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     n, d = xi.shape
@@ -124,10 +124,10 @@ def pullback(geom: GeometryMap, xi: np.ndarray):
         jacobian, xj = geom.planar.jacobian, xi[:, :-1]
         cof = np.zeros((d, d, n))
     cof = cof.transpose(2, 0, 1)
-    k = xj.shape[1]
-    for s in range(0, n, _ROW_CHUNK):
-        J = jacobian(xj[s:s + _ROW_CHUNK])
-        dt, cf = det[s:s + _ROW_CHUNK], cof[s:s + _ROW_CHUNK, :k, :k]
+    k, step = xj.shape[1], kron.CHUNK_POINTS
+    for s in range(0, n, step):
+        J = jacobian(xj[s:s + step])
+        dt, cf = det[s:s + step], cof[s:s + step, :k, :k]
         if k == 1:
             cf[:, 0, 0] = 1.0
         elif k == 2:

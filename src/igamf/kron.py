@@ -8,9 +8,12 @@ under the convention that direction 1 is the fastest-running index.
 and never forms the full matrix; :func:`kron_materialize` forms it, as an
 oracle.  :func:`grid_chunks` is the one walk over a tensor point grid:
 slabs of :data:`SLAB_POINTS` points (:func:`grid_slabs`) cut into chunks
-of xi_d layers times a part of the (xi_1, ..., xi_{d-1}) plane.  Every
-pass over a tensor grid (coefficient grids, the load vector, error norms)
-takes it, so its scratch memory is a multiple of the slab, not the grid.
+of about :data:`CHUNK_POINTS` points, xi_d layers times a part of the
+(xi_1, ..., xi_{d-1}) plane.  Every pass over a tensor grid (coefficient
+grids, the load vector, error norms) takes it, so its scratch memory is a
+multiple of the slab, not the grid.  :data:`CHUNK_POINTS` also sizes the
+batches of the geometry's closed forms and Jacobians
+(:func:`~igamf.geometry.pullback`), so it is the one pointwise chunk size.
 
 The apply holds every factor as a :class:`BandedFactor`: dense row blocks,
 each over the window of columns its rows touch.  A dense factor is one
@@ -38,6 +41,11 @@ import scipy.sparse as sp
 #: runs in the chunks of :func:`grid_chunks`, see
 #: :func:`~igamf.geometry.pullback` and :func:`~igamf.problems.relative_errors`)
 SLAB_POINTS = 2**18
+#: points per chunk of :func:`grid_chunks`, and per batch of a geometry
+#: closed form or Jacobian (:func:`~igamf.geometry.pullback`); read at call
+#: time, so one setting moves every level.  Keeps the pointwise
+#: intermediates (one array per closed-form subexpression) small
+CHUNK_POINTS = 2**14
 #: rows per dense block of a sparse factor (:func:`banded`).  Median
 #: fused stiffness apply on the rational ring at k=5 (32^3 elements, one
 #: BLAS thread, 2-core x86 host, settings taken in turn over 8 rounds):
@@ -218,20 +226,21 @@ def grid_slabs(n_per_dir, points=None):
             for start in range(0, n_last, block)]
 
 
-def grid_chunks(n_per_dir, points):
+def grid_chunks(n_per_dir):
     """The one walk over a tensor grid: yields ``(s, chunks)`` per slab ``s``
     of :func:`grid_slabs`, with one ``(layers, part, flat)`` per chunk: the
     slab's xi_d layers ``layers`` (counted from its first) times the points
     ``part`` of the (xi_1, ..., xi_{d-1}) plane, the flat grid points
     ``flat``.  A chunk is whole layers when the plane has at most
-    ``points`` points, else an equal part of one layer in whole direction-1
-    rows, so it exceeds ``points`` by less than one row.  In d = 1 the one
-    chunk is the whole grid, its one direction-1 row."""
+    :data:`CHUNK_POINTS` points, else an equal part of one layer in whole
+    direction-1 rows, so it exceeds :data:`CHUNK_POINTS` by less than one
+    row.  In d = 1 the one chunk is the whole grid, its one direction-1
+    row."""
     *lower, n_last = n_per_dir
     if not lower:
         yield slice(0, n_last), [(slice(0, n_last), slice(0, 1), slice(0, n_last))]
         return
-    n, q1 = int(np.prod(lower)), lower[0]
+    n, q1, points = int(np.prod(lower)), lower[0], CHUNK_POINTS
     layers, parts = max(1, points // n), -(-n // points)  # parts per layer
     step = -(-(n // q1) // parts) * q1  # points per part, in whole rows
     for s in grid_slabs(n_per_dir):

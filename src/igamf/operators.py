@@ -23,7 +23,7 @@ quadrature.
 
 import numpy as np
 
-from .geometry import _ROW_CHUNK, pullback
+from .geometry import pullback
 from . import kron
 from .kron import (CostMeter, banded, block_matmul, checked_vector,
                    contract_modes, grid_chunks, grid_slabs, kron_flops,
@@ -114,7 +114,7 @@ def _grid_chunks(kind: str, rule: TensorRule, geom, coeff):
     in turn, one BLAS thread, 2-core x86 host.
     """
     *lower, last = [r.points for r in rule.rules]
-    for s, chunks in grid_chunks(rule.n_points_per_dir, _ROW_CHUNK):
+    for s, chunks in grid_chunks(rule.n_points_per_dir):
         xi = tensor_grid(lower + [last[s]]).reshape(rule.dim, len(last[s]), -1)
         for layers, part, flat in chunks:
             points = xi[:, layers, part].reshape(rule.dim, -1).T

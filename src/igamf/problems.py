@@ -16,7 +16,9 @@ sine and its cosine come from one tan(t/2) per point and direction
 sine and cosine).  The test suite checks the formulas against a symbolic
 derivation (with a test-only dependency) and against finite differences.
 The error norms (:func:`relative_errors`) walk a tensor Gauss grid in the
-chunks of :func:`~igamf.kron.grid_chunks`, as coefficient set-up does.
+chunks of :func:`~igamf.kron.grid_chunks`, as coefficient set-up does, so
+their pointwise work runs on about :data:`~igamf.kron.CHUNK_POINTS`
+points at a time.
 """
 
 import functools
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _ROW_CHUNK, _eval_rows, _sincos, pullback
+from .geometry import _eval_rows, _sincos, pullback
 from .kron import (banded, checked_vector, grid_chunks, kron_apply,
                    tensor_grid)
 from .splines import collocation_matrix, map_distinct
@@ -127,8 +129,8 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
     are the value part of the H1 sums.  Per slab of
     :func:`~igamf.kron.grid_chunks`, u_h and its parametric gradient are
     Kronecker contractions; the pointwise work (:func:`_chunk_sums`) runs
-    per chunk of about ``_ROW_CHUNK`` points.  On an extrusion
-    (:func:`~igamf.geometry.extrude`), det J_F, cof / det and F are
+    per chunk of about :data:`~igamf.kron.CHUNK_POINTS` points.  On an
+    extrusion (:func:`~igamf.geometry.extrude`), det J_F, cof / det and F are
     evaluated once per plane point and reused for every layer
     (:func:`_plane_values`); any other map is pulled back and evaluated
     on each chunk's points.
@@ -150,7 +152,7 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
     lower = map_distinct(lambda Bl: [banded(f) for f in Bl], B[:-1])
     plane = _plane_values(geom, pts, wts)
     sums = np.zeros(4)
-    for s, chunks in grid_chunks([len(q) for q in pts], _ROW_CHUNK):
+    for s, chunks in grid_chunks([len(q) for q in pts]):
         B0_s, B1_s = ([f[b] for f in lower] + [banded(B[-1][b][s])]
                       for b in (0, 1))
         t, wt = pts[-1][s], wts[-1][s]

@@ -119,7 +119,7 @@ def cg(apply_A, b, apply_P=None, tol=1e-8, maxit=1000):
     return x, KrylovReport(maxit, residuals, False, matvecs)
 
 
-def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000, seed=0):
+def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000):
     """Right-preconditioned BiCGStab.
 
     The residual history holds the recurrence residual of the
@@ -127,9 +127,9 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000, seed=0):
     ||b - A x|| / ||b|| only in exact arithmetic, so a caller that needs
     the true residual recomputes it.
 
-    On a breakdown (rho or omega, seeded ``seed``; r_shadow . v, seeded
-    ``seed + 1``) the iteration restarts once with a randomly perturbed
-    shadow vector, then reports failure.
+    On a breakdown (rho or omega, seeded 0; r_shadow . v, seeded 1) the
+    iteration restarts once with a randomly perturbed shadow vector, then
+    reports failure.
     """
     b = np.asarray(b, dtype=float).ravel()
     x = np.zeros_like(b)
@@ -147,13 +147,13 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000, seed=0):
     v = np.zeros_like(b)
     p = np.zeros_like(b)
 
-    def restart(rng_seed):
+    def restart(seed):
         """Perturb the shadow residual and reset once; False if already done."""
         nonlocal restarted, r_shadow, rho, alpha, omega, v, p
         if restarted:
             return False
         restarted = True
-        rng = np.random.default_rng(rng_seed)
+        rng = np.random.default_rng(seed)
         r_shadow = r + 1e-8 * bnorm * rng.standard_normal(len(b))
         rho = alpha = omega = 1.0
         v = np.zeros_like(b)
@@ -165,7 +165,7 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000, seed=0):
         k += 1
         rho_new = r_shadow @ r
         if abs(rho_new) < eps * bnorm**2 or abs(omega) < eps:
-            if restart(seed):
+            if restart(0):
                 continue
             return x, KrylovReport(k, residuals, False, matvecs)
         beta = (rho_new / rho) * (alpha / omega)
@@ -176,7 +176,7 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000, seed=0):
         matvecs += 1
         denom = r_shadow @ v
         if abs(denom) < eps * bnorm**2:
-            if restart(seed + 1):
+            if restart(1):
                 continue
             return x, KrylovReport(k, residuals, False, matvecs)
         alpha = rho / denom

@@ -76,18 +76,6 @@ class KnotVector:
         """Closed support of basis function ``i`` (0-based)."""
         return float(self.knots[i]), float(self.knots[i + self.degree + 1])
 
-    def find_span(self, x) -> np.ndarray:
-        """Index k with knots[k] <= x < knots[k+1] (right-continuous; left at x=1).
-
-        ``x`` may be a scalar or an array; the result has its shape.
-        """
-        x = np.asarray(x, dtype=float)
-        outside = ~((x >= 0.0) & (x <= 1.0))  # NaN fails both comparisons
-        if np.any(outside):
-            raise ValueError(f"point {x[outside].flat[0]} outside [0, 1]")
-        k = np.searchsorted(self.knots, x, side="right") - 1
-        return np.clip(k, self.degree, self.n_funcs - 1)
-
 
 def make_uniform_knots(p: int, n_el: int) -> KnotVector:
     """Open uniform knot vector with ``n_el`` spans and interior multiplicity 1."""
@@ -122,45 +110,41 @@ def _cox_de_boor(knots, x, span, q):
     return N
 
 
-def _basis_window(kv: KnotVector, x, deriv: int):
-    """First nonzero index and the (n, p+1) values of D^deriv b_j at points ``x``.
-
-    Row q holds D^deriv b_j(x_q) for j = first[q], ..., first[q] + p.
-    First derivatives come from the degree p-1 values by the two-term
-    formula; a term whose knot difference is zero is dropped.
-    """
-    p = kv.degree
-    knots = kv.knots
-    span = kv.find_span(x)
-    if deriv == 0:
-        return span - p, _cox_de_boor(knots, x, span, p)
-    # degree p-1 function span-p+1+r feeds columns r+1 (plus) and r (minus)
-    lower = _cox_de_boor(knots, x, span, p - 1)
-    g = span[:, None] - p + 1 + np.arange(p)
-    denom = knots[g + p] - knots[g]
-    c = np.divide(p * lower, denom, out=np.zeros_like(lower),
-                  where=denom != 0.0)
-    D = np.zeros((len(x), p + 1))
-    D[:, 1:] = c
-    D[:, :-1] -= c
-    return span - p, D
-
-
 def collocation_matrix(kv: KnotVector, points, deriv: int = 0) -> sp.csr_matrix:
     """Sparse matrix of the ``deriv``-th derivative of all basis functions.
 
     Entry (q, j) is D^deriv b_j(x_q).  Shape (n_points, m); each row has at
-    most p+1 nonzeros.  Points must lie in [0, 1].
+    most p+1 nonzeros.  Points must lie in [0, 1].  Row q holds the p+1
+    functions of the span of x_q, knots[span] <= x_q < knots[span+1]
+    (right-continuous; the last span at x_q = 1).  First derivatives come
+    from the degree p-1 values by the two-term formula; a term whose knot
+    difference is zero is dropped.
     """
     if deriv not in (0, 1):
         raise ValueError("only derivative orders 0 and 1 are supported")
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    first, vals = _basis_window(kv, points, deriv)
-    p = kv.degree
-    rows = np.repeat(np.arange(len(points)), p + 1)
-    cols = (first[:, None] + np.arange(p + 1)).ravel()
-    mat = sp.csr_matrix((vals.ravel(), (rows, cols)),
-                        shape=(len(points), kv.n_funcs))
+    x = np.atleast_1d(np.asarray(points, dtype=float))
+    outside = ~((x >= 0.0) & (x <= 1.0))  # NaN fails both comparisons
+    if np.any(outside):
+        raise ValueError(f"point {x[outside].flat[0]} outside [0, 1]")
+    p, knots = kv.degree, kv.knots
+    span = np.clip(np.searchsorted(knots, x, side="right") - 1, p,
+                   kv.n_funcs - 1)
+    if deriv == 0:
+        vals = _cox_de_boor(knots, x, span, p)
+    else:
+        # degree p-1 function span-p+1+r feeds columns r+1 (plus) and r (minus)
+        lower = _cox_de_boor(knots, x, span, p - 1)
+        g = span[:, None] - p + 1 + np.arange(p)
+        denom = knots[g + p] - knots[g]
+        c = np.divide(p * lower, denom, out=np.zeros_like(lower),
+                      where=denom != 0.0)
+        vals = np.zeros((len(x), p + 1))
+        vals[:, 1:] = c
+        vals[:, :-1] -= c
+    indices = span[:, None] - p + np.arange(p + 1)
+    mat = sp.csr_matrix((vals.ravel(), indices.ravel(),
+                         np.arange(len(x) + 1) * (p + 1)),
+                        shape=(len(x), kv.n_funcs))
     mat.eliminate_zeros()
     return mat
 

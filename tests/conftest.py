@@ -1,7 +1,7 @@
 import numpy as np
 
 from igamf import (GeometryMap, KnotVector, exact_grams, kron_apply,
-                   make_uniform_knots, tensor_grid)
+                   make_uniform_knots, quarter_ring_rational_map, tensor_grid)
 
 
 class NaNEmpty:
@@ -37,6 +37,54 @@ def not_extruded(geom):
     """``geom`` as a plain map that declares no extrusion, so that
     ``pullback`` and the error pass evaluate it at every point."""
     return GeometryMap(dim=geom.dim, _map=geom.evaluate, _jacobian=geom.jacobian)
+
+
+def reparametrized_ring(a=0.5):
+    """The rational quarter ring with xi_3 reparametrized:
+    F(xi) = (G(xi_1, xi_2), phi(xi)), phi = xi_3 + a xi_3 (1 - xi_3) psi,
+    psi = sin(pi xi_1) cos(pi xi_2), with G the ring's planar map.
+
+    For |a| < 1, phi rises from 0 to 1 in xi_3, so the domain, its faces
+    and the oscillating case are the ring's.  The map is neither an
+    extrusion (``planar`` is None) nor separable: every entry of
+    C = cof^T cof / det J_F is nonzero.
+    """
+    G = quarter_ring_rational_map().planar
+
+    def parts(xi):
+        t = xi[:, 2]
+        s1, c1 = np.sin(np.pi * xi[:, 0]), np.cos(np.pi * xi[:, 0])
+        s2, c2 = np.sin(np.pi * xi[:, 1]), np.cos(np.pi * xi[:, 1])
+        return t, a * t * (1 - t), s1, c1, s2, c2
+
+    def _map(xi):
+        t, bump, s1, _, _, c2 = parts(xi)
+        x = np.empty((len(xi), 3))
+        x[:, :2] = G.evaluate(xi[:, :2])
+        x[:, 2] = t + bump * s1 * c2
+        return x
+
+    def _jac(xi):
+        t, bump, s1, c1, s2, c2 = parts(xi)
+        J = np.zeros((len(xi), 3, 3))
+        J[:, :2, :2] = G.jacobian(xi[:, :2])
+        J[:, 2, 0] = np.pi * bump * c1 * c2
+        J[:, 2, 1] = -np.pi * bump * s1 * s2
+        J[:, 2, 2] = 1 + a * (1 - 2 * t) * s1 * c2
+        return J
+
+    return GeometryMap(dim=3, _map=_map, _jacobian=_jac)
+
+
+def stiffness_field(x):
+    """A symmetric positive definite K(x), (npts, 3, 3) at (npts, 3) points."""
+    K = np.empty((len(x), 3, 3))
+    K[:] = [[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]]
+    K[:, 0, 0] += x[:, 0]**2
+    K[:, 2, 2] += np.sin(x[:, 1])**2
+    K[:, 1, 2] += 0.1 * x[:, 2]
+    K[:, 2, 1] += 0.1 * x[:, 2]
+    return K
 
 
 def point_arrays(rule):

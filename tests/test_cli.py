@@ -436,3 +436,16 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_loads_only_linalg_and_sparse_of_scipy(self):
+        # a benchmark's peak_rss_mb is the process's maxrss, and importing
+        # the command line is over half of it: a further scipy subpackage
+        # (scipy.interpolate, say) would raise it for every run
+        code = ("import sys, igamf.cli; print(sorted("
+                "n for n, m in sys.modules.items() if n.count('.') == 1"
+                " and n.startswith('scipy.') and not n.startswith('scipy._')"
+                " and hasattr(m, '__path__')))")
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['scipy.linalg', 'scipy.sparse']"

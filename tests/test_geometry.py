@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import affine_map, not_extruded
+from conftest import affine_map, not_extruded, reparametrized_ring
 from igamf import (identity_map, pullback, quarter_ring_map,
                    quarter_ring_rational_map)
-from igamf.geometry import _ROW_CHUNK, _sincos
+from igamf import kron
+from igamf.geometry import _sincos
 
 
 def jacobian_fd(geom, xi, eps=1e-6):
@@ -79,6 +80,26 @@ class TestRationalQuarterRing:
         assert np.linalg.det(g.jacobian(xi)).min() > 0
 
 
+class TestReparametrizedRing:
+    def test_fd_jacobian_agreement(self):
+        assert fd_defect(reparametrized_ring()) <= 1e-6
+
+    def test_same_domain_as_ring(self):
+        # the same (x1, x2) and the same faces xi_3 = 0, 1 as the ring, and
+        # x3 rises with xi_3; not an extrusion
+        g, ring = reparametrized_ring(), quarter_ring_rational_map()
+        assert g.planar is None
+        xi = np.random.default_rng(5).random((200, 3))
+        X, R = g.evaluate(xi), ring.evaluate(xi)
+        assert np.array_equal(X[:, :2], R[:, :2])
+        for face in (0.0, 1.0):
+            xf = xi.copy()
+            xf[:, 2] = face
+            assert np.array_equal(g.evaluate(xf)[:, 2], xf[:, 2])
+        assert g.jacobian(xi)[:, 2, 2].min() > 0
+        assert np.linalg.det(g.jacobian(xi)).min() > 0
+
+
 class TestSimpleMaps:
     def test_identity(self):
         g = identity_map(3)
@@ -110,7 +131,7 @@ class TestExtrusion:
         # 2.5 chunks of points, so the planar path also runs chunk by chunk
         geom = make()
         assert geom.planar is not None and geom.planar.dim == 2
-        rows = np.random.default_rng(4).random((3, 5 * _ROW_CHUNK // 2))
+        rows = np.random.default_rng(4).random((3, 5 * kron.CHUNK_POINTS // 2))
         xi = rows.T if layout == "component-major" else np.ascontiguousarray(rows.T)
         det, cof = pullback(geom, xi)
         det_g, cof_g = pullback(not_extruded(geom), xi)

@@ -289,10 +289,11 @@ class TestGridChunks:
         # three layers per slab: 23, 40 and 9 layers leave a ragged slab
         n = int(np.prod(n_per_dir[:-1]))
         monkeypatch.setattr(igamf.kron, "SLAB_POINTS", 3 * n)
+        monkeypatch.setattr(igamf.kron, "CHUNK_POINTS", points)
         q1, total = n_per_dir[0], int(np.prod(n_per_dir))
         index = np.arange(total).reshape(n_per_dir[-1], n)
         slabs, flats = [], []
-        for s, chunks in igamf.kron.grid_chunks(n_per_dir, points):
+        for s, chunks in igamf.kron.grid_chunks(n_per_dir):
             slabs.append(s)
             for layers, part, flat in chunks:
                 assert layers.stop <= s.stop - s.start

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
@@ -123,6 +125,57 @@ class TestCollocation:
             BSpline(kv.knots, np.eye(kv.n_funcs)[j], kv.degree)(x, nu=deriv)
             for j in range(kv.n_funcs)])
         assert np.abs(B - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+
+def exact_basis(kv, x):
+    """Values and first derivatives of every basis function at ``x``, in
+    exact rational arithmetic from the Cox-de Boor definition: degree 0 is
+    the indicator of [t_i, t_i+1), except at x = 1, which belongs to the
+    last nonempty span (the left limit); a term over a zero knot
+    difference is dropped."""
+    t = [Fraction(k) for k in kv.knots]
+    x = Fraction(x)
+    last = max(i for i in range(len(t) - 1) if t[i] < t[i + 1])
+    N = [Fraction(int(t[i] <= x < t[i + 1] or (x == 1 and i == last)))
+         for i in range(len(t) - 1)]
+    ratio = lambda a, b: a / b if b else Fraction(0)
+    for k in range(1, kv.degree + 1):
+        lower = N
+        N = [ratio(x - t[i], t[i + k] - t[i]) * lower[i]
+             + ratio(t[i + k + 1] - x, t[i + k + 1] - t[i + 1]) * lower[i + 1]
+             for i in range(len(t) - 1 - k)]
+    p = kv.degree
+    D = [ratio(p * lower[i], t[i + p] - t[i])
+         - ratio(p * lower[i + 1], t[i + p + 1] - t[i + 1])
+         for i in range(kv.n_funcs)]
+    return N, D
+
+
+def _knots(p, inner):
+    return KnotVector(p, [0] * (p + 1) + inner + [1] * (p + 1))
+
+
+class TestCollocationExact:
+    @pytest.mark.parametrize("kv", [
+        *(make_uniform_knots(p, n_el) for p in range(1, 5) for n_el in (3, 5, 8)),
+        *(_knots(p, [0.3, 0.5, 0.5, 0.8]) for p in range(2, 5)),
+        *(_knots(p, [0.25] + [0.6] * p) for p in range(1, 5)),
+    ], ids=lambda kv: (f"p{kv.degree}-{kv.n_elements}el"
+                       f"-m{kv.max_interior_multiplicity()}"))
+    def test_matches_rational_cox_de_boor(self, kv):
+        # every breakpoint (0 and 1 included, where the one-sided limits
+        # are taken) and 40 random points; within 4 ulps of the largest
+        # exact entry, measured at most 1.6 (values) and 2.6 (derivatives)
+        x = np.concatenate([kv.breakpoints,
+                            np.random.default_rng(7).random(40)])
+        ref = list(zip(*(exact_basis(kv, xq) for xq in x)))
+        for deriv, exact in enumerate(ref):
+            B = collocation_matrix(kv, x, deriv).toarray()
+            scale = max(abs(v) for row in exact for v in row)
+            err = max(abs(Fraction(B[q, j]) - v) for q, row in enumerate(exact)
+                      for j, v in enumerate(row))
+            assert err <= 4 * np.spacing(float(scale))
 
 
 class TestTensorSpace:
