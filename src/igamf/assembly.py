@@ -73,24 +73,25 @@ def _materialize(space, rule, geom, coeff, kind, nnz_guard):
     for B, pairs in groups:
         WC = None
         for W, key in pairs:
-            K = kron_materialize(W, max_entries=np.inf)
+            K = kron_materialize(W)
             K.data = K.data * coeffs[key][K.indices]  # K diag(c)
             WC = K if WC is None else WC + K
-        term = WC @ kron_materialize(B, max_entries=np.inf)
+        term = WC @ kron_materialize(B)
         A = term if A is None else A + term
     A = A.tocsr()
     A.eliminate_zeros()
     return AssembledMatrix(matrix=A)
 
 
-def assemble_sgq(space, geom, coeff=None, kind="mass", gauss_pts_per_span=None,
+def assemble_sgq(space, geom, coeff=None, kind="mass",
                  nnz_guard=NNZ_GUARD) -> AssembledMatrix:
     """Element-wise Gauss assembly of the mass or stiffness matrix.
 
-    Default p+1 points per span per direction, exact for polynomials of
-    degree <= 2p+1 per direction.
+    p+1 points per span per direction, exact for polynomials of degree
+    <= 2p+1 per direction; for another count, pass
+    ``gauss_tensor_rule(space, n)`` to :func:`assemble_wq_explicit`.
     """
-    rule = gauss_tensor_rule(space, gauss_pts_per_span)
+    rule = gauss_tensor_rule(space)
     return _materialize(space, rule, geom, coeff, kind, nnz_guard)
 
 
@@ -104,9 +105,12 @@ def assemble_wq_explicit(space, rule, geom, coeff=None, kind="mass",
     return _materialize(space, rule, geom, coeff, kind, nnz_guard)
 
 
-def assemble_rhs(space, geom, f, gauss_pts_per_span=None) -> np.ndarray:
+def assemble_rhs(space, geom, f) -> np.ndarray:
     """Load vector f_i = int det(J_F) b_i (f o F) dxi by tensor Gauss quadrature.
 
     ``f`` is a physical-space field taking an (npts, d) coordinate array.
+    The rule is :func:`~igamf.wq.gauss_tensor_rule`'s default; for another
+    point count, pass ``gauss_tensor_rule(space, n)`` to
+    :func:`~igamf.operators.wq_load_vector`.
     """
-    return wq_load_vector(gauss_tensor_rule(space, gauss_pts_per_span), geom, f)
+    return wq_load_vector(gauss_tensor_rule(space), geom, f)

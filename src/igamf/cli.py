@@ -6,9 +6,11 @@ Three subcommands share one run path and the CSV columns of :class:`RunRecord`.
 seconds of 10 operator applications; the error, iteration and ``converged``
 columns stay empty).  ``error_s``, the time spent in error norms after set-up,
 is outside ``total_s``.  A failed run writes an empty row and its cause on
-stderr.  Every subcommand exits 2 on an option no run can honour or an
-``--out`` it cannot open (before any run, writing nothing) or on a failed
-run, else 1 if a run did not converge, else 0.
+stderr.  Every subcommand exits 2 on a bad argument or an ``--out`` it
+cannot open (before any run, writing nothing) or on a failed run, else 1 if
+a run did not converge, else 0.  argparse rejects a value out of range (an
+``--eta``, ``--maxit`` or ``--nnz-guard`` that is not finite and > 0) where
+it reads it, as it rejects one it cannot parse.
 
 An argument ``@FILE`` is replaced by the flags written in FILE, one or more
 per line as on a shell line, with ``#`` comments and blank lines allowed.
@@ -30,7 +32,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .assembly import NNZ_GUARD, MemoryGuardError, assemble_wq_explicit
+from .assembly import NNZ_GUARD, assemble_wq_explicit
 from .geometry import identity_map, quarter_ring_map, quarter_ring_rational_map
 from .kron import CostMeter
 from .operators import setup_stiffness, wq_load_vector
@@ -58,24 +60,13 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_options(method, geometry, eta, maxit, nnz_guard):
-    """Reject the values no run can honour (the (p, k)-independent checks)."""
-    if method not in _METHOD_SOLVER:
-        raise ConfigError(f"unknown method {method!r}")
-    if geometry not in _GEOMETRIES:
-        raise ConfigError(f"unknown geometry {geometry!r}")
-    if not (math.isfinite(eta) and eta > 0):
-        raise ConfigError(f"eta must be > 0 and finite, got {eta}")
-    if maxit < 1:
-        raise ConfigError(f"maxit must be >= 1, got {maxit}")
-    # a NaN guard would switch the guard off: est > nan is always False
-    if not (math.isfinite(nnz_guard) and nnz_guard > 0):
-        raise ConfigError(f"nnz_guard must be finite and > 0, got {nnz_guard}")
-
-
 @dataclass
 class RunConfig:
-    """One benchmark instance: discretization, method and solver settings."""
+    """One benchmark instance: discretization, method and solver settings.
+
+    ``eta``, ``maxit`` and ``nnz_guard`` are taken as given; the command
+    line checks them where it reads them.
+    """
 
     degree: int
     mesh_exp: int
@@ -87,8 +78,10 @@ class RunConfig:
     nnz_guard: float = NNZ_GUARD
 
     def __post_init__(self):
-        _check_options(self.method, self.geometry, self.eta, self.maxit,
-                       self.nnz_guard)
+        if self.method not in _METHOD_SOLVER:
+            raise ConfigError(f"unknown method {self.method!r}")
+        if self.geometry not in _GEOMETRIES:
+            raise ConfigError(f"unknown geometry {self.geometry!r}")
         if self.degree < 1:
             raise ConfigError("degree must be >= 1")
         if self.mesh_exp < 1:
@@ -231,8 +224,7 @@ def _sweep(p_list, k_list, options, runner):
         for k in k_list:
             try:
                 rows.append(runner(RunConfig(degree=p, mesh_exp=k, **options)))
-            except (MemoryGuardError, ConfigError, RuntimeError,
-                    MemoryError) as exc:
+            except (ConfigError, RuntimeError, MemoryError) as exc:
                 print(f"run p={p} k={k} failed: {exc}", file=sys.stderr)
                 rows.append(RunRecord(method=options["method"], p=p, k=k,
                                       N=0, converged=False))
@@ -250,6 +242,23 @@ def _parse_int_list(text):
     return values
 
 
+def _positive(kind):
+    """argparse type: a finite ``kind`` value > 0.
+
+    NaN is rejected too: a NaN ``--nnz-guard`` would switch the guard off
+    (est > nan is always False).  The type keeps ``kind``'s name, so an unparsable value reads
+    ``invalid float value: ...`` as with ``type=float``.
+    """
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and > 0, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _split_arg_line(line):
     """One argument-file line split as a shell would, '#' starting a comment."""
     try:
@@ -262,10 +271,10 @@ def _split_arg_line(line):
 def _add_common(sub):
     sub.add_argument("--geometry", choices=_GEOMETRIES)
     sub.add_argument("--method", choices=list(_METHOD_SOLVER))
-    sub.add_argument("--eta", type=float)
-    sub.add_argument("--maxit", type=int)
+    sub.add_argument("--eta", type=_positive(float))
+    sub.add_argument("--maxit", type=_positive(int))
     sub.add_argument("--allow-large", action="store_true")
-    sub.add_argument("--nnz-guard", type=float)
+    sub.add_argument("--nnz-guard", type=_positive(float))
     sub.add_argument("--out")
     sub.set_defaults(**_OPTION_DEFAULTS)
 
@@ -295,27 +304,14 @@ def build_parser():
     return parser
 
 
-def _run_options(args):
-    """RunConfig fields other than (p, k), read from ``args``.
-
-    Checked once per command, so a bad value is a command error, not a
-    failed sweep row; only the (p, k) checks of :class:`RunConfig` are
-    left to each row.
-    """
-    options = {name: getattr(args, name) for name in _OPTION_DEFAULTS}
-    _check_options(options["method"], options["geometry"], options["eta"],
-                   options["maxit"], options["nnz_guard"])
-    return options
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    options = {name: getattr(args, name) for name in _OPTION_DEFAULTS}
     try:
-        options = _run_options(args)
         # opened before the first run, emptied once the rows are ready
         out = (open(args.out, "a", newline="") if args.out
                else contextlib.nullcontext(sys.stdout))
-    except (ConfigError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     listed = lambda v: v if isinstance(v, list) else [v]

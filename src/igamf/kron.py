@@ -5,11 +5,11 @@ A Kronecker operator is given as a list of d rectangular factors
 A^(1), ..., A^(d) in direction order; the operator is A^(d) x ... x A^(1)
 under the convention that direction 1 is the fastest-running index.
 :func:`kron_apply` contracts one mode at a time, starting from direction d,
-and never forms the full matrix; :func:`kron_materialize` forms it, as an
-oracle.  :func:`grid_chunks` is the one walk over a tensor point grid:
-slabs of :data:`SLAB_POINTS` points (:func:`grid_slabs`) cut into chunks
-of about :data:`CHUNK_POINTS` points, xi_d layers times a part of the
-(xi_1, ..., xi_{d-1}) plane.  Every pass over a tensor grid (coefficient
+and never forms the full matrix; :func:`kron_materialize` forms it, for
+explicit assembly and as an oracle.  :func:`grid_chunks` is the one walk
+over a tensor point grid: slabs of :data:`SLAB_POINTS` points
+(:func:`grid_slabs`) cut into chunks of about :data:`CHUNK_POINTS`
+points, xi_d layers times a part of the (xi_1, ..., xi_{d-1}) plane.  Every pass over a tensor grid (coefficient
 grids, the load vector, error norms) takes it, so its scratch memory is a
 multiple of the slab, not the grid.  :data:`CHUNK_POINTS` also sizes the
 batches of the geometry's closed forms and Jacobians
@@ -181,18 +181,13 @@ def kron_apply(factors, x, meter: CostMeter | None = None) -> np.ndarray:
     return contract_modes(factors, x)
 
 
-def kron_materialize(factors, max_entries: int = 10**7):
-    """Explicit sparse Kronecker matrix A^(d) x ... x A^(1) (test oracle).
+def kron_materialize(factors):
+    """Explicit sparse Kronecker matrix A^(d) x ... x A^(1).
 
-    Guarded: refuses when the estimated dense entry count rows*cols exceeds
-    ``max_entries``.
+    The assembled WQ and SGQ matrices are built from it, and tests use it
+    as the oracle of the sum-factorized apply.  It has no size guard: the
+    caller's nonzero estimate is the one that holds for a sparse product.
     """
-    rows = int(np.prod([f.shape[0] for f in factors]))
-    cols = int(np.prod([f.shape[1] for f in factors]))
-    if rows * cols > max_entries:
-        raise MemoryError(
-            f"materialization guard: {rows} x {cols} exceeds {max_entries} entries"
-        )
     out = None
     for f in reversed(factors):
         f = sp.csr_matrix(f)

@@ -146,39 +146,31 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000):
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
-
-    def restart(seed):
-        """Perturb the shadow residual and reset once; False if already done."""
-        nonlocal restarted, r_shadow, rho, alpha, omega, v, p
-        if restarted:
-            return False
-        restarted = True
-        rng = np.random.default_rng(seed)
-        r_shadow = r + 1e-8 * bnorm * rng.standard_normal(len(b))
-        rho = alpha = omega = 1.0
-        v = np.zeros_like(b)
-        p = np.zeros_like(b)
-        return True
-
-    k = 0
-    while k < maxit:
-        k += 1
+    for k in range(1, maxit + 1):
+        seed = None  # set on a breakdown
         rho_new = r_shadow @ r
         if abs(rho_new) < eps * bnorm**2 or abs(omega) < eps:
-            if restart(0):
-                continue
-            return x, KrylovReport(k, residuals, False, matvecs)
-        beta = (rho_new / rho) * (alpha / omega)
-        rho = rho_new
-        p = r + beta * (p - omega * v)
-        phat = P(p)
-        v = apply_A(phat)
-        matvecs += 1
-        denom = r_shadow @ v
-        if abs(denom) < eps * bnorm**2:
-            if restart(1):
-                continue
-            return x, KrylovReport(k, residuals, False, matvecs)
+            seed = 0
+        else:
+            beta = (rho_new / rho) * (alpha / omega)
+            rho = rho_new
+            p = r + beta * (p - omega * v)
+            phat = P(p)
+            v = apply_A(phat)
+            matvecs += 1
+            denom = r_shadow @ v
+            if abs(denom) < eps * bnorm**2:
+                seed = 1
+        if seed is not None:
+            if restarted:
+                return x, KrylovReport(k, residuals, False, matvecs)
+            restarted = True
+            rng = np.random.default_rng(seed)
+            r_shadow = r + 1e-8 * bnorm * rng.standard_normal(len(b))
+            rho = alpha = omega = 1.0
+            v = np.zeros_like(b)
+            p = np.zeros_like(b)
+            continue
         alpha = rho / denom
         s = r - alpha * v
         if np.linalg.norm(s) / bnorm <= tol:

@@ -79,12 +79,11 @@ class KnotVector:
 
 def make_uniform_knots(p: int, n_el: int) -> KnotVector:
     """Open uniform knot vector with ``n_el`` spans and interior multiplicity 1."""
-    if p < 1:
-        raise ValueError(f"degree must be >= 1, got {p}")
     if n_el < 1:
         raise ValueError(f"number of elements must be >= 1, got {n_el}")
     interior = np.arange(1, n_el) / n_el
-    knots = np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)])
+    # lists, not np.zeros, so that a negative p reaches KnotVector's check
+    knots = np.concatenate([[0.0] * (p + 1), interior, [1.0] * (p + 1)])
     return KnotVector(p, knots)
 
 

@@ -51,8 +51,8 @@ class TestSGQ:
         # spline integrands on the identity cube: p+1 points are exact
         space = tensor_space(2, 3, 3)
         A1 = assemble_sgq(space, identity_map(3), kind="stiffness").matrix
-        A2 = assemble_sgq(space, identity_map(3), kind="stiffness",
-                          gauss_pts_per_span=6).matrix
+        A2 = assemble_wq_explicit(space, gauss_tensor_rule(space, 6),
+                                  identity_map(3), kind="stiffness").matrix
         assert np.abs((A1 - A2).toarray()).max() <= 1e-13
 
     def test_row_bandwidth(self):
@@ -77,8 +77,7 @@ class TestSGQ:
         w = np.prod(tensor_grid([wl for _, wl in xw]), axis=0)
         C = np.einsum("nia,nib->nab", cof, cof) / det[:, None, None]
         B = [kron_materialize([collocation_matrix(kv, x, int(l == a))[:, 1:-1]
-                               for l, (kv, (x, _)) in enumerate(zip(kvs, xw))],
-                              max_entries=np.inf)
+                               for l, (kv, (x, _)) in enumerate(zip(kvs, xw))])
              for a in range(3)]
         ref = sum(B[a].T @ sp.diags(w * C[:, a, b]) @ B[b]
                   for a in range(3) for b in range(3))
@@ -122,8 +121,8 @@ class TestRHS:
         space = tensor_space(3, 8, 3)
         case = oscillating_case()
         geom = quarter_ring_map()
-        r1 = assemble_rhs(space, geom, case.f, gauss_pts_per_span=12)
-        r2 = assemble_rhs(space, geom, case.f, gauss_pts_per_span=24)
+        r1 = wq_load_vector(gauss_tensor_rule(space, 12), geom, case.f)
+        r2 = wq_load_vector(gauss_tensor_rule(space, 24), geom, case.f)
         assert np.linalg.norm(r1 - r2) <= 1e-10 * np.linalg.norm(r2)
 
     @pytest.mark.parametrize("load", [

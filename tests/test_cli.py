@@ -9,10 +9,12 @@ import pytest
 
 import igamf
 from igamf import cli
-from igamf.cli import (CSV_HEADER, ConfigError, RunConfig, main, run_profile,
-                       run_solve)
+from igamf.cli import (CSV_HEADER, ConfigError, RunConfig, RunRecord, main,
+                       run_profile, run_solve)
+from igamf.geometry import DegenerateGeometryError
 from igamf.problems import relative_errors
-from igamf.solvers import bicgstab
+from igamf.solvers import EigenSolveError, IndefiniteOperatorError, bicgstab
+from igamf.wq import WQConstructionError
 
 
 def read_csv(path):
@@ -32,8 +34,13 @@ class TestRunConfig:
         RunConfig(2, 7, method="mfwq", allow_large=True)
 
     def test_unknown_method(self):
-        with pytest.raises(ConfigError):
+        # a library caller's unknown method would otherwise run as wq
+        with pytest.raises(ConfigError, match="unknown method 'fem'"):
             RunConfig(2, 3, method="fem")
+
+    def test_unknown_geometry(self):
+        with pytest.raises(ConfigError, match="unknown geometry 'sphere'"):
+            RunConfig(2, 3, geometry="sphere")
 
 
 class TestSolveCommand:
@@ -164,6 +171,41 @@ class TestConvergenceCommand:
         assert recs[1]["N"] == "0"
         assert "run p=2 k=4 failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target, error, method", [
+        ("setup_stiffness", DegenerateGeometryError((0.5, 0.5, 0.5), -1.0),
+         "mfwq"),
+        ("FDPreconditioner", EigenSolveError("injected"), "mfwq"),
+        ("build_tensor_rule", WQConstructionError(3, 1e-3), "mfwq"),
+        ("cg", IndefiniteOperatorError("injected"), "sgq"),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else v)
+    def test_run_time_failure_is_a_failed_row(self, tmp_path, capsys,
+                                              monkeypatch, target, error,
+                                              method):
+        # the first call belongs to the p=1 row, which it fails; the p=2
+        # row runs unhindered
+        real, calls = getattr(cli, target), []
+
+        def fail_first_call(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise error
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, target, fail_first_call)
+        out = tmp_path / "conv.csv"
+        rc = main(["convergence", "--degree", "1,2", "--mesh-exp", "2",
+                   "--geometry", "cube", "--method", method,
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"run p=1 k=2 failed: {error}" in capsys.readouterr().err
+        rows = read_csv(out)
+        failed, done = (dict(zip(rows[0], r)) for r in rows[1:])
+        assert (failed["p"], failed["N"], failed["converged"]) == ("1", "0",
+                                                                   "False")
+        assert failed["error_h1"] == failed["iters"] == ""
+        assert (done["p"], done["converged"]) == ("2", "True")
+        assert float(done["error_h1"]) > 0 and int(done["iters"]) > 0
+
     def test_unconverged_row_exit_code(self, tmp_path):
         out = tmp_path / "conv.csv"
         rc = main(["convergence", "--degree", "3", "--mesh-exp", "3",
@@ -228,6 +270,15 @@ def no_run(*args):
     pytest.fail("a run started")
 
 
+def recording_runner(seen):
+    """A runner that records each row's RunConfig and returns a converged row."""
+    def run(cfg):
+        seen.append(cfg)
+        return RunRecord(method=cfg.method, p=cfg.degree, k=cfg.mesh_exp, N=0,
+                         converged=True)
+    return run
+
+
 def src_env():
     """The environment with this checkout's ``igamf`` first on PYTHONPATH."""
     src = str(Path(igamf.__file__).resolve().parents[1])
@@ -238,9 +289,9 @@ def src_env():
 class TestConfigFile:
     """Run options given in an argument file (``@FILE``) and as flags.
 
-    A value argparse cannot parse, a malformed line, an unknown flag and a
-    missing file exit through ``SystemExit(2)``; a parsed value no run can
-    honour makes ``main`` return 2.
+    A value argparse cannot parse or that is out of range, a malformed
+    line, an unknown flag and a missing file exit through ``SystemExit(2)``
+    before any run.
     """
 
     def test_file_values_and_flag_override(self, tmp_path):
@@ -263,29 +314,26 @@ class TestConfigFile:
         assert args.method == "sgq"
         assert args.eta == 0.3
 
-    def test_comments_blank_lines_and_defaults(self, tmp_path):
+    def test_comments_blank_lines_and_defaults(self, tmp_path, monkeypatch):
         cfg = tmp_path / "bench.args"
         cfg.write_text("# sweep settings\n\n--degree 1,2  # degrees\n   \n"
                        "--mesh-exp 2 --maxit 50\n")
         args = cli.build_parser().parse_args(["convergence", f"@{cfg}"])
         assert (args.degree, args.mesh_exp, args.maxit) == ([1, 2], [2], 50)
-        # every option not given takes its RunConfig default
-        default = RunConfig(1, 2)
-        assert cli._run_options(args) == dict(
-            geometry=default.geometry, method=default.method,
-            eta=default.eta, maxit=50, allow_large=default.allow_large,
-            nnz_guard=default.nnz_guard)
+        # every option not given reaches each row as its RunConfig default
+        monkeypatch.setattr(cli, "run_solve", recording_runner(seen := []))
+        assert main(["convergence", f"@{cfg}"]) == 0
+        assert seen == [RunConfig(1, 2, maxit=50), RunConfig(2, 2, maxit=50)]
 
-    def test_allow_large_in_file(self, tmp_path):
+    def test_allow_large_in_file(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "large.args"
         cfg.write_text("--allow-large\n")
         argv = ["solve", "--degree", "1", "--mesh-exp", "7"]
-        parser = cli.build_parser()
-        with pytest.raises(ConfigError, match="--allow-large"):
-            RunConfig(1, 7, **cli._run_options(parser.parse_args(argv)))
-        options = cli._run_options(parser.parse_args(argv + [f"@{cfg}"]))
-        assert options["allow_large"] is True
-        assert RunConfig(1, 7, **options).allow_large
+        monkeypatch.setattr(cli, "run_solve", recording_runner(seen := []))
+        assert main(argv) == 2  # the row fails: k=7 is above the ceiling
+        assert "pass --allow-large to run it" in capsys.readouterr().err
+        assert main(argv + [f"@{cfg}"]) == 0
+        assert seen == [RunConfig(1, 7, allow_large=True)]
 
     def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.args"
@@ -339,15 +387,22 @@ class TestConfigFile:
     @pytest.mark.parametrize("file_text, flags, message", [
         ("--allow-large=ture\n", [],
          "argument --allow-large: ignored explicit argument 'ture'"),
-        ("--eta -1\n", [], "eta must be > 0"),
-        ("", ["--eta", "0"], "eta must be > 0"),
-        ("--maxit 0\n", [], "maxit must be >= 1"),
-        ("", ["--maxit", "-3"], "maxit must be >= 1"),
-        ("--eta inf\n", [], "eta must be > 0 and finite, got inf"),
-        ("", ["--eta", "inf"], "eta must be > 0 and finite, got inf"),
+        ("--eta -1\n", [], "argument --eta: must be finite and > 0, got '-1'"),
+        ("", ["--eta", "0"], "argument --eta: must be finite and > 0, got '0'"),
+        ("--eta nan\n", [],
+         "argument --eta: must be finite and > 0, got 'nan'"),
+        ("--maxit 0\n", [], "argument --maxit: must be finite and > 0, got '0'"),
+        ("", ["--maxit", "-3"],
+         "argument --maxit: must be finite and > 0, got '-3'"),
+        ("--maxit 2.5\n", [], "argument --maxit: invalid int value: '2.5'"),
+        ("--eta inf\n", [],
+         "argument --eta: must be finite and > 0, got 'inf'"),
+        ("", ["--eta", "inf"],
+         "argument --eta: must be finite and > 0, got 'inf'"),
     ])
-    def test_value_no_run_can_honour(self, tmp_path, capsys, command,
-                                     file_text, flags, message):
+    def test_value_no_run_can_honour(self, tmp_path, capsys, monkeypatch,
+                                     command, file_text, flags, message):
+        monkeypatch.setattr(cli, "_sweep", no_run)
         cfg = tmp_path / "value.args"
         cfg.write_text(file_text)
         out = tmp_path / "run.csv"
@@ -393,11 +448,12 @@ class TestConfigFile:
         cfg.write_text(f"--nnz-guard {value}\n" if source == "file" else "")
         flags = ["--nnz-guard", value] if source == "flag" else []
         out = tmp_path / "run.csv"
-        rc = main([command, "--degree", "1", "--mesh-exp", "2", "--method",
-                   "sgq", "--geometry", "cube", f"@{cfg}",
-                   "--out", str(out)] + flags)
+        rc = exit_code([command, "--degree", "1", "--mesh-exp", "2",
+                        "--method", "sgq", "--geometry", "cube", f"@{cfg}",
+                        "--out", str(out)] + flags)
         assert rc == 2
-        assert "error: nnz_guard must be finite and > 0" in capsys.readouterr().err
+        assert (f"error: argument --nnz-guard: must be finite and > 0, "
+                f"got '{value}'" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
@@ -423,7 +479,7 @@ class TestConfigFile:
 class TestEntryPoint:
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "igamf.cli", "--help"],
-                              capture_output=True, text=True)
+                              env=src_env(), capture_output=True, text=True)
         assert proc.returncode == 0
         assert "solve" in proc.stdout and "convergence" in proc.stdout
 

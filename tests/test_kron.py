@@ -215,11 +215,6 @@ class TestKronMaterialize:
         M = np.asarray(kron_materialize([B, A]).todense())
         assert np.allclose(M, np.kron(A, B))
 
-    def test_size_guard(self):
-        A = np.ones((200, 200))
-        with pytest.raises(MemoryError):
-            kron_materialize([A, A], max_entries=10**6)
-
     def test_entry_identity(self):
         rng = np.random.default_rng(5)
         factors = [rng.standard_normal((3, 2)) for _ in range(2)]
