@@ -11,8 +11,7 @@ from .splines import (KnotVector, TensorSpace, collocation_matrix,
 from .kron import CostMeter, kron_apply, kron_materialize, tensor_grid
 from .wq import (EXACTNESS_TOL, TensorRule, WQConstructionError, WQRule1D,
                  build_tensor_rule, build_wq_rule, exact_grams,
-                 gauss_points_weights, gauss_tensor_rule, wq_points,
-                 wq_weights)
+                 gauss_points_weights, gauss_tensor_rule, wq_points)
 from .geometry import (DegenerateGeometryError, GeometryMap, extrude,
                        identity_map, pullback, quarter_ring_map,
                        quarter_ring_rational_map)

@@ -51,12 +51,27 @@ def estimate_matrix_nnz(space) -> int:
     return nnz
 
 
-def _materialize(space, rule, geom, coeff, kind, nnz_guard):
-    """Assemble the term groups of :func:`wq_terms` as a CSR matrix.
+def assemble_sgq(space, geom, coeff=None, kind="mass",
+                 nnz_guard=NNZ_GUARD) -> AssembledMatrix:
+    """Element-wise Gauss assembly of the mass or stiffness matrix.
 
-    As in the matrix-free apply, per group the sum of kron(W) diag(c) over
-    its pairs is formed first, then one sparse product with kron(B).
-    Raises ``ValueError`` for a NaN ``nnz_guard``, and
+    p+1 points per span per direction, exact for polynomials of degree
+    <= 2p+1 per direction; for another count, pass
+    ``gauss_tensor_rule(space, n)`` to :func:`assemble_wq_explicit`.
+    """
+    return assemble_wq_explicit(space, gauss_tensor_rule(space), geom, coeff,
+                                kind, nnz_guard)
+
+
+def assemble_wq_explicit(space, rule, geom, coeff=None, kind="mass",
+                         nnz_guard=NNZ_GUARD) -> AssembledMatrix:
+    """Materialize the operator of a tensor rule from its sparse factors.
+
+    With a WQ rule this is the weighted-quadrature matrix; with a rule of
+    :func:`~igamf.wq.gauss_tensor_rule` it equals :func:`assemble_sgq`.
+    As in the matrix-free apply, per group of :func:`wq_terms` the sum of
+    kron(W) diag(c) over its pairs is formed first, then one sparse product
+    with kron(B).  Raises ``ValueError`` for a NaN ``nnz_guard``, and
     :class:`MemoryGuardError` before any allocation when the product's
     nonzero estimate or the largest Kronecker factor exceeds ``nnz_guard``.
     """
@@ -81,28 +96,6 @@ def _materialize(space, rule, geom, coeff, kind, nnz_guard):
     A = A.tocsr()
     A.eliminate_zeros()
     return AssembledMatrix(matrix=A)
-
-
-def assemble_sgq(space, geom, coeff=None, kind="mass",
-                 nnz_guard=NNZ_GUARD) -> AssembledMatrix:
-    """Element-wise Gauss assembly of the mass or stiffness matrix.
-
-    p+1 points per span per direction, exact for polynomials of degree
-    <= 2p+1 per direction; for another count, pass
-    ``gauss_tensor_rule(space, n)`` to :func:`assemble_wq_explicit`.
-    """
-    rule = gauss_tensor_rule(space)
-    return _materialize(space, rule, geom, coeff, kind, nnz_guard)
-
-
-def assemble_wq_explicit(space, rule, geom, coeff=None, kind="mass",
-                         nnz_guard=NNZ_GUARD) -> AssembledMatrix:
-    """Materialize the operator of a tensor rule from its sparse factors.
-
-    With a WQ rule this is the weighted-quadrature matrix; with a rule of
-    :func:`~igamf.wq.gauss_tensor_rule` it equals :func:`assemble_sgq`.
-    """
-    return _materialize(space, rule, geom, coeff, kind, nnz_guard)
 
 
 def assemble_rhs(space, geom, f) -> np.ndarray:

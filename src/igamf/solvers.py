@@ -76,7 +76,7 @@ class FDPreconditioner:
         return kron_apply(self.U, y, meter)
 
 
-def stopping_tolerance(galerkin_rel_error: float, eta: float = 0.1) -> float:
+def stopping_tolerance(galerkin_rel_error: float, eta: float) -> float:
     """Relative-residual tolerance tied to the discretization error."""
     if galerkin_rel_error <= 0:
         raise ValueError("Galerkin error estimate must be positive")

@@ -40,11 +40,8 @@ class KnotVector:
             raise ValueError("knot vector must be open (p+1 repeats at each end)")
         if knots[p + 1] == 0.0 or knots[-(p + 2)] == 1.0:
             raise ValueError("endpoint multiplicity must be exactly p+1")
-        interior = knots[p + 1 : len(knots) - p - 1]
-        if len(interior) > 0:
-            _, counts = np.unique(interior, return_counts=True)
-            if np.any(counts > p):
-                raise ValueError("interior knot multiplicity exceeds p")
+        if self.max_interior_multiplicity() > p:
+            raise ValueError("interior knot multiplicity exceeds p")
 
     @property
     def n_funcs(self) -> int:
@@ -60,10 +57,6 @@ class KnotVector:
     def breakpoints(self) -> np.ndarray:
         """Distinct knot values, i.e. the element boundaries."""
         return np.unique(self.knots)
-
-    @property
-    def n_elements(self) -> int:
-        return len(self.breakpoints) - 1
 
     def max_interior_multiplicity(self) -> int:
         interior = self.knots[self.degree + 1 : len(self.knots) - self.degree - 1]

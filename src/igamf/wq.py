@@ -10,7 +10,9 @@ a small exactness system so that
     sum_q W^(a,b)[i, q] * D^b b_j(x_q) = int D^a b_i D^b b_j
 
 holds for every overlapping trial function j.  Right-hand sides are exact
-(per-span Gauss-Legendre with p+1 nodes, exact up to degree 2p+1).
+(per-span Gauss-Legendre with p+1 nodes, exact up to degree 2p+1).  Each
+rule is fitted once on its one point set; a row that misses the exactness
+tolerance raises :class:`WQConstructionError`.
 
 Standard Gauss quadrature is the rule with W^(a,b) = (D^a B)^T diag(w) at
 the Gauss nodes (:func:`gauss_tensor_rule`), so every consumer of a WQ
@@ -31,7 +33,10 @@ _DERIV_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 class WQConstructionError(RuntimeError):
-    """Raised when the exactness system of some row cannot be satisfied."""
+    """A row of :func:`build_wq_rule` whose exactness system has no solution.
+
+    ``row`` is that row and ``residual`` its largest defect.
+    """
 
     def __init__(self, row: int, residual: float):
         self.row = row
@@ -69,72 +74,23 @@ def exact_grams(kv: KnotVector) -> dict:
     return grams
 
 
-def wq_points(kv: KnotVector, boundary_extra: int | None = None) -> np.ndarray:
+def wq_points(kv: KnotVector) -> np.ndarray:
     """Quadrature points: span endpoints and midpoints, denser at the boundary.
 
-    The first and last spans receive ``boundary_extra`` uniformly spaced
-    interior points (default p-1, merged with the midpoint), since near the
-    boundary up to p+1 basis functions live on a single span.
+    The first and last spans receive p-1 uniformly spaced interior points
+    (merged with the midpoint), since near the boundary up to p+1 basis
+    functions live on a single span.
     """
-    if kv.max_interior_multiplicity() > 1:
-        raise ValueError("weighted quadrature requires interior multiplicity 1")
     p = kv.degree
-    if boundary_extra is None:
-        boundary_extra = p - 1
     brk = kv.breakpoints
     pts = [brk, (brk[:-1] + brk[1:]) / 2]
-    if boundary_extra > 0 and len(brk) >= 2:
-        for (a, b) in ((brk[0], brk[1]), (brk[-2], brk[-1])):
-            pts.append(np.linspace(a, b, boundary_extra + 2)[1:-1])
+    for (a, b) in ((brk[0], brk[1]), (brk[-2], brk[-1])):
+        pts.append(np.linspace(a, b, p + 1)[1:-1])
     pts = np.concatenate(pts)
     pts.sort()
     # drop near-duplicates (uniform linspace can reproduce the midpoint)
     keep = np.concatenate([[True], np.diff(pts) > 1e-12])
     return pts[keep]
-
-
-def wq_weights(kv: KnotVector, points, grams):
-    """All four weight matrices W^(a,b) (m x n_q) in one pass over the rows.
-
-    ``grams`` are the exact Grams of :func:`exact_grams`, the right-hand
-    sides.  Returns ``(weights, colloc)``: ``weights[(a, b)]`` satisfies
-    the exactness conditions and ``colloc[b]`` is the collocation matrix
-    (n_q x m) of the b-th derivative at ``points``.  Row i uses the points
-    in supp b_i and the trial functions j with |i - j| <= p, which are the
-    ones overlapping b_i only for simple interior knots; any other knot
-    vector raises ``ValueError``.  Raises :class:`WQConstructionError`
-    carrying the offending row when a row's system is rank-deficient beyond
-    the residual tolerance; the caller may retry with more boundary points.
-    """
-    if kv.max_interior_multiplicity() > 1:
-        raise ValueError("weighted quadrature requires interior multiplicity 1")
-    points = np.asarray(points, dtype=float)
-    p, m = kv.degree, kv.n_funcs
-    colloc = {b: collocation_matrix(kv, points, b) for b in (0, 1)}
-    trial = {b: c.toarray().T for b, c in colloc.items()}  # (m, n_q)
-    gram = {ab: G.toarray() for ab, G in grams.items()}
-    indptr, indices = [0], []
-    data = {ab: [] for ab in _DERIV_PAIRS}
-    for i in range(m):
-        lo, hi = kv.support(i)
-        qs = np.flatnonzero((points >= lo - 1e-14) & (points <= hi + 1e-14))
-        js = slice(max(i - p, 0), min(i + p + 1, m))
-        for a, b in _DERIV_PAIRS:
-            E = trial[b][js, qs]
-            g = gram[(a, b)][i, js]
-            w, *_ = np.linalg.lstsq(E, g, rcond=None)
-            resid = float(np.abs(E @ w - g).max())
-            if resid > EXACTNESS_TOL:
-                raise WQConstructionError(i, resid)
-            data[(a, b)].append(w)
-        indices.append(qs)
-        indptr.append(indptr[-1] + len(qs))
-    weights = {
-        ab: sp.csr_matrix((np.concatenate(w), np.concatenate(indices), indptr),
-                          shape=(m, len(points)))
-        for ab, w in data.items()
-    }
-    return weights, colloc
 
 
 @dataclass(frozen=True)
@@ -157,25 +113,46 @@ class WQRule1D:
 
 
 def build_wq_rule(kv: KnotVector) -> WQRule1D:
-    """Construct the full weighted-quadrature rule for one knot vector.
+    """The weighted-quadrature rule of one knot vector, in one pass over the rows.
 
-    Starts from the default point set and, if some exactness system is
-    rank-deficient, adds boundary points and retries (bounded at 2p extra
-    per boundary span).  The exact Grams do not depend on the points and
-    are built once, before the first attempt.
+    The points are those of :func:`wq_points`; ``colloc[b]`` is the
+    collocation matrix (n_q x m) of the b-th derivative there.  Row i of
+    all four W^(a,b) is fitted by least squares to the exact Grams of
+    :func:`exact_grams`, using the points in supp b_i and the trial
+    functions j with |i - j| <= p, which are the ones overlapping b_i only
+    for simple interior knots; any other knot vector raises
+    ``ValueError``.  Raises :class:`WQConstructionError` carrying the
+    first row whose residual exceeds :data:`EXACTNESS_TOL`.
     """
-    p = kv.degree
-    grams = exact_grams(kv)
-    last_err = None
-    for extra in range(max(p - 1, 0), 3 * p + 1):
-        points = wq_points(kv, boundary_extra=extra)
-        try:
-            weights, colloc = wq_weights(kv, points, grams)
-        except WQConstructionError as err:
-            last_err = err
-            continue
-        return WQRule1D(kv=kv, points=points, weights=weights, colloc=colloc)
-    raise last_err
+    if kv.max_interior_multiplicity() > 1:
+        raise ValueError("weighted quadrature requires interior multiplicity 1")
+    points = wq_points(kv)
+    p, m = kv.degree, kv.n_funcs
+    colloc = {b: collocation_matrix(kv, points, b) for b in (0, 1)}
+    trial = {b: c.toarray().T for b, c in colloc.items()}  # (m, n_q)
+    gram = {ab: G.toarray() for ab, G in exact_grams(kv).items()}
+    indptr, indices = [0], []
+    data = {ab: [] for ab in _DERIV_PAIRS}
+    for i in range(m):
+        lo, hi = kv.support(i)
+        qs = np.flatnonzero((points >= lo - 1e-14) & (points <= hi + 1e-14))
+        js = slice(max(i - p, 0), min(i + p + 1, m))
+        for a, b in _DERIV_PAIRS:
+            E = trial[b][js, qs]
+            g = gram[(a, b)][i, js]
+            w, *_ = np.linalg.lstsq(E, g, rcond=None)
+            resid = float(np.abs(E @ w - g).max())
+            if resid > EXACTNESS_TOL:
+                raise WQConstructionError(i, resid)
+            data[(a, b)].append(w)
+        indices.append(qs)
+        indptr.append(indptr[-1] + len(qs))
+    weights = {
+        ab: sp.csr_matrix((np.concatenate(w), np.concatenate(indices), indptr),
+                          shape=(m, len(points)))
+        for ab, w in data.items()
+    }
+    return WQRule1D(kv=kv, points=points, weights=weights, colloc=colloc)
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,21 @@ class TestSolveCommand:
         assert rec.solve_s >= 2 * pause
         assert rec.total_s == pytest.approx(rec.setup_s + rec.solve_s)
 
+    @pytest.mark.parametrize("degree, mesh_exp, message", [
+        ("0", "2", "run p=0 k=2 failed: degree must be >= 1"),
+        ("2", "0", "run p=2 k=0 failed: mesh exponent must be >= 1"),
+    ])
+    def test_out_of_range_size_is_a_failed_row(self, tmp_path, capsys, degree,
+                                               mesh_exp, message):
+        out = tmp_path / "run.csv"
+        rc = main(["solve", "--degree", degree, "--mesh-exp", mesh_exp,
+                   "--geometry", "cube", "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        rec = dict(zip(*read_csv(out)))
+        assert (rec["N"], rec["error_h1"], rec["converged"]) == ("0", "",
+                                                                 "False")
+
     def test_cross_method_consistency(self):
         a = run_solve(RunConfig(1, 3, geometry="ring", method="sgq"))
         b = run_solve(RunConfig(1, 3, geometry="ring", method="mfwq"))
@@ -423,6 +438,16 @@ class TestConfigFile:
                         "--geometry", "cube", "--out", str(out)])
         assert rc == 2
         assert "argument --degree: bad integer list" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparsable_integer_list(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_sweep", no_run)
+        out = tmp_path / "bad.csv"
+        rc = exit_code(["convergence", "--degree", "2,x", "--mesh-exp", "3",
+                        "--geometry", "cube", "--out", str(out)])
+        assert rc == 2
+        assert ("argument --degree: bad integer list '2,x'"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "convergence", "profile"])

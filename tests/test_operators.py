@@ -149,6 +149,15 @@ class TestCoefficientGrids:
         assert np.allclose(np.swapaxes(cof, 1, 2) / det[:, None, None],
                            np.linalg.inv(A), rtol=1e-15)
 
+    def test_pullback_rejects_dimension_four(self):
+        with pytest.raises(ValueError, match="dimension <= 3, got 4"):
+            pullback(affine_map(np.eye(4), np.zeros(4)), np.zeros((2, 4)))
+
+    def test_unknown_kind(self):
+        _, rule, _ = make(1, 2)
+        with pytest.raises(ValueError, match="unknown kind 'damping'"):
+            wq_terms(rule, "damping")
+
     def test_pullback_same_for_either_layout(self):
         # a component-major Jacobian and a C-order copy of it give the same
         # bits: det and cof are formed from entry products in a fixed order

@@ -3,12 +3,14 @@ import pytest
 import scipy.linalg
 
 from conftest import fd_forward
-from igamf import (FDPreconditioner, IndefiniteOperatorError, TensorSpace,
+from igamf import (CostMeter, FDPreconditioner, IndefiniteOperatorError,
+                   TensorSpace,
                    assemble_rhs, assemble_sgq, bicgstab, build_tensor_rule,
                    cg, exact_grams,
                    identity_map, kron_materialize, make_uniform_knots,
                    oscillating_case, quarter_ring_map, setup_stiffness,
                    stopping_tolerance, tensor_space)
+from igamf.kron import banded, kron_flops
 
 
 class TestUnivariateMatrices:
@@ -36,6 +38,19 @@ class TestFDPreconditioner:
         v = np.random.default_rng(0).standard_normal(space.n_dofs)
         back = P.apply(fd_forward(space, v))
         assert np.linalg.norm(back - v) <= 1e-10 * np.linalg.norm(v)
+
+    def test_apply_charges_both_kronecker_applies_and_the_diagonal(self):
+        # the charge behind perfbench's solvers.fd_apply.flops
+        space = TensorSpace((make_uniform_knots(2, 4), make_uniform_knots(3, 5),
+                             make_uniform_knots(2, 6)))
+        P = FDPreconditioner(space)
+        meter = CostMeter()
+        P.apply(np.ones(space.n_dofs), meter)
+        assert meter.flops == (kron_flops([banded(U.T) for U in P.U])
+                               + space.n_dofs
+                               + kron_flops([banded(U) for U in P.U]))
+        # dense n_l x n_l factors: 2 N n_l flops per mode and apply
+        assert meter.flops == space.n_dofs * (4 * sum(space.n_per_dir) + 1)
 
     def test_one_eigensolve_per_distinct_knot_vector(self, monkeypatch):
         calls = []
@@ -217,19 +232,19 @@ class TestBiCGStab:
 
 class TestStoppingTolerance:
     def test_table_value_p2(self):
-        assert stopping_tolerance(7.1e-2) == pytest.approx(7.1e-3)
+        assert stopping_tolerance(7.1e-2, 0.1) == pytest.approx(7.1e-3)
 
     def test_table_value_p3(self):
-        assert stopping_tolerance(3.3e-2) == pytest.approx(3.3e-3)
+        assert stopping_tolerance(3.3e-2, 0.1) == pytest.approx(3.3e-3)
 
     def test_unit_error(self):
         assert stopping_tolerance(1.0, 0.1) == pytest.approx(0.1)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            stopping_tolerance(0.0)
+            stopping_tolerance(0.0, 0.1)
         with pytest.raises(ValueError):
-            stopping_tolerance(-1e-3)
+            stopping_tolerance(-1e-3, 0.1)
 
 
 class TestKrylovReport:

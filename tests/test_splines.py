@@ -22,7 +22,7 @@ class TestMakeUniformKnots:
     def test_counts(self):
         kv = make_uniform_knots(3, 8)
         assert kv.n_funcs == 11
-        assert kv.n_elements == 8
+        assert len(kv.breakpoints) - 1 == 8
 
     @pytest.mark.parametrize("p,n_el", [(0, 4), (-1, 4), (2, 0)])
     def test_rejects_bad_sizes(self, p, n_el):
@@ -34,6 +34,16 @@ class TestMakeUniformKnots:
             KnotVector(2, [0, 0, 0.5, 1, 1, 1, 1])
         with pytest.raises(ValueError):
             KnotVector(1, [0, 0, 0.7, 0.3, 1, 1])
+
+    @pytest.mark.parametrize("p,knots,message", [
+        (2, [0, 0, 0, 1, 1], "too short"),
+        (1, [0, 0, 0.5, 2, 2], "start at 0 and end at 1"),
+        (1, [0, 0, 0, 1, 1, 1], "endpoint multiplicity"),
+        (2, [0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1], "interior knot multiplicity"),
+    ])
+    def test_rejects_invalid_knots(self, p, knots, message):
+        with pytest.raises(ValueError, match=message):
+            KnotVector(p, knots)
 
 
 class TestCollocation:
@@ -75,6 +85,10 @@ class TestCollocation:
         with pytest.raises(ValueError):
             collocation_matrix(kv, [np.nan])
 
+    def test_rejects_second_derivative(self):
+        with pytest.raises(ValueError, match="orders 0 and 1"):
+            collocation_matrix(make_uniform_knots(2, 4), [0.5], deriv=2)
+
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_derivative_matches_finite_differences(self, p):
         kv = make_uniform_knots(p, 6)
@@ -113,7 +127,7 @@ class TestCollocation:
         *(make_uniform_knots(p, n_el) for p in range(1, 11) for n_el in (1, 3, 8)),
         KnotVector(3, [0, 0, 0, 0, .1, .35, .35, .8, 1, 1, 1, 1]),
         KnotVector(2, [0, 0, 0, .2, .2, .7, 1, 1, 1]),
-    ], ids=lambda kv: (f"p{kv.degree}-{kv.n_elements}el"
+    ], ids=lambda kv: (f"p{kv.degree}-{len(kv.breakpoints) - 1}el"
                        f"-m{kv.max_interior_multiplicity()}"))
     @pytest.mark.parametrize("deriv", [0, 1])
     def test_matches_scipy_bspline(self, kv, deriv):
@@ -161,7 +175,7 @@ class TestCollocationExact:
         *(make_uniform_knots(p, n_el) for p in range(1, 5) for n_el in (3, 5, 8)),
         *(_knots(p, [0.3, 0.5, 0.5, 0.8]) for p in range(2, 5)),
         *(_knots(p, [0.25] + [0.6] * p) for p in range(1, 5)),
-    ], ids=lambda kv: (f"p{kv.degree}-{kv.n_elements}el"
+    ], ids=lambda kv: (f"p{kv.degree}-{len(kv.breakpoints) - 1}el"
                        f"-m{kv.max_interior_multiplicity()}"))
     def test_matches_rational_cox_de_boor(self, kv):
         # every breakpoint (0 and 1 included, where the one-sided limits

@@ -8,7 +8,7 @@ from igamf import (EXACTNESS_TOL, KnotVector, TensorSpace,
                    exact_grams,
                    gauss_tensor_rule, make_uniform_knots, tensor_space)
 import igamf.wq
-from igamf.wq import gauss_points_weights, wq_points, wq_weights
+from igamf.wq import gauss_points_weights, wq_points
 
 DERIV_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -46,11 +46,6 @@ class TestWQPoints:
         pts = wq_points(make_uniform_knots(4, 7))
         assert np.all(np.diff(pts) > 0)
 
-    def test_repeated_interior_knot_rejected(self):
-        kv = KnotVector(2, [0, 0, 0, 0.5, 0.5, 1, 1, 1])
-        with pytest.raises(ValueError):
-            wq_points(kv)
-
 
 class TestWQWeights:
     def test_hat_gram_reproduction(self):
@@ -82,17 +77,26 @@ class TestWQWeights:
         rule = build_wq_rule(kv)
         assert exactness_defect(rule, 0, 1) <= EXACTNESS_TOL
 
-    def test_insufficient_points_raise_with_row(self):
-        kv = make_uniform_knots(3, 4)
-        pts = wq_points(kv, boundary_extra=0)
-        with pytest.raises(WQConstructionError) as exc:
-            wq_weights(kv, pts, exact_grams(kv))
-        assert exc.value.row >= 0
+    def test_insufficient_points_raise_with_row(self, monkeypatch):
+        # at p=3 on 4 elements the span endpoints and midpoints alone fail;
+        # the rule is fitted once, on the points it is given
+        calls = []
 
-    def test_weights_reject_repeated_interior_knot(self):
+        def without_boundary_points(kv):
+            calls.append(kv)
+            brk = kv.breakpoints
+            return np.union1d(brk, (brk[:-1] + brk[1:]) / 2)
+
+        monkeypatch.setattr(igamf.wq, "wq_points", without_boundary_points)
+        with pytest.raises(WQConstructionError) as exc:
+            build_wq_rule(make_uniform_knots(3, 4))
+        assert exc.value.row >= 0
+        assert len(calls) == 1
+
+    def test_repeated_interior_knot_rejected(self):
         kv = KnotVector(2, [0, 0, 0, 0.5, 0.5, 1, 1, 1])
         with pytest.raises(ValueError, match="multiplicity 1"):
-            wq_weights(kv, np.linspace(0, 1, 9), exact_grams(kv))
+            build_wq_rule(kv)
 
     def test_one_collocation_per_trial_derivative(self, monkeypatch):
         # the four weight families and the rule share the collocations at
@@ -111,28 +115,6 @@ class TestWQWeights:
         # the first derivatives at the Gauss points
         assert len(calls) == 4
 
-    def test_grams_built_once_before_retries(self, monkeypatch):
-        # at p=3 on 4 elements a point set without boundary points fails;
-        # the retry collocates at its own points only
-        calls, extras = [], []
-
-        def counting(kv, points, deriv=0):
-            calls.append(deriv)
-            return collocation_matrix(kv, points, deriv)
-
-        def first_without_boundary_points(kv, boundary_extra):
-            extras.append(boundary_extra)
-            return wq_points(kv, 0 if len(extras) == 1 else boundary_extra)
-
-        monkeypatch.setattr(igamf.wq, "collocation_matrix", counting)
-        monkeypatch.setattr(igamf.wq, "wq_points",
-                            first_without_boundary_points)
-        rule = build_wq_rule(make_uniform_knots(3, 4))
-        assert len(extras) == 2
-        assert len(calls) == 2 + 2 * len(extras)
-        for a, b in DERIV_PAIRS:
-            assert exactness_defect(rule, a, b) <= EXACTNESS_TOL
-
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_exactness_all_pairs_uniform(self, p):
         # the WQ rule and the p+1 Gauss rule, which fills the same fields
@@ -147,6 +129,14 @@ class TestWQWeights:
         rule = build_wq_rule(perturbed_knots(p, 8, seed=p))
         for a, b in DERIV_PAIRS:
             assert exactness_defect(rule, a, b) <= EXACTNESS_TOL
+
+    @pytest.mark.parametrize("p", [9, 10])
+    def test_exactness_highest_degrees(self, p):
+        # the top of the reference table and of the CLI's degree range
+        for kv in (make_uniform_knots(p, 8), perturbed_knots(p, 8, seed=p)):
+            rule = build_wq_rule(kv)
+            for a, b in DERIV_PAIRS:
+                assert exactness_defect(rule, a, b) <= EXACTNESS_TOL
 
 
 class TestGaussOracle:
