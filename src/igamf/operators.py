@@ -7,7 +7,10 @@ tensor quadrature points and per-direction collocation factors B.
 :func:`wq_terms` lists the terms and :func:`coefficient_grids` evaluates
 the grids; the matrix-free operators here and the explicit assembly oracle
 both consume them.  The mass operator is one term; the stiffness operator
-has d*d derivative-pair terms over d(d+1)/2 symmetric grids.  Both apply
+has d*d derivative-pair terms over d(d+1)/2 symmetric grids.  The
+matrix-free operators drop at set-up each term whose grid is identically
+zero (on an extruded map C_13 = C_23 = 0, so the stiffness keeps at most
+5 of its 9 terms); explicit assembly keeps every term.  Both operators apply
 in one fused pass per group of terms sharing their collocation factors:
 the products with the grids run tile by tile between the last collocation
 mode and the first weight mode, so no quadrature-point vector is formed.
@@ -157,23 +160,30 @@ def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
 class _WQOperator:
     """Term groups and stored coefficient grids of one WQ operator.
 
-    ``groups`` is :func:`wq_terms` with each distinct factor converted once
-    by :func:`~igamf.kron.banded`.  ``coeffs`` holds the grids of all
-    ``rule.n_points`` points (:func:`_rule_grids`): set-up needs them, one
-    slab's points and one chunk's scratch.
+    ``coeffs`` holds the grids of all ``rule.n_points`` points
+    (:func:`_rule_grids`): set-up needs them, one slab's points and one
+    chunk's scratch.  ``groups`` is :func:`wq_terms` without the pairs whose
+    grid has no nonzero entry (an exact test, no tolerance) and without the
+    groups left with no pair, each distinct factor of the kept terms
+    converted once by :func:`~igamf.kron.banded`.  Every grid stays stored,
+    the dropped ones too.
     """
 
     def __init__(self, space, rule: TensorRule, geom, kind, coeff):
         self.rule = rule
         self.n_dofs = space.n_dofs
-        groups = wq_terms(rule, kind)
+        self.n1 = space.n_per_dir[0]
+        self.coeffs = _rule_grids(kind, rule, geom, coeff)
+        nonzero = {key: np.any(g) for key, g in self.coeffs.items()}
+        groups = [(B, [(W, key) for W, key in pairs if nonzero[key]])
+                  for B, pairs in wq_terms(rule, kind)]
+        groups = [(B, pairs) for B, pairs in groups if pairs]
         distinct = {id(f): f for B, pairs in groups
                     for F in [B] + [W for W, _ in pairs] for f in F}
         conv = {i: banded(f) for i, f in distinct.items()}
         self.groups = [([conv[id(f)] for f in B],
                         [([conv[id(f)] for f in W], key) for W, key in pairs])
                        for B, pairs in groups]
-        self.coeffs = _rule_grids(kind, rule, geom, coeff)
 
     @property
     def coeff_scalars(self) -> int:
@@ -189,8 +199,10 @@ class _WQOperator:
         the dof order those modes leave, direction 1 slowest, and one
         transpose at the end restores the natural order.  No
         ``rule.n_points``-sized vector is formed.  The meter charges the
-        term-by-term count: the :func:`~igamf.kron.kron_flops` of each B
-        and W list (direction d first) plus nq + 2 n_dofs per term.
+        term-by-term count of the kept terms: the
+        :func:`~igamf.kron.kron_flops` of each kept group's B list and of
+        each kept term's W list (direction d first) plus nq + 2 n_dofs per
+        kept term; with no term kept, the result is zero and costs nothing.
         """
         v = checked_vector(v, self.n_dofs)
         nq = self.rule.n_points
@@ -202,7 +214,7 @@ class _WQOperator:
             if meter is not None:
                 meter.add_flops(kron_flops(B) + sum(
                     kron_flops(W) + nq + 2 * self.n_dofs for W, _ in pairs))
-        return w.reshape(B[0].shape[1], -1).T.ravel()
+        return w.reshape(self.n1, -1).T.ravel()
 
     def _tile_pass(self, B, pairs, v):
         """One trial group up to each term's direction-1 W mode.

@@ -417,7 +417,9 @@ class TestStiffnessApply:
     def test_each_distinct_factor_built_and_converted_once(self, monkeypatch):
         # per distinct knot vector 4 weight matrices W^(a,b) and 2
         # collocations B^(b) serve all 9 terms, grouped by trial direction;
-        # an isotropic space shares one knot vector among its directions
+        # an isotropic space shares one knot vector among its directions.
+        # On the reparametrized ring every grid is nonzero, so the operator
+        # keeps all 9 terms too
         converted = []
 
         def counting(f):
@@ -425,7 +427,7 @@ class TestStiffnessApply:
             return banded(f)
 
         monkeypatch.setattr(operators, "banded", counting)
-        geom = quarter_ring_map()
+        geom = reparametrized_ring()
         for n_kvs in (1, 3):
             kvs = [make_uniform_knots(2, 3 + l) for l in range(n_kvs)]
             space = TensorSpace(tuple(kvs[l % n_kvs] for l in range(3)))
@@ -552,7 +554,8 @@ class TestFusedApply:
         # the fused pass contracts direction 1 of W first but is charged
         # what kron_apply charges for each B and W list, plus nq + 2 n_dofs
         # per term; the term-by-term apply gave 1,397,601 for this stiffness
-        space, rule, geom = make(3, 8, quarter_ring_rational_map())
+        # with all 9 terms, which the reparametrized ring keeps
+        space, rule, geom = make(3, 8, reparametrized_ring())
         nq, N = rule.n_points, space.n_dofs
         flops = {}
         for kind, setup in SETUPS.items():
@@ -573,8 +576,9 @@ class TestFusedApply:
     def test_apply_scratch_peak(self):
         # one trial group's per-term grids after their direction-1 W mode
         # (N_1 Q_2 Q_3 each), its B grid, the result and two tiles: the
-        # peak stays <= 3 float64 scalars per quadrature point (2.4 here;
-        # the term-by-term apply took 2.86)
+        # peak stays <= 3 float64 scalars per quadrature point (1.9 here,
+        # where the ring keeps 2 terms per group; 2.4 with all 3, and the
+        # term-by-term apply took 2.86)
         space = tensor_space(8, 32)
         rule = build_tensor_rule(space)
         op = setup_stiffness(space, rule, quarter_ring_rational_map())
@@ -586,6 +590,50 @@ class TestFusedApply:
         finally:
             tracemalloc.stop()
         assert peak / (8 * rule.n_points) <= 3
+
+
+class TestZeroTermSkip:
+    """Set-up keeps the terms whose stored grid has a nonzero entry; the
+    grids themselves and the term list of :func:`wq_terms` stay whole."""
+
+    @pytest.mark.parametrize("geom, sizes, keys", [
+        (quarter_ring_rational_map, [2, 2, 1],
+         {(0, 0), (0, 1), (1, 1), (2, 2)}),
+        (lambda: identity_map(3), [1, 1, 1], {(0, 0), (1, 1), (2, 2)}),
+        (reparametrized_ring, [3, 3, 3],
+         {(a, b) for a in range(3) for b in range(a, 3)}),
+    ], ids=["rational-ring", "cube", "reparametrized-ring"])
+    def test_kept_terms(self, geom, sizes, keys):
+        # extrusions have C_13 = C_23 = 0, the cube C_12 = 0 too
+        space, rule, _ = make(3, 4)
+        op = setup_stiffness(space, rule, geom())
+        assert [len(pairs) for _, pairs in op.groups] == sizes
+        assert {key for _, pairs in op.groups for _, key in pairs} == keys
+        assert op.coeff_scalars == 6 * rule.n_points
+        assert [len(pairs) for _, pairs in wq_terms(rule, "stiffness")] == [
+            3, 3, 3]
+
+    def test_tiny_grid_kept(self):
+        # the test is exact, with no tolerance: C_12 = 1e-300 is kept
+        K = np.eye(3)
+        K[0, 1] = K[1, 0] = 1e-300
+        space, rule, geom = make(2, 3)
+        op = setup_stiffness(space, rule, geom, K)
+        assert np.all(op.coeffs[(0, 1)] == 1e-300)
+        assert [len(pairs) for _, pairs in op.groups] == [2, 2, 1]
+
+    @pytest.mark.parametrize("kind, coeff", [("stiffness", np.zeros((3, 3))),
+                                             ("mass", 0.0)])
+    def test_every_term_dropped(self, kind, coeff):
+        # a zero coefficient leaves no term: the apply returns exact zeros
+        # of the operator's length and charges no flops
+        space, rule, geom = make(2, 3, quarter_ring_rational_map())
+        op = SETUPS[kind](space, rule, geom, coeff)
+        assert op.groups == []
+        meter = CostMeter()
+        v = np.random.default_rng(3).standard_normal(space.n_dofs)
+        assert np.array_equal(op.apply(v, meter), np.zeros(space.n_dofs))
+        assert meter.flops == 0
 
 
 class TestSetupMemory:
