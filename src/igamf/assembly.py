@@ -83,7 +83,7 @@ def assemble_wq_explicit(space, rule, geom, coeff=None, kind="mass",
     est = max(estimate_matrix_nnz(space), factor_nnz)
     if est > nnz_guard:
         raise MemoryGuardError(est, nnz_guard)
-    coeffs = _rule_grids(kind, rule, geom, coeff)
+    coeffs, _ = _rule_grids(kind, rule, geom, coeff)
     A = None
     for B, pairs in groups:
         WC = None

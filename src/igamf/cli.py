@@ -149,14 +149,17 @@ def _setup(cfg: RunConfig, geom, case):
     else:
         rule = build_tensor_rule(space)
     if cfg.method == "mfwq":
-        apply_A = setup_stiffness(space, rule, geom).apply
+        op = setup_stiffness(space, rule, geom)
+        apply_A = op.apply
+        rec.coeff_scalars = op.coeff_scalars
     else:
         mat = assemble_wq_explicit(space, rule, geom, kind="stiffness",
                                    nnz_guard=cfg.nnz_guard)
         apply_A = lambda v: mat.matrix @ v
         rec.nnz = mat.nnz
-    rec.coeff_scalars = 6 * rule.n_points
-    rec.setup_flops = (rec.coeff_scalars * _COEFF_EVAL_FLOPS
+        rec.coeff_scalars = 6 * rule.n_points
+    # set-up evaluates all 6 grids, whichever it keeps
+    rec.setup_flops = (6 * rule.n_points * _COEFF_EVAL_FLOPS
                        + 9 * 4 * (rec.nnz or 0))
     rhs = wq_load_vector(rule, geom, case.f)
 

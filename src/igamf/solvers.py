@@ -129,7 +129,10 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000):
 
     On a breakdown (rho or omega, seeded 0; r_shadow . v, seeded 1) the
     iteration restarts once with a randomly perturbed shadow vector, then
-    reports failure.
+    reports failure.  A product with r_shadow breaks down when it is below
+    eps times the product of the two norms, a test of near-orthogonality at
+    any residual size (against eps ||b||^2, a residual of 1e-10 ||b||
+    would break down at a cosine of 2e-6).
     """
     b = np.asarray(b, dtype=float).ravel()
     x = np.zeros_like(b)
@@ -143,13 +146,14 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000):
     restarted = False
     r = b.copy()  # the residual of x = 0
     r_shadow = r.copy()
+    shadow_norm = rnorm = bnorm
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
     for k in range(1, maxit + 1):
         seed = None  # set on a breakdown
         rho_new = r_shadow @ r
-        if abs(rho_new) < eps * bnorm**2 or abs(omega) < eps:
+        if abs(rho_new) < eps * shadow_norm * rnorm or abs(omega) < eps:
             seed = 0
         else:
             beta = (rho_new / rho) * (alpha / omega)
@@ -159,7 +163,7 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000):
             v = apply_A(phat)
             matvecs += 1
             denom = r_shadow @ v
-            if abs(denom) < eps * bnorm**2:
+            if abs(denom) < eps * shadow_norm * np.linalg.norm(v):
                 seed = 1
         if seed is not None:
             if restarted:
@@ -167,6 +171,7 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000):
             restarted = True
             rng = np.random.default_rng(seed)
             r_shadow = r + 1e-8 * bnorm * rng.standard_normal(len(b))
+            shadow_norm = np.linalg.norm(r_shadow)
             rho = alpha = omega = 1.0
             v = np.zeros_like(b)
             p = np.zeros_like(b)
@@ -184,7 +189,8 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000):
         omega = (t @ s) / tt if tt > 0 else 0.0
         x += alpha * phat + omega * shat
         r = s - omega * t
-        rel = np.linalg.norm(r) / bnorm
+        rnorm = np.linalg.norm(r)
+        rel = rnorm / bnorm
         residuals.append(rel)
         if rel <= tol:
             return x, KrylovReport(k, residuals, True, matvecs)

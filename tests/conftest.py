@@ -39,15 +39,17 @@ def not_extruded(geom):
     return GeometryMap(dim=geom.dim, _map=geom.evaluate, _jacobian=geom.jacobian)
 
 
-def reparametrized_ring(a=0.5):
-    """The rational quarter ring with xi_3 reparametrized:
-    F(xi) = (G(xi_1, xi_2), phi(xi)), phi = xi_3 + a xi_3 (1 - xi_3) psi,
-    psi = sin(pi xi_1) cos(pi xi_2), with G the ring's planar map.
+def reparametrized_ring(a=0.5, b=0.3):
+    """The rational quarter ring with xi_1 and xi_3 reparametrized:
+    F(xi) = (G(s, xi_2), phi(xi)), s = xi_1 + b xi_1 (1 - xi_1) sin(pi xi_2),
+    phi = xi_3 + a xi_3 (1 - xi_3) psi, psi = sin(pi xi_1) cos(pi xi_2),
+    with G the ring's planar map.
 
-    For |a| < 1, phi rises from 0 to 1 in xi_3, so the domain, its faces
-    and the oscillating case are the ring's.  The map is neither an
-    extrusion (``planar`` is None) nor separable: every entry of
-    C = cof^T cof / det J_F is nonzero.
+    For |a|, |b| < 1, s rises from 0 to 1 in xi_1 and phi in xi_3, both
+    fixing the faces, so the domain, its faces and the oscillating case are
+    the ring's.  The map is neither an extrusion (``planar`` is None) nor
+    separable, and s shears G, whose own Jacobian has orthogonal columns:
+    every entry of C = cof^T cof / det J_F is nonzero.
     """
     G = quarter_ring_rational_map().planar
 
@@ -57,17 +59,27 @@ def reparametrized_ring(a=0.5):
         s2, c2 = np.sin(np.pi * xi[:, 1]), np.cos(np.pi * xi[:, 1])
         return t, a * t * (1 - t), s1, c1, s2, c2
 
+    def sheared(xi):
+        """(s, xi_2) and the derivatives of s in xi_1 and xi_2."""
+        x1 = xi[:, 0]
+        s2, c2 = np.sin(np.pi * xi[:, 1]), np.cos(np.pi * xi[:, 1])
+        plane = np.stack([x1 + b * x1 * (1 - x1) * s2, xi[:, 1]], axis=1)
+        return plane, 1 + b * (1 - 2 * x1) * s2, np.pi * b * x1 * (1 - x1) * c2
+
     def _map(xi):
         t, bump, s1, _, _, c2 = parts(xi)
         x = np.empty((len(xi), 3))
-        x[:, :2] = G.evaluate(xi[:, :2])
+        x[:, :2] = G.evaluate(sheared(xi)[0])
         x[:, 2] = t + bump * s1 * c2
         return x
 
     def _jac(xi):
         t, bump, s1, c1, s2, c2 = parts(xi)
+        plane, ds1, ds2 = sheared(xi)
+        JG = G.jacobian(plane)
         J = np.zeros((len(xi), 3, 3))
-        J[:, :2, :2] = G.jacobian(xi[:, :2])
+        J[:, :2, 0] = JG[:, :, 0] * ds1[:, None]
+        J[:, :2, 1] = JG[:, :, 0] * ds2[:, None] + JG[:, :, 1]
         J[:, 2, 0] = np.pi * bump * c1 * c2
         J[:, 2, 1] = -np.pi * bump * s1 * s2
         J[:, 2, 2] = 1 + a * (1 - 2 * t) * s1 * c2

@@ -178,8 +178,9 @@ def test_criterion_6_extended_64_cubed():
 
 
 def _profile_16cubed():
-    # the reparametrized ring has no identically zero grid, so the apply
-    # profiled runs all 9 stiffness terms; the cube keeps 3 of them
+    # the reparametrized ring has no negligible grid, so the apply
+    # profiled runs all 9 stiffness terms and stores all 6 grids; the CLI
+    # maps keep 3 of them
     records = []
     geom = reparametrized_ring()
     for p in range(1, 9):

@@ -268,8 +268,12 @@ class TestProfileCommand:
         assert int(recs[1]["matvec_flops"]) > int(recs[0]["matvec_flops"])
 
     def test_profile_record_fields(self):
+        # the cube's operator stores 3 of the 6 stiffness grids, and set-up
+        # is charged for evaluating all 6
         rec = run_profile(RunConfig(2, 3, geometry="cube", method="mfwq"))
-        assert rec.coeff_scalars > 0
+        nq = igamf.build_tensor_rule(igamf.tensor_space(2, 8)).n_points
+        assert rec.coeff_scalars == 3 * nq
+        assert rec.setup_flops == 6 * nq * cli._COEFF_EVAL_FLOPS
         assert rec.solve_s > 0
 
 

@@ -85,13 +85,22 @@ class TestReparametrizedRing:
         assert fd_defect(reparametrized_ring()) <= 1e-6
 
     def test_same_domain_as_ring(self):
-        # the same (x1, x2) and the same faces xi_3 = 0, 1 as the ring, and
-        # x3 rises with xi_3; not an extrusion
+        # the ring's faces: on xi_1, xi_2 = 0, 1 the ring's (x1, x2), up to
+        # sin(pi) = 1.2e-16 on xi_2 = 1, and x3 = xi_3 on xi_3 = 0, 1;
+        # inside, (x1, x2) stays in the ring's plane domain; not an extrusion
         g, ring = reparametrized_ring(), quarter_ring_rational_map()
         assert g.planar is None
         xi = np.random.default_rng(5).random((200, 3))
-        X, R = g.evaluate(xi), ring.evaluate(xi)
-        assert np.array_equal(X[:, :2], R[:, :2])
+        for l in (0, 1):
+            for face in (0.0, 1.0):
+                xf = xi.copy()
+                xf[:, l] = face
+                assert np.allclose(g.evaluate(xf)[:, :2],
+                                   ring.evaluate(xf)[:, :2], rtol=0, atol=1e-15)
+        X = g.evaluate(xi)
+        assert X[:, :2].min() >= 0
+        assert np.all((np.hypot(X[:, 0], X[:, 1]) >= 1)
+                      & (np.hypot(X[:, 0], X[:, 1]) <= 2))
         for face in (0.0, 1.0):
             xf = xi.copy()
             xf[:, 2] = face

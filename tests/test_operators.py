@@ -67,28 +67,37 @@ class TestCoefficientGrids:
     def test_slab_wise_setup_matches_whole_grid(self, monkeypatch, geometry,
                                                 plane_parts, p):
         # pointwise values do not depend on the chunks: slabs of whole
-        # layers, and with a chunk below the plane's size, parts of a layer
+        # layers, and with a chunk below the plane's size, parts of a layer;
+        # the operator stores the kept grids of these values
         space, rule, _ = make(p, 6)
         geom = _GEOMETRIES[geometry][0]()
         split_into_slabs(monkeypatch, rule, 8)
         if plane_parts:
             plane = rule.n_points // rule.n_points_per_dir[-1]
             monkeypatch.setattr(kron, "CHUNK_POINTS", plane // 3)
-        for op, kind in ((setup_stiffness(space, rule, geom), "stiffness"),
-                         (setup_mass(space, rule, geom), "mass")):
+        for kind, setup in SETUPS.items():
             whole = coefficient_grids(kind, geom, point_arrays(rule).T)
-            assert op.coeffs.keys() == whole.keys()
-            assert all(np.array_equal(op.coeffs[k], whole[k]) for k in whole)
+            chunked, kept = operators._rule_grids(kind, rule, geom, None)
+            assert chunked.keys() == whole.keys()
+            assert all(np.array_equal(chunked[k], whole[k]) for k in whole)
+            op = setup(space, rule, geom)
+            assert op.coeffs.keys() == kept
+            assert all(np.array_equal(op.coeffs[k], whole[k]) for k in kept)
 
     def test_no_grid_identically_zero_on_a_general_map(self):
-        # the ring, an extrusion, has C_13 = C_23 = 0; the reparametrized
-        # ring has every grid nonzero, so every term of the apply counts
+        # the ring, an extrusion, has C_13 = C_23 = 0; on the reparametrized
+        # ring every coupling is far above the noise bound TAU (measured
+        # max |C_ab| / sqrt(C_aa C_bb) >= 5.0e14 eps), so every term counts
         space, rule, _ = make(3, 4)
-        ring = setup_stiffness(space, rule, quarter_ring_rational_map())
-        assert [k for k, g in ring.coeffs.items() if not np.any(g)] == [
-            (0, 2), (1, 2)]
+        ring = grids("stiffness", rule, quarter_ring_rational_map())
+        assert [k for k, g in ring.items() if not np.any(g)] == [(0, 2), (1, 2)]
+        C = grids("stiffness", rule, reparametrized_ring())
+        for (a, b), g in C.items():
+            if a != b:
+                ratio = np.abs(g) / np.sqrt(C[(a, a)] * C[(b, b)])
+                assert ratio.max() > 1e10 * operators.TAU, (a, b)
         op = setup_stiffness(space, rule, reparametrized_ring())
-        assert all(np.any(g) for g in op.coeffs.values())
+        assert op.coeffs.keys() == C.keys()
 
     def test_mass_identity_geometry(self):
         space, rule, geom = make(2, 3)
@@ -107,9 +116,11 @@ class TestCoefficientGrids:
             assert np.allclose(g, 1.0 if a == b else 0.0, atol=1e-14)
 
     def test_symmetric_storage_count(self):
+        # of the 6 symmetric grids the polar ring stores the 3 diagonal
+        # ones: C_12 is rounding noise and C_13 = C_23 = 0
         space, rule, geom = make(2, 4, quarter_ring_map())
         op = setup_stiffness(space, rule, geom)
-        assert op.coeff_scalars == 6 * rule.n_points
+        assert op.coeff_scalars == 3 * rule.n_points
 
     def test_mass_storage_count(self):
         space, rule, geom = make(3, 4)
@@ -276,7 +287,7 @@ class TestWQLoadVector:
         geom = quarter_ring_rational_map()
         f = oscillating_case().f
         (_, [(W, _)]), = wq_terms(rule, "mass")
-        grid = operators._rule_grids("mass", rule, geom, f)[None]
+        grid = operators._rule_grids("mass", rule, geom, f)[0][None]
         whole = kron_apply(W, grid)
         default = wq_load_vector(rule, geom, f)
         modes = []
@@ -294,8 +305,8 @@ class TestWQLoadVector:
         assert np.abs(b - whole).max() <= 1e-13 * np.abs(whole).max()
         # the split changes no bit of the grid; a direction-1 product over
         # fewer rows may round differently in BLAS (half an ulp measured)
-        assert np.array_equal(operators._rule_grids("mass", rule, geom, f)[None],
-                              grid)
+        chunked, _ = operators._rule_grids("mass", rule, geom, f)
+        assert np.array_equal(chunked[None], grid)
         assert np.abs(b - default).max() <= 1e-15 * np.abs(default).max()
 
     @pytest.mark.parametrize("shared", [True, False])
@@ -418,7 +429,7 @@ class TestStiffnessApply:
         # per distinct knot vector 4 weight matrices W^(a,b) and 2
         # collocations B^(b) serve all 9 terms, grouped by trial direction;
         # an isotropic space shares one knot vector among its directions.
-        # On the reparametrized ring every grid is nonzero, so the operator
+        # On the reparametrized ring no grid is negligible, so the operator
         # keeps all 9 terms too
         converted = []
 
@@ -465,6 +476,9 @@ class TestStiffnessApply:
 
 
 SETUPS = {"mass": setup_mass, "stiffness": setup_stiffness}
+#: the CLI's maps and the general one, each a function returning the map
+MAPS = {"reparametrized-ring": reparametrized_ring,
+        **{name: make_map for name, (make_map, _) in _GEOMETRIES.items()}}
 
 
 class TestFusedApply:
@@ -488,10 +502,12 @@ class TestFusedApply:
 
     @pytest.mark.parametrize("kind", ["mass", "stiffness"])
     @pytest.mark.parametrize("p", [2, 3])
-    def test_general_map(self, p, kind):
-        # neither an extrusion nor separable: all 9 stiffness terms carry
-        # nonzero grids; measured at most 2.7e-16 (p=2) and 9.7e-16 (p=3)
-        space, rule, geom = make(p, 4, reparametrized_ring())
+    @pytest.mark.parametrize("geometry", MAPS)
+    def test_general_map(self, geometry, p, kind):
+        # the reparametrized ring is neither an extrusion nor separable, so
+        # the apply keeps all 9 stiffness terms; on the CLI maps it keeps 3
+        # and the materialized matrix has all 9, noise couplings included
+        space, rule, geom = make(p, 4, MAPS[geometry]())
         op = SETUPS[kind](space, rule, geom)
         self.assert_matches_explicit(op, space, rule, geom, kind)
 
@@ -576,8 +592,8 @@ class TestFusedApply:
     def test_apply_scratch_peak(self):
         # one trial group's per-term grids after their direction-1 W mode
         # (N_1 Q_2 Q_3 each), its B grid, the result and two tiles: the
-        # peak stays <= 3 float64 scalars per quadrature point (1.9 here,
-        # where the ring keeps 2 terms per group; 2.4 with all 3, and the
+        # peak stays <= 3 float64 scalars per quadrature point (1.4 here,
+        # where the ring keeps 1 term per group; 2.4 with all 3, and the
         # term-by-term apply took 2.86)
         space = tensor_space(8, 32)
         rule = build_tensor_rule(space)
@@ -592,35 +608,72 @@ class TestFusedApply:
         assert peak / (8 * rule.n_points) <= 3
 
 
+def upper_coupling(x):
+    """K(x) = I, plus 0.1 (x_3 - 1/2) off the diagonal where x_3 > 1/2."""
+    c = 0.1 * np.maximum(x[:, 2] - 0.5, 0)
+    return np.eye(3) + c[:, None, None] * (np.ones((3, 3)) - np.eye(3))
+
+
 class TestZeroTermSkip:
-    """Set-up keeps the terms whose stored grid has a nonzero entry; the
-    grids themselves and the term list of :func:`wq_terms` stay whole."""
+    """Set-up keeps the terms whose grid is not negligible and stores only
+    their grids; the term list of :func:`wq_terms` stays whole."""
 
     @pytest.mark.parametrize("geom, sizes, keys", [
-        (quarter_ring_rational_map, [2, 2, 1],
-         {(0, 0), (0, 1), (1, 1), (2, 2)}),
+        (quarter_ring_rational_map, [1, 1, 1], {(0, 0), (1, 1), (2, 2)}),
+        (quarter_ring_map, [1, 1, 1], {(0, 0), (1, 1), (2, 2)}),
         (lambda: identity_map(3), [1, 1, 1], {(0, 0), (1, 1), (2, 2)}),
         (reparametrized_ring, [3, 3, 3],
          {(a, b) for a in range(3) for b in range(a, 3)}),
-    ], ids=["rational-ring", "cube", "reparametrized-ring"])
+    ], ids=["rational-ring", "polar-ring", "cube", "reparametrized-ring"])
     def test_kept_terms(self, geom, sizes, keys):
-        # extrusions have C_13 = C_23 = 0, the cube C_12 = 0 too
+        # extrusions have C_13 = C_23 = 0; C_12 is 0 on the cube and
+        # rounding noise on both rings (<= 0.97 eps of sqrt(C_11 C_22))
         space, rule, _ = make(3, 4)
         op = setup_stiffness(space, rule, geom())
         assert [len(pairs) for _, pairs in op.groups] == sizes
         assert {key for _, pairs in op.groups for _, key in pairs} == keys
-        assert op.coeff_scalars == 6 * rule.n_points
+        assert op.coeffs.keys() == keys
+        assert op.coeff_scalars == len(keys) * rule.n_points
         assert [len(pairs) for _, pairs in wq_terms(rule, "stiffness")] == [
             3, 3, 3]
 
-    def test_tiny_grid_kept(self):
-        # the test is exact, with no tolerance: C_12 = 1e-300 is kept
+    @pytest.mark.parametrize("coupling, sizes", [(1e-300, [1, 1, 1]),
+                                                 (1e-12, [2, 2, 1])],
+                             ids=["dropped", "kept"])
+    def test_small_coupling(self, coupling, sizes):
+        # C_12 = 1e-300 is below TAU sqrt(C_11 C_22) = TAU and dropped;
+        # 1e-12 is above it and kept; either way the apply matches the
+        # materialized matrix, which keeps every term
         K = np.eye(3)
-        K[0, 1] = K[1, 0] = 1e-300
+        K[0, 1] = K[1, 0] = coupling
         space, rule, geom = make(2, 3)
         op = setup_stiffness(space, rule, geom, K)
-        assert np.all(op.coeffs[(0, 1)] == 1e-300)
-        assert [len(pairs) for _, pairs in op.groups] == [2, 2, 1]
+        assert [len(pairs) for _, pairs in op.groups] == sizes
+        assert ((0, 1) in op.coeffs) == (coupling > operators.TAU)
+        mat = assemble_wq_explicit(space, rule, geom, K, "stiffness").matrix
+        v = np.random.default_rng(5).standard_normal(space.n_dofs)
+        ref = mat @ v
+        assert np.linalg.norm(op.apply(v) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("geometry, K", [
+        *((name, None) for name in MAPS), ("cube", upper_coupling)],
+        ids=[*MAPS, "cube-upper-coupling"])
+    def test_kept_keys_do_not_depend_on_chunk_size(self, monkeypatch,
+                                                   geometry, K):
+        # the test is pointwise, so chunks of 2^8 points and one chunk for
+        # the whole grid keep the same terms; a coupling that is zero below
+        # x_3 = 1/2, on the first chunks of the walk, is kept all the same
+        space, rule, _ = make(3, 6)
+        geom = MAPS[geometry]()
+        kept = []
+        for points in (2**8, rule.n_points + 1):
+            monkeypatch.setattr(kron, "CHUNK_POINTS", points)
+            op = setup_stiffness(space, rule, geom, K)
+            kept.append([[key for _, key in pairs] for _, pairs in op.groups])
+        assert kept[0] == kept[1]
+        assert len(kron.grid_slabs(rule.n_points_per_dir)) == 1
+        if K is not None:
+            assert [len(keys) for keys in kept[0]] == [3, 3, 3]
 
     @pytest.mark.parametrize("kind, coeff", [("stiffness", np.zeros((3, 3))),
                                              ("mass", 0.0)])

@@ -211,6 +211,17 @@ class TestBiCGStab:
         assert r1.iterations == r2.iterations
         assert np.array_equal(x1, x2)
 
+    def test_small_residual_is_no_breakdown(self):
+        # r_shadow . r falls below eps ||b||^2 near convergence while the
+        # two stay far from orthogonal; the breakdown test is relative to
+        # their norms, so the solve converges and does not restart
+        rng = np.random.default_rng(15)
+        A = np.diag(np.linspace(1, 100, 40)) + 2 * rng.standard_normal((40, 40))
+        b = rng.standard_normal(40)
+        x, report = bicgstab(lambda v: A @ v, b, tol=1e-11)
+        assert report.converged
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
     def test_breakdown_restarts_once_then_reports_failure(self, monkeypatch):
         # skew-symmetric A: b.Ab = 0, so r_shadow.v breaks down on the first
         # iteration (restart seeded seed + 1); after the restart omega = 0
