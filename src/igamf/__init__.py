@@ -8,7 +8,7 @@ quadrature), a fast-diagonalization preconditioner and Krylov solvers.
 
 from .splines import (KnotVector, TensorSpace, collocation_matrix,
                       make_uniform_knots, tensor_space)
-from .kron import CostMeter, kron_apply, kron_materialize, tensor_grid
+from .kron import CostMeter, kron_apply, tensor_grid
 from .wq import (EXACTNESS_TOL, TensorRule, WQConstructionError, WQRule1D,
                  build_tensor_rule, build_wq_rule, exact_grams,
                  gauss_points_weights, gauss_tensor_rule, wq_points)
@@ -19,7 +19,7 @@ from .operators import (MassOperator, StiffnessOperator, coefficient_grids,
                         setup_mass, setup_stiffness, wq_load_vector, wq_terms)
 from .assembly import (AssembledMatrix, MemoryGuardError, assemble_rhs,
                        assemble_sgq, assemble_wq_explicit,
-                       estimate_matrix_nnz)
+                       estimate_matrix_nnz, kron_materialize)
 from .solvers import (FDPreconditioner, IndefiniteOperatorError, KrylovReport,
                       bicgstab, cg, stopping_tolerance)
 from .problems import (ManufacturedCase, QUARTER_RING_H1_REFERENCE,

@@ -5,7 +5,8 @@ Standard Gauss quadrature (SGQ, symmetric) and explicit weighted
 quadrature (generally nonsymmetric on curved geometries) are one term
 materializer over :func:`~igamf.operators.wq_terms`, fed the Gauss rule
 of :func:`~igamf.wq.gauss_tensor_rule` or a WQ rule; they are oracles and
-baselines, not fast paths.  The Gauss load vector is
+baselines, not fast paths, and the one place where the dense univariate
+factors become sparse (:func:`kron_materialize`).  The Gauss load vector is
 :func:`~igamf.operators.wq_load_vector` on the Gauss rule.
 """
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .kron import kron_materialize
 from .operators import _rule_grids, wq_load_vector, wq_terms
 from .wq import gauss_tensor_rule
 
@@ -42,6 +42,20 @@ class AssembledMatrix:
         return self.matrix.nnz
 
 
+def kron_materialize(factors) -> sp.csr_matrix:
+    """Explicit sparse Kronecker matrix A^(d) x ... x A^(1) of dense factors.
+
+    The assembled WQ and SGQ matrices are built from it, and tests use it
+    as the oracle of the sum-factorized apply.  It has no size guard: the
+    caller's nonzero estimate is the one that holds for a sparse product.
+    """
+    out = None
+    for f in reversed(factors):
+        f = sp.csr_matrix(f)
+        out = f if out is None else sp.kron(out, f, format="csr")
+    return sp.csr_matrix(out)
+
+
 def estimate_matrix_nnz(space) -> int:
     """Exact nonzero count of the Galerkin matrix from the 1D overlap pattern."""
     nnz = 1
@@ -65,7 +79,7 @@ def assemble_sgq(space, geom, coeff=None, kind="mass",
 
 def assemble_wq_explicit(space, rule, geom, coeff=None, kind="mass",
                          nnz_guard=NNZ_GUARD) -> AssembledMatrix:
-    """Materialize the operator of a tensor rule from its sparse factors.
+    """Materialize the operator of a tensor rule from its factors.
 
     With a WQ rule this is the weighted-quadrature matrix; with a rule of
     :func:`~igamf.wq.gauss_tensor_rule` it equals :func:`assemble_sgq`.
@@ -78,7 +92,8 @@ def assemble_wq_explicit(space, rule, geom, coeff=None, kind="mass",
     if math.isnan(nnz_guard):
         raise ValueError("nnz_guard must not be NaN")
     groups = wq_terms(rule, kind)
-    factor_nnz = max(int(np.prod([f.nnz for f in F])) for B, pairs in groups
+    factor_nnz = max(int(np.prod([np.count_nonzero(f) for f in F]))
+                     for B, pairs in groups
                      for F in [B] + [W for W, _ in pairs])
     est = max(estimate_matrix_nnz(space), factor_nnz)
     if est > nnz_guard:

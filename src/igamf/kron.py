@@ -5,31 +5,31 @@ A Kronecker operator is given as a list of d rectangular factors
 A^(1), ..., A^(d) in direction order; the operator is A^(d) x ... x A^(1)
 under the convention that direction 1 is the fastest-running index.
 :func:`kron_apply` contracts one mode at a time, starting from direction d,
-and never forms the full matrix; :func:`kron_materialize` forms it, for
-explicit assembly and as an oracle.  :func:`grid_chunks` is the one walk
-over a tensor point grid: slabs of :data:`SLAB_POINTS` points
-(:func:`grid_slabs`) cut into chunks of about :data:`CHUNK_POINTS`
-points, xi_d layers times a part of the (xi_1, ..., xi_{d-1}) plane.  Every pass over a tensor grid (coefficient
+and never forms the full matrix (the explicit one is
+:func:`~igamf.assembly.kron_materialize`, for the assembled oracle).
+:func:`grid_chunks` is the one walk over a tensor point grid: slabs of
+:data:`SLAB_POINTS` points (:func:`grid_slabs`) cut into chunks of about
+:data:`CHUNK_POINTS` points, xi_d layers times a part of the
+(xi_1, ..., xi_{d-1}) plane.  Every pass over a tensor grid (coefficient
 grids, the load vector, error norms) takes it, so its scratch memory is a
 multiple of the slab, not the grid.  :data:`CHUNK_POINTS` also sizes the
 batches of the geometry's closed forms and Jacobians
 (:func:`~igamf.geometry.pullback`), so it is the one pointwise chunk size.
 
-The apply holds every factor as a :class:`BandedFactor`: dense row blocks,
-each over the window of columns its rows touch.  A dense factor is one
-block; a sparse (WQ or collocation) factor is cut into blocks of
-:data:`ROWS_PER_BLOCK` rows, so its band costs a few small dense products
-instead of a sparse one (:func:`block_matmul`, the one loop over blocks).
-Each mode reads the grid's slowest axis and writes its new axis as the
-fastest, so the grid is never transposed or copied between modes
-(:func:`contract_modes`; the WQ operators' fused apply and the load
+Factors are dense arrays.  The apply holds each as a :class:`BandedFactor`:
+blocks of :data:`ROWS_PER_BLOCK` rows, each over the window of columns its
+rows touch, consecutive blocks with one window merged.  A banded (WQ or
+collocation) factor then costs a few small dense products, a full one (an
+FD eigenvector matrix) one product (:func:`block_matmul`, the one loop
+over blocks).  Each mode reads the grid's slowest axis and writes its new
+axis as the fastest, so the grid is never transposed or copied between
+modes (:func:`contract_modes`; the WQ operators' fused apply and the load
 vector run their modes through the same two functions).  The flop meter
 charges 2 nnz per grid column and mode, with nnz the source factor's
-stored count, not the padded blocks (:func:`kron_flops`).
+nonzero count, not the padded blocks (:func:`kron_flops`).
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 #: quadrature points per slab of :func:`grid_slabs`; bounds the scratch
 #: memory of coefficient grids and error evaluation (on the ring, besides
@@ -46,7 +46,7 @@ SLAB_POINTS = 2**18
 #: time, so one setting moves every level.  Keeps the pointwise
 #: intermediates (one array per closed-form subexpression) small
 CHUNK_POINTS = 2**14
-#: rows per dense block of a sparse factor (:func:`banded`).  Median
+#: rows per dense block of a factor (:func:`banded`).  Median
 #: fused stiffness apply on the rational ring at k=5 (32^3 elements, one
 #: BLAS thread, 2-core x86 host, settings taken in turn over 8 rounds):
 #: p=8: 61 ms (2 rows), 45 (4), 33 (8), 35 (16), 52 (32), 54 (one dense
@@ -84,8 +84,7 @@ class BandedFactor:
     ``blocks`` lists ``(r0, r1, c0, c1, blockT)`` with ``blockT`` the
     transpose of rows r0:r1, columns c0:c1; a block whose rows hold no
     nonzero has an empty window (c0 == c1).  ``nnz`` is the source
-    factor's stored count (m*n for a dense one), which the flop meter
-    charges.
+    factor's nonzero count, which the flop meter charges.
     """
 
     def __init__(self, shape, nnz, blocks):
@@ -95,23 +94,30 @@ class BandedFactor:
 
 
 def banded(A) -> BandedFactor:
-    """Convert a dense or sparse factor; a dense one is a single block, a
-    sparse one is cut into blocks of :data:`ROWS_PER_BLOCK` rows."""
+    """The :class:`BandedFactor` of a dense factor; one passes through.
+
+    Rows are cut into blocks of :data:`ROWS_PER_BLOCK`, each over the
+    window of columns its rows touch; consecutive blocks with the same
+    window merge, so a full factor is one block.  Any other type (a sparse
+    matrix, a list) raises ``TypeError``.
+    """
     if isinstance(A, BandedFactor):
         return A
+    if not isinstance(A, np.ndarray):
+        raise TypeError(f"a factor is a dense array, not {type(A).__name__}")
     m, n = A.shape
-    if not sp.issparse(A):
-        A = np.asarray(A, dtype=float)
-        return BandedFactor((m, n), m * n, [(0, m, 0, n, A.T)])
-    dense = np.asarray(A.toarray(), dtype=float)
-    blocks = []
+    windows = []  # [r0, r1, c0, c1]
     for r0 in range(0, m, ROWS_PER_BLOCK):
         r1 = min(r0 + ROWS_PER_BLOCK, m)
-        cols = np.flatnonzero(dense[r0:r1].any(axis=0))
-        c0, c1 = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
-        block = dense[r0:r1, c0:c1]
-        blocks.append((r0, r1, c0, c1, np.ascontiguousarray(block.T)))
-    return BandedFactor((m, n), A.nnz, blocks)
+        cols = np.flatnonzero(A[r0:r1].any(axis=0))
+        c0, c1 = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+        if windows and windows[-1][2:] == [c0, c1]:
+            windows[-1][1] = r1
+        else:
+            windows.append([r0, r1, c0, c1])
+    blocks = [(r0, r1, c0, c1, np.ascontiguousarray(A[r0:r1, c0:c1].T))
+              for r0, r1, c0, c1 in windows]
+    return BandedFactor((m, n), np.count_nonzero(A), blocks)
 
 
 def block_matmul(A: BandedFactor, XT, out=None) -> np.ndarray:
@@ -172,27 +178,14 @@ def kron_apply(factors, x, meter: CostMeter | None = None) -> np.ndarray:
     Each mode contracts the slowest axis of the current grid and writes its
     new axis as the fastest, so after d modes the axes are back in their
     original order without a transpose (:func:`contract_modes`).  Factors
-    are converted by :func:`banded` on entry.
+    are dense arrays or :class:`BandedFactor`, converted by :func:`banded`
+    on entry.
     """
     factors = [banded(f) for f in factors]
     x = checked_vector(x, int(np.prod([f.shape[1] for f in factors])))
     if meter is not None:
         meter.add_flops(kron_flops(factors))
     return contract_modes(factors, x)
-
-
-def kron_materialize(factors):
-    """Explicit sparse Kronecker matrix A^(d) x ... x A^(1).
-
-    The assembled WQ and SGQ matrices are built from it, and tests use it
-    as the oracle of the sum-factorized apply.  It has no size guard: the
-    caller's nonzero estimate is the one that holds for a sparse product.
-    """
-    out = None
-    for f in reversed(factors):
-        f = sp.csr_matrix(f)
-        out = f if out is None else sp.kron(out, f, format="csr")
-    return sp.csr_matrix(out)
 
 
 def tensor_grid(points_per_dir):

@@ -57,10 +57,10 @@ def wq_terms(rule: TensorRule, kind: str):
     terms that use it; directions sharing one rule object share its factors.
     """
     _check_kind(kind)
-    W = map_distinct(lambda r: {ab: w[1:-1, :].tocsr()
-                                for ab, w in r.weights.items()}, rule.rules)
-    B = map_distinct(lambda r: {b: c[:, 1:-1].tocsr()
-                                for b, c in r.colloc.items()}, rule.rules)
+    W = map_distinct(lambda r: {ab: w[1:-1] for ab, w in r.weights.items()},
+                     rule.rules)
+    B = map_distinct(lambda r: {b: c[:, 1:-1] for b, c in r.colloc.items()},
+                     rule.rules)
     if kind == "mass":
         return [([c[0] for c in B], [([w[(0, 0)] for w in W], None)])]
     return [([c[int(l == b)] for l, c in enumerate(B)],

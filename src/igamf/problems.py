@@ -143,8 +143,7 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
 
     def factors(kv):
         x, w = gauss_points_weights(kv, gauss_pts)
-        return x, w, [collocation_matrix(kv, x, b)[:, 1:-1].tocsr()
-                      for b in (0, 1)]
+        return x, w, [collocation_matrix(kv, x, b)[:, 1:-1] for b in (0, 1)]
 
     # one set of Gauss factors per distinct knot vector, as in set-up
     pts, wts, B = zip(*map_distinct(factors, space.knotvectors))

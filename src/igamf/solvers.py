@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kron import CostMeter, kron_apply
+from .kron import CostMeter, banded, kron_apply
 from .splines import map_distinct
 from .wq import exact_grams
 
@@ -42,8 +42,8 @@ class KrylovReport:
 def _eigen_pair(kv):
     """Generalized eigenpairs (lam, U) of the interior stiffness/mass Grams."""
     grams = exact_grams(kv)
-    K = grams[(1, 1)].toarray()[1:-1, 1:-1]
-    M = grams[(0, 0)].toarray()[1:-1, 1:-1]
+    K = grams[(1, 1)][1:-1, 1:-1]
+    M = grams[(0, 0)][1:-1, 1:-1]
     try:
         return scipy.linalg.eigh(K, M)
     except scipy.linalg.LinAlgError as err:
@@ -58,18 +58,21 @@ class FDPreconditioner:
     Represents P = sum_l M x ... x K_l x ... x M on the interior
     parametric space; ``apply`` computes P^{-1} r.  The generalized
     eigendecomposition is computed once per distinct knot-vector object
-    and shared by the directions that hold it.
+    and shared by the directions that hold it; its eigenvectors ``U`` and
+    their transposes ``UT`` are :func:`~igamf.kron.banded` once, here.
     """
 
     def __init__(self, space):
         self.n_dofs = space.n_dofs
-        lams, self.U = zip(*map_distinct(_eigen_pair, space.knotvectors))
+        lams, U = zip(*map_distinct(_eigen_pair, space.knotvectors))
+        self.U = map_distinct(banded, U)
+        self.UT = map_distinct(lambda u: banded(u.T), U)
         # inverse Kronecker-sum diagonal over the eigen-tensor grid
         lam_sum = functools.reduce(lambda s, lam: np.add.outer(lam, s), lams)
         self.inv_diag = 1.0 / lam_sum.ravel()
 
     def apply(self, r, meter: CostMeter | None = None) -> np.ndarray:
-        y = kron_apply([U.T for U in self.U], r, meter)
+        y = kron_apply(self.UT, r, meter)
         y *= self.inv_diag
         if meter is not None:
             meter.add_flops(self.n_dofs)
@@ -129,10 +132,11 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000):
 
     On a breakdown (rho or omega, seeded 0; r_shadow . v, seeded 1) the
     iteration restarts once with a randomly perturbed shadow vector, then
-    reports failure.  A product with r_shadow breaks down when it is below
-    eps times the product of the two norms, a test of near-orthogonality at
-    any residual size (against eps ||b||^2, a residual of 1e-10 ||b||
-    would break down at a cosine of 2e-6).
+    reports failure.  A product (t.s for omega = t.s / t.t) breaks down
+    when it is below eps times the product of the two norms, a test of
+    near-orthogonality at any residual size and any scale of A (against
+    eps ||b||^2, a residual of 1e-10 ||b|| would break down at a cosine of
+    2e-6).  A broken-down omega is 0, so its step leaves r = s.
     """
     b = np.asarray(b, dtype=float).ravel()
     x = np.zeros_like(b)
@@ -153,7 +157,7 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000):
     for k in range(1, maxit + 1):
         seed = None  # set on a breakdown
         rho_new = r_shadow @ r
-        if abs(rho_new) < eps * shadow_norm * rnorm or abs(omega) < eps:
+        if abs(rho_new) < eps * shadow_norm * rnorm or omega == 0.0:
             seed = 0
         else:
             beta = (rho_new / rho) * (alpha / omega)
@@ -178,15 +182,16 @@ def bicgstab(apply_A, b, apply_P=None, tol=1e-8, maxit=1000):
             continue
         alpha = rho / denom
         s = r - alpha * v
-        if np.linalg.norm(s) / bnorm <= tol:
+        snorm = np.linalg.norm(s)
+        if snorm / bnorm <= tol:
             x += alpha * phat
-            residuals.append(np.linalg.norm(s) / bnorm)
+            residuals.append(snorm / bnorm)
             return x, KrylovReport(k, residuals, True, matvecs)
         shat = P(s)
         t = apply_A(shat)
         matvecs += 1
-        tt = t @ t
-        omega = (t @ s) / tt if tt > 0 else 0.0
+        tt, ts = t @ t, t @ s
+        omega = 0.0 if abs(ts) <= eps * np.sqrt(tt) * snorm else ts / tt
         x += alpha * phat + omega * shat
         r = s - omega * t
         rnorm = np.linalg.norm(r)

@@ -5,12 +5,13 @@ All knot vectors are open and live on the parametric interval [0, 1].
 Evaluation at a knot uses the right-continuous limit, except at the right
 domain endpoint where the left limit is taken, so that basis values are
 well defined at every quadrature point including span endpoints.
+Collocation matrices are dense, as is every univariate factor (O(p n_el)
+rows); only the assembled oracle (:mod:`igamf.assembly`) stores sparse ones.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,8 @@ def _cox_de_boor(knots, x, span, q):
     return N
 
 
-def collocation_matrix(kv: KnotVector, points, deriv: int = 0) -> sp.csr_matrix:
-    """Sparse matrix of the ``deriv``-th derivative of all basis functions.
+def collocation_matrix(kv: KnotVector, points, deriv: int = 0) -> np.ndarray:
+    """Dense array of the ``deriv``-th derivative of all basis functions.
 
     Entry (q, j) is D^deriv b_j(x_q).  Shape (n_points, m); each row has at
     most p+1 nonzeros.  Points must lie in [0, 1].  Row q holds the p+1
@@ -133,11 +134,8 @@ def collocation_matrix(kv: KnotVector, points, deriv: int = 0) -> sp.csr_matrix:
         vals = np.zeros((len(x), p + 1))
         vals[:, 1:] = c
         vals[:, :-1] -= c
-    indices = span[:, None] - p + np.arange(p + 1)
-    mat = sp.csr_matrix((vals.ravel(), indices.ravel(),
-                         np.arange(len(x) + 1) * (p + 1)),
-                        shape=(len(x), kv.n_funcs))
-    mat.eliminate_zeros()
+    mat = np.zeros((len(x), kv.n_funcs))
+    np.put_along_axis(mat, span[:, None] - p + np.arange(p + 1), vals, axis=1)
     return mat
 
 

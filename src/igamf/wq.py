@@ -17,12 +17,13 @@ tolerance raises :class:`WQConstructionError`.
 Standard Gauss quadrature is the rule with W^(a,b) = (D^a B)^T diag(w) at
 the Gauss nodes (:func:`gauss_tensor_rule`), so every consumer of a WQ
 rule (operators, load vector, explicit assembly) also serves Gauss.
+Weights, collocations and Grams are dense arrays; the apply cuts their
+zeros away (:func:`~igamf.kron.banded`).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .splines import KnotVector, collocation_matrix, map_distinct
 
@@ -59,19 +60,13 @@ def gauss_points_weights(kv: KnotVector, pts_per_span: int):
 
 
 def exact_grams(kv: KnotVector) -> dict:
-    """Exact univariate Gram matrices int D^a b_i D^b b_j (sparse, m x m).
+    """Exact univariate Gram matrices int D^a b_i D^b b_j (dense, m x m).
 
     Returns ``{(a, b): G}`` for the four pairs a, b in {0, 1}, all from
     the p+1-point Gauss rule of :func:`_gauss_rule`, G = W^(a,b) D^b B.
     """
     R = _gauss_rule(kv, kv.degree + 1)
-    grams = {}
-    for a, b in _DERIV_PAIRS:
-        G = R.weights[(a, b)] @ R.colloc[b]
-        G.eliminate_zeros()
-        G.sort_indices()
-        grams[(a, b)] = G
-    return grams
+    return {(a, b): R.weights[(a, b)] @ R.colloc[b] for a, b in _DERIV_PAIRS}
 
 
 def wq_points(kv: KnotVector) -> np.ndarray:
@@ -97,7 +92,7 @@ def wq_points(kv: KnotVector) -> np.ndarray:
 class WQRule1D:
     """Quadrature points plus the four weight families and trial collocations.
 
-    ``weights[(a, b)]`` is the m x n_q matrix W^(a,b); ``colloc[b]`` holds
+    ``weights[(a, b)]`` is the m x n_q array W^(a,b); ``colloc[b]`` holds
     the trial-side values/derivatives at the same points (n_q x m).  A
     Gauss rule (:func:`gauss_tensor_rule`) fills the same fields.
     """
@@ -129,29 +124,20 @@ def build_wq_rule(kv: KnotVector) -> WQRule1D:
     points = wq_points(kv)
     p, m = kv.degree, kv.n_funcs
     colloc = {b: collocation_matrix(kv, points, b) for b in (0, 1)}
-    trial = {b: c.toarray().T for b, c in colloc.items()}  # (m, n_q)
-    gram = {ab: G.toarray() for ab, G in exact_grams(kv).items()}
-    indptr, indices = [0], []
-    data = {ab: [] for ab in _DERIV_PAIRS}
+    gram = exact_grams(kv)
+    weights = {ab: np.zeros((m, len(points))) for ab in _DERIV_PAIRS}
     for i in range(m):
         lo, hi = kv.support(i)
         qs = np.flatnonzero((points >= lo - 1e-14) & (points <= hi + 1e-14))
         js = slice(max(i - p, 0), min(i + p + 1, m))
         for a, b in _DERIV_PAIRS:
-            E = trial[b][js, qs]
+            E = colloc[b][qs, js].T
             g = gram[(a, b)][i, js]
             w, *_ = np.linalg.lstsq(E, g, rcond=None)
             resid = float(np.abs(E @ w - g).max())
             if resid > EXACTNESS_TOL:
                 raise WQConstructionError(i, resid)
-            data[(a, b)].append(w)
-        indices.append(qs)
-        indptr.append(indptr[-1] + len(qs))
-    weights = {
-        ab: sp.csr_matrix((np.concatenate(w), np.concatenate(indices), indptr),
-                          shape=(m, len(points)))
-        for ab, w in data.items()
-    }
+            weights[(a, b)][i, qs] = w
     return WQRule1D(kv=kv, points=points, weights=weights, colloc=colloc)
 
 
@@ -196,7 +182,7 @@ def _gauss_rule(kv: KnotVector, pts_per_span: int) -> WQRule1D:
     """
     x, w = gauss_points_weights(kv, pts_per_span)
     colloc = {b: collocation_matrix(kv, x, b) for b in (0, 1)}
-    test = {a: (colloc[a].T @ sp.diags(w)).tocsr() for a in (0, 1)}
+    test = {a: colloc[a].T * w for a in (0, 1)}
     weights = {(a, b): test[a] for (a, b) in _DERIV_PAIRS}
     return WQRule1D(kv=kv, points=x, weights=weights, colloc=colloc)
 

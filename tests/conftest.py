@@ -123,8 +123,8 @@ def fd_forward(space, v):
     P = sum_l M x ... x K_l x ... x M, with K and M the interior blocks of
     the univariate stiffness and mass Grams.
     """
-    K = [exact_grams(kv)[(1, 1)].toarray()[1:-1, 1:-1] for kv in space.knotvectors]
-    M = [exact_grams(kv)[(0, 0)].toarray()[1:-1, 1:-1] for kv in space.knotvectors]
+    K = [exact_grams(kv)[(1, 1)][1:-1, 1:-1] for kv in space.knotvectors]
+    M = [exact_grams(kv)[(0, 0)][1:-1, 1:-1] for kv in space.knotvectors]
     v = np.asarray(v, dtype=float).ravel()
     d = space.dim
     out = np.zeros_like(v)

@@ -48,8 +48,7 @@ def test_criterion_1_wq_exactness_suite():
                 rule = build_wq_rule(kv)
                 for (a, b), W in rule.weights.items():
                     defect = np.abs(
-                        (W @ rule.colloc[b] - exact_grams(kv)[(a, b)]).toarray()
-                    ).max()
+                        W @ rule.colloc[b] - exact_grams(kv)[(a, b)]).max()
                     worst = max(worst, defect)
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10, f"worst exactness defect {worst:.3e}"

@@ -20,7 +20,7 @@ def sparse_kron_flop_bound(factors):
     d = len(factors)
     s = max(f.shape[0] for f in factors)
     t = max(f.shape[1] for f in factors)
-    max_nnz = max(f.nnz for f in factors)
+    max_nnz = max(np.count_nonzero(f) for f in factors)
     return 2 * max_nnz * sum(s**k * t ** (d - 1 - k) for k in range(d))
 
 
@@ -82,38 +82,35 @@ class TestKronApply:
 
     def test_sparse_factors(self):
         rng = np.random.default_rng(1)
-        factors = [sp.random(5, 6, density=0.4, random_state=i,
-                             format="csr") for i in range(3)]
+        factors = [sp.random(5, 6, density=0.4, random_state=i).toarray()
+                   for i in range(3)]
         x = rng.standard_normal(216)
         ref = kron_materialize(factors) @ x
         assert np.allclose(kron_apply(factors, x), ref, atol=1e-12)
 
 
-def band_csr(rng, m, n, width=3):
-    """m x n CSR factor whose rows hold ``width`` adjacent nonzeros sliding
+def band_factor(rng, m, n, width=3):
+    """m x n factor whose rows hold ``width`` adjacent nonzeros sliding
     across the columns, the shape of a WQ or collocation factor."""
-    rows, cols = [], []
+    A = np.zeros((m, n))
     for i in range(m):
         c0 = i * (n - width) // max(m - 1, 1)
-        rows += [i] * width
-        cols += range(c0, c0 + width)
-    return sp.csr_matrix((rng.standard_normal(len(rows)), (rows, cols)),
-                         shape=(m, n))
+        A[i, c0:c0 + width] = rng.standard_normal(width)
+    return A
 
 
 def as_kind(A, kind):
-    return {"dense": A.toarray(), "csr": A, "banded": banded(A)}[kind]
+    return {"dense": A, "banded": banded(A)}[kind]
 
 
 def mode_flops(factors):
     """2 nnz cols summed over the modes, contracted from direction d down;
-    nnz is a sparse factor's stored count and m*n for a dense one."""
+    nnz is the factor's nonzero count."""
     shape = [A.shape[1] for A in factors]
     total = 0
     for l in reversed(range(len(factors))):
         A = factors[l]
-        nnz = A.nnz if sp.issparse(A) else A.size
-        total += 2 * nnz * int(np.prod(shape)) // shape[l]
+        total += 2 * np.count_nonzero(A) * int(np.prod(shape)) // shape[l]
         shape[l] = A.shape[0]
     return total
 
@@ -129,56 +126,40 @@ class TestBandedKernel:
     def nan_scratch(self, monkeypatch):
         monkeypatch.setattr(igamf.kron, "np", NaNEmpty())
 
-    @pytest.mark.parametrize("kinds", [("dense",) * 3, ("csr",) * 3,
-                                       ("banded",) * 3,
-                                       ("dense", "csr", "banded"),
-                                       ("banded", "dense", "csr")])
+    @pytest.mark.parametrize("kinds", [("dense",) * 3, ("banded",) * 3,
+                                       ("dense", "banded", "dense"),
+                                       ("banded", "dense", "banded")])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_factor_kinds(self, d, kinds):
         rng = np.random.default_rng(d)
         shapes = [(19, 11), (7, 13), (12, 9)][:d]
-        csr = [band_csr(rng, m, n) for m, n in shapes]
-        factors = [as_kind(A, kind) for A, kind in zip(csr, kinds)]
+        source = [band_factor(rng, m, n) for m, n in shapes]
+        factors = [as_kind(A, kind) for A, kind in zip(source, kinds)]
         x = rng.standard_normal(int(np.prod([n for _, n in shapes])))
-        ref = kron_materialize(csr) @ x
+        ref = kron_materialize(source) @ x
         meter = CostMeter()
         y = kron_apply(factors, x, meter)
         assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
-        assert meter.flops == mode_flops([A.toarray() if kind == "dense" else A
-                                          for A, kind in zip(csr, kinds)])
+        assert meter.flops == mode_flops(source)
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_all_zero_row_block(self, position):
         rng = np.random.default_rng(3)
         rb = igamf.kron.ROWS_PER_BLOCK
-        Z = band_csr(rng, 3 * rb + 2, 9).tolil()
+        Z = band_factor(rng, 3 * rb + 2, 9)
         Z[rb:2 * rb, :] = 0.0
-        Z = Z.tocsr()
         assert any(c0 == c1 for _, _, c0, c1, _ in banded(Z).blocks)
-        factors = [band_csr(rng, 6, 5), band_csr(rng, 7, 4)]
+        factors = [band_factor(rng, 6, 5), band_factor(rng, 7, 4)]
         factors.insert(position, Z)
         x = rng.standard_normal(int(np.prod([A.shape[1] for A in factors])))
         ref = kron_materialize(factors) @ x
         y = kron_apply(factors, x)
         assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
 
-    def test_explicit_stored_zeros(self):
-        rng = np.random.default_rng(4)
-        A = band_csr(rng, 10, 8, width=4)
-        A.data[::3] = 0.0  # stored, not eliminated
-        assert A.nnz == 40
-        factors = [A, band_csr(rng, 5, 6), A]
-        x = rng.standard_normal(8 * 6 * 8)
-        meter = CostMeter()
-        y = kron_apply(factors, x, meter)
-        ref = kron_materialize(factors) @ x
-        assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
-        assert meter.flops == mode_flops(factors)
-
     def test_column_sliced_last_factor(self):
         # the slab-wise load vector applies W[:-1] + [W[-1][:, s]]
         rng = np.random.default_rng(5)
-        W = [band_csr(rng, 9, 20, width=5) for _ in range(3)]
+        W = [band_factor(rng, 9, 20, width=5) for _ in range(3)]
         total = np.zeros(9**3)
         x = rng.standard_normal(20**3)
         for s in (slice(0, 7), slice(7, 14), slice(14, 20)):
@@ -191,8 +172,8 @@ class TestBandedKernel:
     def test_several_column_tiles(self, monkeypatch, tile):
         monkeypatch.setattr(igamf.kron, "TILE_COLS", tile)
         rng = np.random.default_rng(6)
-        source = [band_csr(rng, 11, 7), rng.standard_normal((6, 5)),
-                  band_csr(rng, 17, 9)]
+        source = [band_factor(rng, 11, 7), rng.standard_normal((6, 5)),
+                  band_factor(rng, 17, 9)]
         factors = source[:2] + [banded(source[2])]
         x = rng.standard_normal(7 * 5 * 9)
         meter = CostMeter()
@@ -200,6 +181,38 @@ class TestBandedKernel:
         ref = kron_materialize(source) @ x
         assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
         assert meter.flops == mode_flops(source)
+
+
+class TestBandedFormat:
+    """:func:`banded` takes dense factors only, and cuts them one way."""
+
+    def test_full_factor_is_one_block(self):
+        rb = igamf.kron.ROWS_PER_BLOCK
+        A = np.random.default_rng(8).standard_normal((3 * rb + 5, 13))
+        f = banded(A)
+        assert [b[:4] for b in f.blocks] == [(0, A.shape[0], 0, 13)]
+        assert np.array_equal(f.blocks[0][4], A.T)
+        assert f.nnz == A.size
+
+    def test_banded_factor_keeps_row_windows(self, monkeypatch):
+        monkeypatch.setattr(igamf.kron, "ROWS_PER_BLOCK", 4)
+        A = np.zeros((18, 10))
+        A[:8, 1:6] = 1.0  # two blocks over one window merge
+        A[12:16, 4:9] = 2.0  # after an empty block
+        A[16, 9] = 3.0  # a ragged last block
+        f = banded(A)
+        assert [b[:4] for b in f.blocks] == [(0, 8, 1, 6), (8, 12, 0, 0),
+                                             (12, 16, 4, 9), (16, 18, 9, 10)]
+        for r0, r1, c0, c1, blockT in f.blocks:
+            assert np.array_equal(blockT, A[r0:r1, c0:c1].T)
+        assert f.nnz == 8 * 5 + 4 * 5 + 1
+
+    def test_sparse_factor_rejected(self):
+        A = band_factor(np.random.default_rng(9), 6, 5)
+        with pytest.raises(TypeError, match="csr"):
+            banded(sp.csr_matrix(A))
+        with pytest.raises(TypeError):
+            kron_apply([A, sp.csr_matrix(A)], np.ones(25))
 
 
 class TestKronMaterialize:
@@ -238,8 +251,8 @@ class TestCostAccounting:
         assert meter.flops == expected
 
     def test_sparse_flop_bound(self):
-        factors = [sp.random(6, 6, density=0.3, random_state=i,
-                             format="csr") for i in range(3)]
+        factors = [sp.random(6, 6, density=0.3, random_state=i).toarray()
+                   for i in range(3)]
         meter = CostMeter()
         kron_apply(factors, np.ones(216), meter)
         assert meter.flops <= sparse_kron_flop_bound(factors)

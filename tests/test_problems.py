@@ -103,7 +103,7 @@ class TestErrorNorms:
         """Coefficients of prod x(1-x) via univariate interpolation."""
         kv = space.knotvectors[0]
         sites = np.linspace(0, 1, kv.n_funcs)
-        B = collocation_matrix(kv, sites).toarray()
+        B = collocation_matrix(kv, sites)
         c1 = np.linalg.solve(B, sites * (1 - sites))[1:-1]
         return np.kron(np.kron(c1, c1), c1)
 
@@ -183,8 +183,8 @@ class TestErrorNorms:
             x = ((a + b) / 2 + (b - a) / 2 * nodes).ravel()
             pts.append(x)
             wts.append(((b - a) / 2 * weights).ravel())
-            B0.append(collocation_matrix(kv, x, 0).toarray()[:, 1:-1])
-            B1.append(collocation_matrix(kv, x, 1).toarray()[:, 1:-1])
+            B0.append(collocation_matrix(kv, x, 0)[:, 1:-1])
+            B1.append(collocation_matrix(kv, x, 1)[:, 1:-1])
         # grids and coefficients with direction 1 fastest, i.e. last axis
         U = u_coeffs.reshape(tuple(reversed(space.n_per_dir)))
         xi = np.stack([g.ravel() for g in

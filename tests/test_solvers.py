@@ -10,15 +10,16 @@ from igamf import (CostMeter, FDPreconditioner, IndefiniteOperatorError,
                    identity_map, kron_materialize, make_uniform_knots,
                    oscillating_case, quarter_ring_map, setup_stiffness,
                    stopping_tolerance, tensor_space)
-from igamf.kron import banded, kron_flops
+import igamf.kron
+from igamf.kron import BandedFactor, banded, kron_flops
 
 
 class TestUnivariateMatrices:
     @pytest.mark.parametrize("p,n_el", [(1, 4), (4, 8), (8, 32)])
     def test_generalized_eigendecomposition_residual(self, p, n_el):
         kv = make_uniform_knots(p, n_el)
-        K = exact_grams(kv)[(1, 1)].toarray()[1:-1, 1:-1]
-        M = exact_grams(kv)[(0, 0)].toarray()[1:-1, 1:-1]
+        K = exact_grams(kv)[(1, 1)][1:-1, 1:-1]
+        M = exact_grams(kv)[(0, 0)][1:-1, 1:-1]
         import scipy.linalg
         lam, U = scipy.linalg.eigh(K, M)
         assert np.abs(K @ U - M @ U @ np.diag(lam)).max() <= 1e-10
@@ -46,11 +47,27 @@ class TestFDPreconditioner:
         P = FDPreconditioner(space)
         meter = CostMeter()
         P.apply(np.ones(space.n_dofs), meter)
-        assert meter.flops == (kron_flops([banded(U.T) for U in P.U])
-                               + space.n_dofs
-                               + kron_flops([banded(U) for U in P.U]))
+        assert meter.flops == (kron_flops(P.UT) + space.n_dofs
+                               + kron_flops(P.U))
         # dense n_l x n_l factors: 2 N n_l flops per mode and apply
         assert meter.flops == space.n_dofs * (4 * sum(space.n_per_dir) + 1)
+
+    def test_apply_converts_no_factor(self, monkeypatch):
+        # U and U^T are banded once at set-up, each one block though the
+        # 12 x 12 and 11 x 11 ones span more than ROWS_PER_BLOCK rows
+        P = FDPreconditioner(TensorSpace((make_uniform_knots(2, 12),
+                                          make_uniform_knots(3, 5),
+                                          make_uniform_knots(4, 9))))
+        assert all(len(f.blocks) == 1 for f in P.U + P.UT)
+        seen = []
+
+        def checking(f):
+            seen.append(type(f))
+            return banded(f)
+
+        monkeypatch.setattr(igamf.kron, "banded", checking)
+        P.apply(np.ones(P.n_dofs))
+        assert seen and set(seen) == {BandedFactor}
 
     def test_one_eigensolve_per_distinct_knot_vector(self, monkeypatch):
         calls = []
@@ -79,7 +96,7 @@ class TestFDPreconditioner:
     def test_1d_exact_solve(self):
         space = tensor_space(3, 8, 1)
         P = FDPreconditioner(space)
-        K = exact_grams(space.knotvectors[0])[(1, 1)].toarray()[1:-1, 1:-1]
+        K = exact_grams(space.knotvectors[0])[(1, 1)][1:-1, 1:-1]
         rng = np.random.default_rng(1)
         v = rng.standard_normal(space.n_dofs)
         assert np.allclose(P.apply(K @ v), v, atol=1e-10)
@@ -221,6 +238,21 @@ class TestBiCGStab:
         x, report = bicgstab(lambda v: A @ v, b, tol=1e-11)
         assert report.converged
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_omega_breakdown_is_scale_free(self):
+        # omega = t.s / t.t scales as 1 / |A|; tested as |omega| < eps, A
+        # scaled by 1e17 or 1e20 stopped unconverged after 4 iterations.
+        # Binary scales change no rounding, so they take the same iterates
+        A0 = np.eye(30) + 0.3 * np.random.default_rng(6).standard_normal((30, 30))
+        b = np.ones(30)
+        iterations = []
+        for scale in (1.0, 2.0**57, 2.0**67, 1e17, 1e20):
+            A = scale * A0
+            x, report = bicgstab(lambda v: A @ v, b, tol=1e-10)
+            assert report.converged, scale
+            assert np.linalg.norm(A @ x - b) <= 1e-9 * np.linalg.norm(b)
+            iterations.append(report.iterations)
+        assert iterations[:3] == [64] * 3
 
     def test_breakdown_restarts_once_then_reports_failure(self, monkeypatch):
         # skew-symmetric A: b.Ab = 0, so r_shadow.v breaks down on the first

@@ -17,7 +17,18 @@ def exactness_defect(rule, a, b):
     """Max abs deviation of the materialized W^(a,b) B^(b) from the Gram."""
     approx = rule.weights[(a, b)] @ rule.colloc[b]
     exact = exact_grams(rule.kv)[(a, b)]
-    return np.abs((approx - exact).toarray()).max()
+    return np.abs(approx - exact).max()
+
+
+def test_univariate_factors_are_dense_arrays():
+    kv = make_uniform_knots(3, 5)
+    space = tensor_space(3, 5)
+    arrays = [collocation_matrix(kv, [0.0, 0.3, 1.0], 1),
+              *exact_grams(kv).values()]
+    for rule in (build_tensor_rule(space), gauss_tensor_rule(space)):
+        for r in rule.rules:
+            arrays += [*r.weights.values(), *r.colloc.values()]
+    assert all(type(a) is np.ndarray for a in arrays)
 
 
 class TestWQPoints:
@@ -52,7 +63,7 @@ class TestWQWeights:
         # p=1, n_el=2: middle hat has integrals 1/3 (self) and 1/12 (neighbors)
         kv = make_uniform_knots(1, 2)
         rule = build_wq_rule(kv)
-        G = (rule.weights[(0, 0)] @ rule.colloc[0]).toarray()
+        G = rule.weights[(0, 0)] @ rule.colloc[0]
         assert G[1, 1] == pytest.approx(1 / 3, abs=1e-12)
         assert G[1, 0] == pytest.approx(1 / 12, abs=1e-12)
         assert G[1, 2] == pytest.approx(1 / 12, abs=1e-12)
@@ -62,13 +73,12 @@ class TestWQWeights:
         rule = build_wq_rule(make_uniform_knots(p, n_el))
         extra = (rule.n_points - (2 * n_el + 1)) // 2
         for (a, b), W in rule.weights.items():
-            assert np.diff(W.indptr).max() <= 2 * (p + 1) + 1 + extra
+            assert np.count_nonzero(W, axis=1).max() <= 2 * (p + 1) + 1 + extra
 
     def test_support_condition(self):
         kv = make_uniform_knots(3, 6)
         rule = build_wq_rule(kv)
-        W = rule.weights[(1, 1)].tocoo()
-        for i, q in zip(W.row, W.col):
+        for i, q in zip(*np.nonzero(rule.weights[(1, 1)])):
             lo, hi = kv.support(i)
             assert lo <= rule.points[q] <= hi
 
@@ -149,7 +159,7 @@ class TestGaussOracle:
     def test_gram_symmetry(self):
         kv = make_uniform_knots(2, 5)
         G = exact_grams(kv)[(0, 0)]
-        assert np.abs((G - G.T).toarray()).max() <= 1e-14
+        assert np.abs(G - G.T).max() <= 1e-14
 
     def test_stiffness_gram_row_sums_vanish(self):
         # d/dx of the constant is zero, so K rows sum to zero
