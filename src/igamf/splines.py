@@ -33,6 +33,8 @@ class KnotVector:
         knots.setflags(write=False)
         if knots.ndim != 1 or len(knots) < 2 * (p + 1):
             raise ValueError("knot vector too short for the given degree")
+        if not np.all(np.isfinite(knots)):
+            raise ValueError("knots must be finite")
         if np.any(np.diff(knots) < 0):
             raise ValueError("knots must be nondecreasing")
         if knots[0] != 0.0 or knots[-1] != 1.0:

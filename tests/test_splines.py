@@ -40,6 +40,12 @@ class TestMakeUniformKnots:
         (1, [0, 0, 0.5, 2, 2], "start at 0 and end at 1"),
         (1, [0, 0, 0, 1, 1, 1], "endpoint multiplicity"),
         (2, [0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1], "interior knot multiplicity"),
+        # NaN fails every comparison of the other checks, so only the
+        # finiteness check keeps NaN rows out of a collocation
+        (2, [0, 0, 0, 0.5, np.nan, 1, 1, 1], "finite"),
+        (2, [0, 0, 0, np.nan, 0.5, 1, 1, 1], "finite"),
+        (2, [0, 0, 0, np.nan, np.nan, 1, 1, 1], "finite"),
+        (2, [0, 0, 0, np.nan, 1, 1, 1], "finite"),
     ])
     def test_rejects_invalid_knots(self, p, knots, message):
         with pytest.raises(ValueError, match=message):
