@@ -10,9 +10,9 @@ and never forms the full matrix (the explicit one is
 :func:`grid_chunks` is the one walk over a tensor point grid: slabs of
 :data:`SLAB_POINTS` points (:func:`grid_slabs`) cut into chunks of about
 :data:`CHUNK_POINTS` points, xi_d layers times a part of the
-(xi_1, ..., xi_{d-1}) plane.  Every pass over a tensor grid (coefficient
-grids, the load vector, error norms) takes it, so its scratch memory is a
-multiple of the slab, not the grid.  :data:`CHUNK_POINTS` also sizes the
+(xi_1, ..., xi_{d-1}) plane that serves each of them.  Every pass over a
+tensor grid (coefficient grids, the load vector, error norms) takes it, so
+its scratch memory is a multiple of the slab, not the grid.  :data:`CHUNK_POINTS` also sizes the
 batches of the geometry's closed forms and Jacobians
 (:func:`~igamf.geometry.pullback`), so it is the one pointwise chunk size.
 
@@ -216,27 +216,29 @@ def grid_slabs(n_per_dir, points=None):
 
 def grid_chunks(n_per_dir):
     """The one walk over a tensor grid: yields ``(s, chunks)`` per slab ``s``
-    of :func:`grid_slabs`, with one ``(layers, part, flat)`` per chunk: the
-    slab's xi_d layers ``layers`` (counted from its first) times the points
-    ``part`` of the (xi_1, ..., xi_{d-1}) plane, the flat grid points
-    ``flat``.  A chunk is whole layers when the plane has at most
-    :data:`CHUNK_POINTS` points, else an equal part of one layer in whole
-    direction-1 rows, so it exceeds :data:`CHUNK_POINTS` by less than one
-    row.  In d = 1 the one chunk is the whole grid, its one direction-1
-    row."""
+    of :func:`grid_slabs`, with one ``(layers, part)`` per chunk, the block
+    of the slab's xi_d layers ``layers`` (counted from its first) times the
+    points ``part`` of the (xi_1, ..., xi_{d-1}) plane.  A chunk is whole
+    layers when the plane has at most :data:`CHUNK_POINTS` points, else
+    ``min(L_slab, CHUNK_POINTS // q1)`` layers (at least one) times an
+    equal part of the plane in whole direction-1 rows, so a chunk of L
+    layers exceeds :data:`CHUNK_POINTS` by less than L rows and each plane
+    point serves L layers.  In d = 1 the one chunk is the whole grid, its
+    one direction-1 row."""
     *lower, n_last = n_per_dir
     if not lower:
-        yield slice(0, n_last), [(slice(0, n_last), slice(0, 1), slice(0, n_last))]
+        yield slice(0, n_last), [(slice(0, n_last), slice(0, 1))]
         return
     n, q1, points = int(np.prod(lower)), lower[0], CHUNK_POINTS
-    layers, parts = max(1, points // n), -(-n // points)  # parts per layer
-    step = -(-(n // q1) // parts) * q1  # points per part, in whole rows
     for s in grid_slabs(n_per_dir):
-        chunks = []
-        for l0 in range(s.start, s.stop, layers):
-            l1 = min(l0 + layers, s.stop)
-            for p0 in range(0, n, step):
-                p1 = min(p0 + step, n)
-                chunks.append((slice(l0 - s.start, l1 - s.start), slice(p0, p1),
-                               slice(l0 * n + p0, (l1 - 1) * n + p1)))
-        yield s, chunks
+        n_layers = s.stop - s.start
+        if n <= points:
+            layers, step = max(1, points // n), n
+        else:
+            layers = max(1, min(n_layers, points // q1))
+            parts = -(-n * layers // points)
+            step = -(-(n // q1) // parts) * q1  # points per part, whole rows
+        yield s, [(slice(l0, min(l0 + layers, n_layers)),
+                   slice(p0, min(p0 + step, n)))
+                  for l0 in range(0, n_layers, layers)
+                  for p0 in range(0, n, step)]

@@ -108,8 +108,10 @@ def coefficient_grids(kind: str, geom, xi, coeff=None):
 
 
 def _grid_chunks(kind: str, rule: TensorRule, geom, coeff):
-    """Yield ``(flat, grids)``: :func:`coefficient_grids` at the flat grid
-    points ``flat`` of each chunk of :func:`~igamf.kron.grid_chunks`.
+    """Yield ``(block, grids)``: :func:`coefficient_grids` at the points of
+    each chunk of :func:`~igamf.kron.grid_chunks`, as (layer, plane point)
+    arrays, with ``block`` the chunk's ``(layers, part)`` index into the
+    (xi_d layer, plane point) view of the rule's grid.
 
     Each slab's points are laid out whole on purpose: freeing slab-sized
     arrays raises glibc's dynamic mmap and trim thresholds, so the stiffness
@@ -121,9 +123,12 @@ def _grid_chunks(kind: str, rule: TensorRule, geom, coeff):
     *lower, last = [r.points for r in rule.rules]
     for s, chunks in grid_chunks(rule.n_points_per_dir):
         xi = tensor_grid(lower + [last[s]]).reshape(rule.dim, len(last[s]), -1)
-        for layers, part, flat in chunks:
-            points = xi[:, layers, part].reshape(rule.dim, -1).T
-            yield flat, coefficient_grids(kind, geom, points, coeff)
+        for layers, part in chunks:
+            points = xi[:, layers, part]
+            grids = coefficient_grids(kind, geom,
+                                      points.reshape(rule.dim, -1).T, coeff)
+            yield ((slice(s.start + layers.start, s.start + layers.stop), part),
+                   {key: g.reshape(points.shape[1:]) for key, g in grids.items()})
 
 
 #: relative size of a coupling grid, against its diagonal grids, at and
@@ -164,11 +169,11 @@ def _rule_grids(kind: str, rule: TensorRule, geom, coeff):
     no longer once a chunk keeps the key.
     """
     grids, kept = {}, set()
-    for flat, chunk in _grid_chunks(kind, rule, geom, coeff):
+    for block, chunk in _grid_chunks(kind, rule, geom, coeff):
         for key, g in chunk.items():
             if key not in grids:
                 grids[key] = np.empty(rule.n_points)
-            grids[key][flat] = g
+            grids[key].reshape(rule.n_points_per_dir[-1], -1)[block] = g
             if key not in kept and not _negligible(key, chunk):
                 kept.add(key)
     return grids, kept
@@ -187,11 +192,14 @@ def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
     """
     (_, [(W, _)]), = wq_terms(rule, "mass")
     W = map_distinct(banded, W)
-    q1 = rule.n_points_per_dir[0]
+    q1, n_last = rule.n_points_per_dir[0], rule.n_points_per_dir[-1]
     Y = np.empty((rule.n_points // q1, W[0].shape[0]))
-    for flat, chunk in _grid_chunks("mass", rule, geom, f):
-        rows = chunk[None].reshape(-1, q1)
-        block_matmul(W[0], rows, Y[flat.start // q1:flat.stop // q1])
+    # (xi_d layer, plane row) view of the rows; in d = 1 one row is the grid
+    rows = Y.reshape(n_last, -1, Y.shape[1]) if rule.dim > 1 else Y[None]
+    for (layers, part), chunk in _grid_chunks("mass", rule, geom, f):
+        block = rows[layers, part.start // q1:-(-part.stop // q1)]
+        block[...] = block_matmul(W[0], chunk[None].reshape(-1, q1)).reshape(
+            block.shape)
     return contract_modes(W[1:], Y).reshape(W[0].shape[0], -1).T.ravel()
 
 

@@ -18,7 +18,8 @@ derivation (with a test-only dependency) and against finite differences.
 The error norms (:func:`relative_errors`) walk a tensor Gauss grid in the
 chunks of :func:`~igamf.kron.grid_chunks`, as coefficient set-up does, so
 their pointwise work runs on about :data:`~igamf.kron.CHUNK_POINTS`
-points at a time.
+points at a time.  A case's ``u_grad`` broadcasts, so on an extrusion
+its factors of (x1, x2) alone serve every xi_3 layer of a chunk.
 """
 
 import functools
@@ -52,8 +53,9 @@ QUARTER_RING_H1_REFERENCE = {
 class ManufacturedCase:
     """Exact solution with its gradient, and matching source term.
 
-    ``u_grad(x)`` returns ``(u, grad)`` at physical points x of shape
-    (npts, d): shapes (npts,) and (npts, d), grad stored component-major.
+    ``u_grad(x1, ..., xd)`` returns ``(u, d1 u, ..., dd u)`` at physical
+    coordinates that broadcast (a row may be a constant); ``f(x)`` takes
+    an (npts, d) point array.
     """
 
     u_grad: callable = field(repr=False)
@@ -61,19 +63,14 @@ class ManufacturedCase:
     reference_h1_errors: dict = field(default_factory=dict, repr=False)
 
 
-def _case(u_grad_rows, f_rows, reference):
-    """A case from row functions of :func:`~igamf.geometry._eval_rows`:
-    ``u_grad_rows`` gives u and the d gradient components, ``f_rows`` f."""
-
-    def u_grad(x):
-        x = np.atleast_2d(x)
-        out = _eval_rows(u_grad_rows, x, 1 + x.shape[1])
-        return out[0], out[1:].T
+def _case(u_grad, f_rows, reference):
+    """A case of ``u_grad`` and of f from the row function ``f_rows`` of
+    :func:`~igamf.geometry._eval_rows`."""
 
     def f(x):
         return _eval_rows(f_rows, np.atleast_2d(x), 1)[0]
 
-    return ManufacturedCase(u_grad=u_grad, f=f, reference_h1_errors=reference)
+    return ManufacturedCase(u_grad, f, reference)
 
 
 def _oscillating_parts(x1, x2, x3):
@@ -84,12 +81,14 @@ def _oscillating_parts(x1, x2, x3):
 
 
 def _oscillating_u_grad(x1, x2, x3):
+    # factors of (x1, x2) alone are multiplied first, so that on broadcast
+    # coordinates only the last product of each row is full-size
     (s1, s2, s3), (c1, c2, c3), r2, g = _oscillating_parts(x1, x2, x3)
-    S = s1 * s2 * s3
+    s12 = s1 * s2
     kg = 5 * np.pi * g
-    Sdg = S * (4 * r2 - 10)  # S dg/dx_l / x_l for l = 1, 2
-    return (S * g, c1 * (s2 * s3) * kg + Sdg * x1,
-            c2 * (s1 * s3) * kg + Sdg * x2, c3 * (s1 * s2) * kg)
+    sdg = s12 * (4 * r2 - 10)  # (S dg/dx_l / x_l) / s3 for l = 1, 2
+    return ((s12 * g) * s3, (c1 * s2 * kg + sdg * x1) * s3,
+            (c2 * s1 * kg + sdg * x2) * s3, (s12 * kg) * c3)
 
 
 def _oscillating_f(x1, x2, x3):
@@ -102,8 +101,8 @@ def _oscillating_f(x1, x2, x3):
 def _cube_u_grad(x1, x2, x3):
     (s1, s2, s3), (c1, c2, c3) = zip(*(_sincos(np.pi * x)
                                        for x in (x1, x2, x3)))
-    return (s1 * s2 * s3, np.pi * c1 * (s2 * s3), np.pi * c2 * (s1 * s3),
-            np.pi * c3 * (s1 * s2))
+    return ((s1 * s2) * s3, (np.pi * c1 * s2) * s3, (np.pi * c2 * s1) * s3,
+            (np.pi * s1 * s2) * c3)
 
 
 def _cube_f(x1, x2, x3):
@@ -132,8 +131,8 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
     per chunk of about :data:`~igamf.kron.CHUNK_POINTS` points.  On an
     extrusion (:func:`~igamf.geometry.extrude`), det J_F, cof / det and F are
     evaluated once per plane point and reused for every layer
-    (:func:`_plane_values`); any other map is pulled back and evaluated
-    on each chunk's points.
+    (:func:`_plane_values`) and ``case.u_grad`` broadcasts over them; any
+    other map is pulled back and evaluated on each chunk's points.
     """
     u_coeffs = checked_vector(u_coeffs, space.n_dofs)
     if gauss_pts is None:
@@ -160,7 +159,7 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
                               u_coeffs).reshape(len(t), -1) for b in range(d)]
         # per-slab totals first; another order moves h1 by an ulp
         slab = np.zeros(4)
-        for l, p, _ in chunks:
+        for l, p in chunks:
             slab += _chunk_sums(geom, plane, case, t[l], wt[l], p, uh[l, p],
                                 [gx[l, p] for gx in grad_xi])
         sums += slab
@@ -197,37 +196,36 @@ def _chunk_sums(geom, plane, case, t, wt, p, uh, grad_xi):
     there as (layer, plane point) arrays: measure = wt (w det J_F),
     grad u_h = cof / det J_F grad_xi u_h and x = F(xi).  On an extrusion
     these take the plane's values: cof / det = blockdiag(inv, 1) and
-    x = (G, t); any other map is pulled back and evaluated at the chunk's
-    points xi = (plane point, t).
+    x = (G, t), handed to ``case.u_grad`` as the plane's (P,) rows and an
+    (L, 1) column of layers; any other map is pulled back and evaluated at
+    the chunk's points xi = (plane point, t), handed over as (L, P) rows.
+    The sums are taken one gradient component at a time.
     """
     w, inv, rows = plane
     d, shape = len(rows) + 1, uh.shape
-    x = np.empty((d,) + shape)
-    x[:-1] = rows[:, None, p]
-    x[-1] = t[:, None]
-    x = x.reshape(d, -1).T
-    measure = np.multiply.outer(wt, w[p]).ravel()
+    measure = np.multiply.outer(wt, w[p])
     if inv is None:
-        det, cof = pullback(geom, x)
-        measure *= det
+        xi = np.empty((d,) + shape)
+        xi[:-1] = rows[:, None, p]
+        xi[-1] = t[:, None]
+        xi = xi.reshape(d, -1).T
+        det, cof = pullback(geom, xi)
+        measure *= det.reshape(shape)
         inv = cof.transpose(1, 2, 0).reshape((d, d) + shape)
         inv /= det.reshape(shape)
-        x = geom.evaluate(x)
+        x = geom.evaluate(xi).T.reshape((d,) + shape)
     else:
-        inv = inv[..., p]
-    grad_h = np.empty((d,) + shape)
-    for i, row in enumerate(inv):
-        np.multiply(row[0], grad_xi[0], out=grad_h[i])
-        for j in range(1, len(row)):
-            grad_h[i] += row[j] * grad_xi[j]
-    for i in range(len(inv), d):
-        grad_h[i] = grad_xi[i]
-    grad_h = grad_h.reshape(d, -1)
-    ue, ge = case.u_grad(x)
-    l2_err2 = measure @ (ue - uh.ravel())**2
-    l2_ref2 = measure @ (ue * ue)
-    return (l2_err2 + measure @ ((grad_h.T - ge)**2).sum(axis=1),
-            l2_ref2 + measure @ (ge * ge).sum(axis=1), l2_err2, l2_ref2)
+        inv, x = inv[..., p], (*rows[:, p], t[:, None])
+    ue, *ge = (np.broadcast_to(v, shape) for v in case.u_grad(*x))
+    l2_err2 = np.vdot(measure, (ue - uh)**2)
+    l2_ref2 = np.vdot(measure, ue * ue)
+    h1_err2, h1_ref2 = l2_err2, l2_ref2
+    for i, gi in enumerate(ge):
+        gh = grad_xi[i] if i >= len(inv) else functools.reduce(
+            np.add, (inv[i][j] * grad_xi[j] for j in range(len(inv))))
+        h1_err2 += np.vdot(measure, (gh - gi)**2)
+        h1_ref2 += np.vdot(measure, gi * gi)
+    return h1_err2, h1_ref2, l2_err2, l2_ref2
 
 
 def h1_relative_error(space, geom, u_coeffs, case, gauss_pts=None) -> float:

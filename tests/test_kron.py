@@ -287,39 +287,52 @@ class TestGridChunks:
     @pytest.mark.parametrize("n_per_dir, points", [
         ((50,), 16),  # d = 1: more points than `points`, one chunk
         ((7, 40), 20),  # d = 2, rows below `points`: whole layers
-        ((30, 9), 20),  # d = 2, one row above `points`
+        ((30, 9), 20),  # d = 2, one row above `points`: one layer
         ((4, 5, 23), 64),  # plane below `points`: whole layers
-        ((6, 5, 23), 12),  # anisotropic plane above `points`: plane parts
-        ((9, 9, 9), 20),  # plane parts of unequal row counts
+        ((6, 5, 23), 12),  # anisotropic plane above `points`: 2 layers
+        ((9, 9, 9), 20),  # plane parts of unequal row counts, 2 layers
+        ((4, 6, 17), 16),  # a slab's 3 layers times plane parts
+        ((5, 4, 10), 12),  # 2 layers, ragged last block in every slab
+        ((2, 3, 4, 7), 5),  # d = 4: 2 layers times parts of a 24-point plane
     ])
     def test_covers_grid_once_in_whole_rows(self, monkeypatch, n_per_dir,
                                             points):
-        # three layers per slab: 23, 40 and 9 layers leave a ragged slab
+        # three layers per slab: 23, 40, 9, 17, 10 and 7 layers leave a
+        # ragged slab
         n = int(np.prod(n_per_dir[:-1]))
         monkeypatch.setattr(igamf.kron, "SLAB_POINTS", 3 * n)
         monkeypatch.setattr(igamf.kron, "CHUNK_POINTS", points)
         q1, total = n_per_dir[0], int(np.prod(n_per_dir))
         index = np.arange(total).reshape(n_per_dir[-1], n)
-        slabs, flats = [], []
+        seen = np.zeros(total, dtype=int)
+        slabs = []
         for s, chunks in igamf.kron.grid_chunks(n_per_dir):
             slabs.append(s)
-            for layers, part, flat in chunks:
-                assert layers.stop <= s.stop - s.start
-                # the chunk's (layer, plane point) block is its flat range
-                assert np.array_equal(index[s][layers, part].ravel(),
-                                      np.arange(flat.start, flat.stop))
-                assert flat.start % q1 == 0 and flat.stop % q1 == 0
-                assert flat.stop - flat.start < points + q1
-                # whole layers, or a part of one layer
+            n_layers = s.stop - s.start
+            # layers per chunk: whole layers when the plane fits, else as
+            # many of the slab's layers as fit with one direction-1 row
+            step = max(1, points // n if n <= points
+                       else min(n_layers, points // q1))
+            for layers, part in chunks:
+                # the chunk is the [layers, part] block of the slab's
+                # (layer, plane point) view
+                seen[index[s][layers, part]] += 1
+                assert 0 <= layers.start < layers.stop <= n_layers
+                if len(n_per_dir) == 1:
+                    continue
+                assert layers.start % step == 0
+                assert layers.stop - layers.start == min(
+                    step, n_layers - layers.start)
+                assert part.start % q1 == 0 and part.stop % q1 == 0
+                assert (layers.stop - layers.start) * (part.stop - part.start) \
+                    < points + (layers.stop - layers.start) * q1
                 if n <= points:
                     assert part == slice(0, n)
-                else:
-                    assert layers.stop - layers.start == 1
-                flats.append(flat)
-        assert [f.start for f in flats] == [0] + [f.stop for f in flats[:-1]]
-        assert flats[-1].stop == total
+        assert (seen == 1).all()
         assert slabs[0].start == 0 and slabs[-1].stop == n_per_dir[-1]
         if len(n_per_dir) == 1:
-            assert flats == [slice(0, total)]
+            assert slabs == [slice(0, total)]
+            assert chunks == [(slice(0, total), slice(0, 1))]
         else:
             assert len(slabs) == -(-n_per_dir[-1] // 3)
+            assert all(a.stop == b.start for a, b in zip(slabs, slabs[1:]))

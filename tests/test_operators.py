@@ -16,6 +16,7 @@ from igamf import (CostMeter, DegenerateGeometryError, GeometryMap,
 from igamf import kron, operators
 from igamf.cli import _GEOMETRIES
 from igamf.kron import BandedFactor, banded, contract_modes
+from igamf.splines import collocation_matrix
 
 
 def make(p, n_el, geom=None, d=3):
@@ -267,6 +268,23 @@ class TestWQLoadVector:
 
         b = wq_load_vector(rule, geom, f)
         ref = assemble_rhs(space, geom, f)
+        assert np.abs(b - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_low_dimensions_match_dense_gauss(self, d):
+        # in d = 1 the grid's one chunk is its one direction-1 row; the
+        # source, of degree 2 per direction, is integrated exactly by W^(0,0)
+        # and by 4 Gauss points per span
+        space, rule, geom = make(3, 6, d=d)
+        kv = space.knotvectors[0]
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        a, b = kv.breakpoints[:-1, None], kv.breakpoints[1:, None]
+        x = ((a + b) / 2 + (b - a) / 2 * nodes).ravel()
+        w = ((b - a) / 2 * weights).ravel()
+        g = (w * (x**2 - 0.3 * x)) @ collocation_matrix(kv, x)[:, 1:-1]
+        ref = g if d == 1 else np.kron(g, g)
+        b = wq_load_vector(rule, geom,
+                           lambda pts: np.prod(pts**2 - 0.3 * pts, axis=1))
         assert np.abs(b - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("gauss", [False, True], ids=["wq", "gauss"])

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -29,13 +30,13 @@ class TestOscillatingCase:
                 xi[:, face_dim] = side
                 pts.append(xi)
         xi = np.concatenate(pts)[:1000]
-        u, _ = case.u_grad(geom.evaluate(xi))
+        u = case.u_grad(*geom.evaluate(xi).T)[0]
         assert np.abs(u).max() <= 1e-12
 
     def test_point_value_regression(self):
         case = oscillating_case()
         x = np.array([[1.5 / np.sqrt(2), 1.5 / np.sqrt(2), 0.1]])
-        assert case.u_grad(x)[0][0] == pytest.approx(-1.453237129106922, abs=1e-12)
+        assert case.u_grad(*x.T)[0][0] == pytest.approx(-1.453237129106922, abs=1e-12)
 
     def test_source_matches_fd_laplacian(self):
         case = oscillating_case()
@@ -46,7 +47,7 @@ class TestOscillatingCase:
         x = np.stack([r * np.cos(th), r * np.sin(th),
                       rng.uniform(0.1, 0.9, 20)], axis=1)
         def u(x):
-            return case.u_grad(x)[0]
+            return case.u_grad(*x.T)[0]
 
         h = 1e-5
         lap = np.zeros(20)
@@ -62,12 +63,12 @@ class TestOscillatingCase:
         case = oscillating_case()
         x = np.array([[1.2, 0.7, 0.4], [0.3, 1.5, 0.8]])
         h = 1e-6
-        _, grad = case.u_grad(x)
+        _, *grad = case.u_grad(*x.T)
         for d in range(3):
             e = np.zeros(3)
             e[d] = h
-            fd = (case.u_grad(x + e)[0] - case.u_grad(x - e)[0]) / (2 * h)
-            assert np.allclose(grad[:, d], fd, atol=1e-6)
+            fd = (case.u_grad(*(x + e).T)[0] - case.u_grad(*(x - e).T)[0]) / (2 * h)
+            assert np.allclose(grad[d], fd, atol=1e-6)
 
     def test_reference_table_spot_values(self):
         assert QUARTER_RING_H1_REFERENCE[(2, 5)] == pytest.approx(7.1e-2)
@@ -81,19 +82,12 @@ class TestErrorNorms:
         """prod_l x_l (1 - x_l) in any dimension: on the identity map of a
         space of degree >= 2, a function of V_h with zero boundary trace."""
 
-        def u_grad(x):
-            x = np.atleast_2d(x)
-            full = np.prod(x * (1 - x), axis=1)
-            out = np.empty(x.shape)
-            for l in range(x.shape[1]):
-                fac = x[:, l] * (1 - x[:, l])
-                deriv = 1 - 2 * x[:, l]
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    other = np.where(fac > 0, full / fac,
-                                     np.prod(np.delete(x * (1 - x), l, axis=1),
-                                             axis=1))
-                out[:, l] = deriv * other
-            return full, out
+        def u_grad(*x):
+            fac = [xl * (1 - xl) for xl in x]
+            return (functools.reduce(np.multiply, fac),
+                    *((1 - 2 * xl) * functools.reduce(
+                        np.multiply, fac[:l] + fac[l + 1:], 1.0)
+                      for l, xl in enumerate(x)))
 
         case = cube_sine_case()
         return type(case)(u_grad=u_grad, f=case.f, reference_h1_errors={})
@@ -207,7 +201,8 @@ class TestErrorNorms:
         J = geom.jacobian(xi)
         grad_h = np.linalg.solve(np.swapaxes(J, 1, 2), grad_xi[:, :, None])[:, :, 0]
         measure = w * np.abs(np.linalg.det(J))
-        u, grad_u = case.u_grad(geom.evaluate(xi))
+        u, *grad_u = np.broadcast_arrays(*case.u_grad(*geom.evaluate(xi).T))
+        grad_u = np.stack(grad_u, axis=1)
         return (measure @ (uh - u)**2, measure @ u**2,
                 measure @ ((grad_h - grad_u)**2).sum(axis=1),
                 measure @ (grad_u**2).sum(axis=1))
@@ -250,7 +245,11 @@ class TestErrorNorms:
             np.sqrt((err2 + semi_err2) / (ref2 + semi_ref2)), rel=1e-12)
 
     @pytest.mark.parametrize("wrapped", [False, True])
-    def test_slab_invariance(self, monkeypatch, wrapped):
+    @pytest.mark.parametrize("slab, chunk, n_slabs", [
+        (500, None, 16),  # one layer per slab, whole-layer chunks
+        (1000, 150, 6),  # 3 layers per slab, chunks of 3 x 48 points
+    ])
+    def test_slab_invariance(self, monkeypatch, wrapped, slab, chunk, n_slabs):
         # on the extrusion (one pullback per plane point) and on the same
         # map wrapped as a generic one (pulled back per chunk)
         space = tensor_space(2, 4, 3)
@@ -260,9 +259,11 @@ class TestErrorNorms:
         x = np.random.default_rng(0).standard_normal(space.n_dofs)
         case = oscillating_case()
         h1, l2 = relative_errors(space, geom, x, case)
-        monkeypatch.setattr(kron, "SLAB_POINTS", 500)
-        # the 16^3-point Gauss grid now splits into 16 slabs
-        assert len(kron.grid_slabs((16,) * 3)) == 16
+        monkeypatch.setattr(kron, "SLAB_POINTS", slab)
+        if chunk is not None:
+            monkeypatch.setattr(kron, "CHUNK_POINTS", chunk)
+        # the 16^3-point Gauss grid now splits into n_slabs slabs
+        assert len(kron.grid_slabs((16,) * 3)) == n_slabs
         h1_s, l2_s = relative_errors(space, geom, x, case)
         assert h1_s == pytest.approx(h1, rel=1e-13)
         assert l2_s == pytest.approx(l2, rel=1e-13)
@@ -274,18 +275,47 @@ class TestErrorNorms:
                                                   p, n_el, chunk):
         # the plane-once geometry against the same map wrapped as a
         # generic one, pulled back at every point; both walk the same
-        # chunks: a 150-point chunk cuts each plane (12^2 or 20^2 points)
-        # into parts of a layer, the default one takes whole layers
+        # chunks: a 150-point chunk cuts the one slab of 20 layers of a
+        # 20^2-point plane into chunks of 7 layers times 40 plane points,
+        # the default one takes whole layers
         geom, case = (make() for make in _GEOMETRIES[geometry])
         assert geom.planar is not None
         space = tensor_space(p, n_el, 3)
         x = np.random.default_rng(p).standard_normal(space.n_dofs)
         if chunk is not None:
             monkeypatch.setattr(kron, "CHUNK_POINTS", chunk)
+            (_, chunks), = kron.grid_chunks((20,) * 3)
+            assert chunks[0] == (slice(0, 7), slice(0, 40))
         h1, l2 = relative_errors(space, geom, x, case)
         h1_g, l2_g = relative_errors(space, not_extruded(geom), x, case)
         assert h1 == pytest.approx(h1_g, rel=1e-12)
         assert l2 == pytest.approx(l2_g, rel=1e-12)
+
+    def test_plane_work_amortized(self, monkeypatch):
+        # on an extrusion u_grad gets the plane's (P,) coordinate rows and
+        # the chunk's xi_3 layers as an (L, 1) column, so each plane value
+        # serves every layer of its chunk: with 5 layers per 2,000-point
+        # slab and 200-point chunks, the 20^2-point plane is cut into
+        # chunks of 5 layers times 40 plane points
+        monkeypatch.setattr(kron, "SLAB_POINTS", 2000)
+        monkeypatch.setattr(kron, "CHUNK_POINTS", 200)
+        space = tensor_space(3, 4, 3)
+        geom = quarter_ring_rational_map()
+        x = np.random.default_rng(0).standard_normal(space.n_dofs)
+        case = oscillating_case()
+        shapes = []
+
+        def recording(*coords):
+            shapes.append([np.shape(c) for c in coords])
+            return case.u_grad(*coords)
+
+        relative_errors(space, geom, x, type(case)(
+            u_grad=recording, f=case.f, reference_h1_errors={}))
+        assert shapes and all(len(coords) == 3 for coords in shapes)
+        for plane1, plane2, layers in shapes:
+            assert len(plane1) == 1 and plane2 == plane1
+            assert len(layers) == 2 and layers[1] == 1
+        assert sum(plane1[0] for plane1, _, _ in shapes) <= 20**3 // 2
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_one_gauss_factor_set_per_distinct_knot_vector(self, monkeypatch,
@@ -370,7 +400,7 @@ class TestCubeSineCase:
     def test_solution_on_boundary(self):
         case = cube_sine_case()
         x = np.array([[0.0, 0.3, 0.7], [1.0, 0.5, 0.5], [0.2, 0.0, 0.9]])
-        assert np.abs(case.u_grad(x)[0]).max() <= 1e-14
+        assert np.abs(case.u_grad(*x.T)[0]).max() <= 1e-14
 
     def test_source_value(self):
         case = cube_sine_case()
