@@ -1,7 +1,8 @@
-"""Benchmark command line: solve single instances, sweep convergence, profile cost.
+"""Benchmark command line: solve or profile a sweep of (p, k) instances.
 
-Three subcommands share one run path and the CSV columns of :class:`RunRecord`.
-``solve`` runs one (p, k) instance, ``convergence`` a grid of them, and
+Two subcommands share one run path and the CSV columns of :class:`RunRecord`.
+Each runs every (p, k) of its ``--degree`` and ``--mesh-exp`` comma lists,
+degree outermost: ``solve`` (also named ``convergence``) solves them, and
 ``profile`` reports per-apply cost instead of solving (solve_s holds the mean
 seconds of 10 operator applications; the error, iteration and ``converged``
 columns stay empty).  ``error_s``, the time spent in error norms after set-up,
@@ -289,21 +290,14 @@ def build_parser():
                     "@FILE reads further flags from FILE")
     parser.convert_arg_line_to_args = _split_arg_line
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("solve", help="solve one instance")
-    s.add_argument("--degree", type=int, required=True)
-    s.add_argument("--mesh-exp", type=int, required=True)
-    _add_common(s)
-
-    c = subs.add_parser("convergence", help="sweep a (p, k) grid")
-    c.add_argument("--degree", type=_parse_int_list, required=True)
-    c.add_argument("--mesh-exp", type=_parse_int_list, required=True)
-    _add_common(c)
-
-    f = subs.add_parser("profile", help="setup and per-apply cost over p")
-    f.add_argument("--degree", type=_parse_int_list, required=True)
-    f.add_argument("--mesh-exp", type=int, required=True)
-    _add_common(f)
+    for name, aliases, runner, about in (
+            ("solve", ["convergence"], run_solve, "solve each (p, k) instance"),
+            ("profile", [], run_profile, "setup and per-apply cost")):
+        sub = subs.add_parser(name, aliases=aliases, help=about)
+        sub.add_argument("--degree", type=_parse_int_list, required=True)
+        sub.add_argument("--mesh-exp", type=_parse_int_list, required=True)
+        _add_common(sub)
+        sub.set_defaults(runner=runner)
     return parser
 
 
@@ -317,11 +311,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    listed = lambda v: v if isinstance(v, list) else [v]
-    runner = run_profile if args.command == "profile" else run_solve
     with out as stream:
-        rows, failed = _sweep(listed(args.degree), listed(args.mesh_exp),
-                              options, runner)
+        rows, failed = _sweep(args.degree, args.mesh_exp, options, args.runner)
         if args.out:
             stream.truncate(0)
         csv.writer(stream).writerows([CSV_HEADER] + [r.row() for r in rows])

@@ -56,7 +56,15 @@ ROWS_PER_BLOCK = 8
 #: grid columns per matrix product of :func:`contract_modes`.  Median
 #: stiffness apply on the rational ring at k=6 with and without tiles, in
 #: turn over 20 pairs as for :data:`ROWS_PER_BLOCK`: 214 vs 236 ms (p=3),
-#: 297 vs 314 (p=8); FD apply (k=6, 7) and error pass (k=6) within 3%
+#: 297 vs 314 (p=8); FD apply (k=6, 7) and error pass (k=6) within 3%.
+#: The tiles act from k=6 only: at k=5 no call is split (the widest has
+#: 2,277 columns over a whole p=3 ring solve run, 2,926 over a p=8 set-up
+#: and one BiCGStab solve), so a k=5 run cannot show what they are worth.
+#: Re-measured at k=6, removing them slowed the apply by about 4-8%: p=3
+#: 64.2-67.9 to 67.6-77.0 ms, p=8 86.9-101.6 to 93.7-103.1 ms.  One tile
+#: rule for both kernels (``TILE_POINTS // m`` columns) was neutral on that
+#: apply but slowed the p=8, k=5 error pass from 1.76-1.88 to 1.93-2.04 s,
+#: so both constants stay
 TILE_COLS = 4096
 #: quadrature points per row tile of the operators' fused apply
 #: (:meth:`~igamf.operators._WQOperator._tile_pass`); a tile's B values,

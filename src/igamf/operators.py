@@ -113,12 +113,18 @@ def _grid_chunks(kind: str, rule: TensorRule, geom, coeff):
     arrays, with ``block`` the chunk's ``(layers, part)`` index into the
     (xi_d layer, plane point) view of the rule's grid.
 
-    Each slab's points are laid out whole on purpose: freeing slab-sized
-    arrays raises glibc's dynamic mmap and trim thresholds, so the stiffness
-    apply's scratch comes from the heap, not from fresh mmaps.  Laying out
-    only chunks' points made the apply 28.8 ms, not 18.3, at p=8 (18.9, not
-    11.4, at p=3): k=5 ring, medians of 30 applies over 8 processes taken
-    in turn, one BLAS thread, 2-core x86 host.
+    Each slab's points are laid out whole on purpose.  Laying out only each
+    chunk's points slowed the stiffness apply on a sheared ring (the test
+    fixture ``reparametrized_ring``, all 6 grids kept) from 10.0-11.4 to
+    18.8-18.9 ms at p=3 and from 16.4-23.6 to 27.0-37.0 ms at p=8, and
+    per-apply tile buffers on top did not recover it (17.3-17.5 and
+    27.2-27.8 ms).  On the rational ring, which keeps 3 of the 6 grids, it
+    made no difference (4.8-6.7 ms at p=3, 7.6-8.4 ms at p=8 either way), so
+    the ring benchmark cannot see it.  k=5, medians of 20-30 applies in each
+    of 2-3 processes per side, one BLAS thread, shared 2-core x86 host.
+    The likely cause, unverified: freeing slab-sized arrays raises glibc's
+    dynamic mmap threshold, so the apply's scratch comes from the heap, not
+    from fresh mmaps; on the ring, set-up also frees its 3 dropped grids.
     """
     *lower, last = [r.points for r in rule.rules]
     for s, chunks in grid_chunks(rule.n_points_per_dir):

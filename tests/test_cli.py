@@ -305,6 +305,45 @@ def src_env():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
+class TestSweepPath:
+    """``solve`` and ``profile`` take (p, k) lists; ``convergence`` is ``solve``."""
+
+    def test_solve_sweeps_both_lists(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_solve", recording_runner(seen := []))
+        out = tmp_path / "sweep.csv"
+        rc = main(["solve", "--degree", "1,2", "--mesh-exp", "2,3",
+                   "--geometry", "cube", "--maxit", "50", "--out", str(out)])
+        assert rc == 0
+        rows = read_csv(out)
+        assert rows[0] == CSV_HEADER
+        assert [(r[1], r[2]) for r in rows[1:]] == [("1", "2"), ("1", "3"),
+                                                   ("2", "2"), ("2", "3")]
+        assert seen == [RunConfig(p, k, geometry="cube", maxit=50)
+                        for p in (1, 2) for k in (2, 3)]
+
+    def test_profile_sweeps_mesh_list(self, tmp_path):
+        out = tmp_path / "prof.csv"
+        rc = main(["profile", "--degree", "1", "--mesh-exp", "2,3",
+                   "--geometry", "cube", "--out", str(out)])
+        assert rc == 0
+        rows = read_csv(out)
+        recs = [dict(zip(rows[0], r)) for r in rows[1:]]
+        assert [(r["p"], r["k"]) for r in recs] == [("1", "2"), ("1", "3")]
+        assert int(recs[1]["N"]) > int(recs[0]["N"]) > 0
+        assert all(r["converged"] == "" for r in recs)
+
+    def test_convergence_is_solve(self):
+        flags = ["--degree", "2,3", "--mesh-exp", "4", "--method", "sgq",
+                 "--eta", "0.2", "--out", "run.csv"]
+        parse = cli.build_parser().parse_args
+        solve = vars(parse(["solve"] + flags))
+        convergence = vars(parse(["convergence"] + flags))
+        assert solve.pop("command") == "solve"
+        assert convergence.pop("command") == "convergence"
+        assert solve == convergence
+        assert solve["runner"] is cli.run_solve
+
+
 class TestConfigFile:
     """Run options given in an argument file (``@FILE``) and as flags.
 
