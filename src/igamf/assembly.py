@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .operators import _rule_grids, wq_load_vector, wq_terms
 from .wq import gauss_tensor_rule
@@ -35,20 +34,23 @@ class MemoryGuardError(MemoryError):
 
 @dataclass(frozen=True)
 class AssembledMatrix:
-    matrix: sp.csr_matrix = field(repr=False)
+    matrix: "scipy.sparse.csr_matrix" = field(repr=False)
 
     @property
     def nnz(self):
         return self.matrix.nnz
 
 
-def kron_materialize(factors) -> sp.csr_matrix:
+def kron_materialize(factors) -> "scipy.sparse.csr_matrix":
     """Explicit sparse Kronecker matrix A^(d) x ... x A^(1) of dense factors.
 
     The assembled WQ and SGQ matrices are built from it, and tests use it
     as the oracle of the sum-factorized apply.  It has no size guard: the
     caller's nonzero estimate is the one that holds for a sparse product.
+    scipy is imported here, so the matrix-free path never loads it.
     """
+    import scipy.sparse as sp
+
     out = None
     for f in reversed(factors):
         f = sp.csr_matrix(f)

@@ -1,17 +1,17 @@
-"""Benchmark command line: solve or profile a sweep of (p, k) instances.
+"""Benchmark command line: solve a sweep of (p, k) instances.
 
-Two subcommands share one run path and the CSV columns of :class:`RunRecord`.
-Each runs every (p, k) of its ``--degree`` and ``--mesh-exp`` comma lists,
-degree outermost: ``solve`` (also named ``convergence``) solves them, and
-``profile`` reports per-apply cost instead of solving (solve_s holds the mean
-seconds of 10 operator applications; the error, iteration and ``converged``
-columns stay empty).  ``error_s``, the time spent in error norms after set-up,
-is outside ``total_s``.  A failed run writes an empty row and its cause on
-stderr.  Every subcommand exits 2 on a bad argument or an ``--out`` it
-cannot open (before any run, writing nothing) or on a failed run, else 1 if
-a run did not converge, else 0.  argparse rejects a value out of range (an
-``--eta``, ``--maxit`` or ``--nnz-guard`` that is not finite and > 0) where
-it reads it, as it rejects one it cannot parse.
+One subcommand, ``solve`` (also named ``convergence``), solves every (p, k)
+of its ``--degree`` and ``--mesh-exp`` comma lists, degree outermost, into
+one :class:`RunRecord` CSV row each.  ``apply_s`` is the median seconds of
+the stiffness applies made by the run's Krylov solves (empty if they make
+none), so ``matvec_flops / apply_s`` is the apply's achieved flop rate.
+``error_s``, the time spent in error norms after set-up, is outside
+``total_s``.  A failed run writes an empty row and its cause on stderr.
+The command exits 2 on a bad argument or an ``--out`` it cannot open
+(before any run, writing nothing) or on a failed run, else 1 if a run did
+not converge, else 0.  argparse rejects a value out of range (an
+``--eta``, ``--maxit`` or ``--nnz-guard`` that is not finite and > 0)
+where it reads it, as it rejects one it cannot parse.
 
 An argument ``@FILE`` is replaced by the flags written in FILE, one or more
 per line as on a shell line, with ``#`` comments and blank lines allowed.
@@ -53,8 +53,6 @@ _DEFAULT_MAX_K = 6
 #: nominal flops charged per coefficient value evaluated during set-up
 #: (geometry Jacobian, cofactors and determinant), for ``setup_flops`` only
 _COEFF_EVAL_FLOPS = 60
-#: operator applications timed by ``profile``
-_PROFILE_APPLIES = 10
 
 
 class ConfigError(ValueError):
@@ -101,7 +99,7 @@ class RunConfig:
 
 @dataclass
 class RunRecord:
-    """One CSV row; empty strings mark fields a mode does not produce."""
+    """One CSV row; empty strings mark fields a run did not produce."""
 
     method: str
     p: int
@@ -112,6 +110,7 @@ class RunRecord:
     iters: int | str = ""
     setup_s: float | str = ""
     solve_s: float | str = ""
+    apply_s: float | str = ""
     total_s: float | str = ""
     error_s: float | str = ""
     matvec_flops: int | str = ""
@@ -180,6 +179,13 @@ def run_solve(cfg: RunConfig) -> RunRecord:
     geom, case = (make() for make in _GEOMETRIES[cfg.geometry])
     space, apply_A, rhs, precond, rec = _setup(cfg, geom, case)
     krylov = bicgstab if cfg.solver == "bicgstab" else cg
+    apply_times = []
+
+    def timed_apply(v):
+        t = time.perf_counter()
+        y = apply_A(v)
+        apply_times.append(time.perf_counter() - t)
+        return y
 
     ref = case.reference_h1_errors.get((cfg.degree, cfg.mesh_exp))
     error_s = 0.0
@@ -189,15 +195,17 @@ def run_solve(cfg: RunConfig) -> RunRecord:
         # No tabulated discretization error for this configuration: solve
         # tightly once to estimate it, then re-solve at the scaled tolerance.
         # Both solves count in solve_s, the estimate's error pass in error_s.
-        x, estimate = krylov(apply_A, rhs, precond.apply, tol=1e-8,
+        x, estimate = krylov(timed_apply, rhs, precond.apply, tol=1e-8,
                              maxit=cfg.maxit)
         estimate_ok = estimate.converged
         te = time.perf_counter()
         ref, _ = relative_errors(space, geom, x, case)
         error_s = time.perf_counter() - te
-    x, report = krylov(apply_A, rhs, precond.apply,
+    x, report = krylov(timed_apply, rhs, precond.apply,
                        tol=stopping_tolerance(ref, cfg.eta), maxit=cfg.maxit)
     rec.solve_s = time.perf_counter() - t0 - error_s
+    if apply_times:  # the median of no times warns
+        rec.apply_s = float(np.median(apply_times))
     rec.iters = report.iterations
     rec.converged = estimate_ok and report.converged
     rec.total_s = rec.setup_s + rec.solve_s
@@ -207,27 +215,13 @@ def run_solve(cfg: RunConfig) -> RunRecord:
     return rec
 
 
-def run_profile(cfg: RunConfig) -> RunRecord:
-    geom, case = (make() for make in _GEOMETRIES[cfg.geometry])
-    space, apply_A, _, _, rec = _setup(cfg, geom, case)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(space.n_dofs)
-    apply_A(v)
-    t0 = time.perf_counter()
-    for _ in range(_PROFILE_APPLIES):
-        apply_A(v)
-    rec.solve_s = (time.perf_counter() - t0) / _PROFILE_APPLIES
-    rec.total_s = rec.setup_s + rec.solve_s
-    return rec
-
-
-def _sweep(p_list, k_list, options, runner):
+def _sweep(p_list, k_list, options):
     """One row per (p, k), and whether any failed; a failed row is kept empty."""
     rows, failed = [], False
     for p in p_list:
         for k in k_list:
             try:
-                rows.append(runner(RunConfig(degree=p, mesh_exp=k, **options)))
+                rows.append(run_solve(RunConfig(p, k, **options)))
             except (ConfigError, RuntimeError, MemoryError) as exc:
                 print(f"run p={p} k={k} failed: {exc}", file=sys.stderr)
                 rows.append(RunRecord(method=options["method"], p=p, k=k,
@@ -289,15 +283,11 @@ def build_parser():
         description="Matrix-free isogeometric benchmark harness; "
                     "@FILE reads further flags from FILE")
     parser.convert_arg_line_to_args = _split_arg_line
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, aliases, runner, about in (
-            ("solve", ["convergence"], run_solve, "solve each (p, k) instance"),
-            ("profile", [], run_profile, "setup and per-apply cost")):
-        sub = subs.add_parser(name, aliases=aliases, help=about)
-        sub.add_argument("--degree", type=_parse_int_list, required=True)
-        sub.add_argument("--mesh-exp", type=_parse_int_list, required=True)
-        _add_common(sub)
-        sub.set_defaults(runner=runner)
+    sub = parser.add_subparsers(dest="command", required=True).add_parser(
+        "solve", aliases=["convergence"], help="solve each (p, k) instance")
+    sub.add_argument("--degree", type=_parse_int_list, required=True)
+    sub.add_argument("--mesh-exp", type=_parse_int_list, required=True)
+    _add_common(sub)
     return parser
 
 
@@ -312,7 +302,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with out as stream:
-        rows, failed = _sweep(args.degree, args.mesh_exp, options, args.runner)
+        rows, failed = _sweep(args.degree, args.mesh_exp, options)
         if args.out:
             stream.truncate(0)
         csv.writer(stream).writerows([CSV_HEADER] + [r.row() for r in rows])

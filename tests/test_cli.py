@@ -5,15 +5,17 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import igamf
 from igamf import cli
 from igamf.cli import (CSV_HEADER, ConfigError, RunConfig, RunRecord, main,
-                       run_profile, run_solve)
+                       run_solve)
 from igamf.geometry import DegenerateGeometryError
 from igamf.problems import relative_errors
-from igamf.solvers import EigenSolveError, IndefiniteOperatorError, bicgstab
+from igamf.solvers import (EigenSolveError, IndefiniteOperatorError,
+                           KrylovReport, bicgstab)
 from igamf.wq import WQConstructionError
 
 
@@ -58,6 +60,7 @@ class TestSolveCommand:
         assert float(rec["error_h1"]) > float(rec["error_l2"]) > 0
         assert int(rec["nnz"]) > 0
         assert float(rec["error_s"]) > 0
+        assert 0 < float(rec["apply_s"]) <= float(rec["solve_s"])
         assert rec["converged"] == "True"
 
     def test_error_s_counts_every_error_pass(self, monkeypatch):
@@ -86,6 +89,59 @@ class TestSolveCommand:
         assert len(solves) == 2
         assert rec.solve_s >= 2 * pause
         assert rec.total_s == pytest.approx(rec.setup_s + rec.solve_s)
+
+    def test_apply_s_is_the_median_apply(self, monkeypatch):
+        # the cube has no tabulated error, so the stub solves twice: 2
+        # applies, then 3, each pausing for the next of ``pauses``
+        pauses = [0.001, 0.002, 0.03, 0.2, 0.3]
+        queue = iter(pauses)
+        setup = cli._setup
+
+        def slow_setup(*args):
+            space, apply_A, rhs, precond, rec = setup(*args)
+
+            def slow_apply(v):
+                time.sleep(next(queue))
+                return apply_A(v)
+            return space, slow_apply, rhs, precond, rec
+
+        def stub_krylov(apply_A, b, apply_P, tol, maxit):
+            n = 2 if solves == [] else 3
+            solves.append(n)
+            for _ in range(n):
+                apply_A(b)
+            return np.zeros_like(b), KrylovReport(n, [1.0], True, n)
+
+        solves = []
+        monkeypatch.setattr(cli, "_setup", slow_setup)
+        monkeypatch.setattr(cli, "bicgstab", stub_krylov)
+        rec = run_solve(RunConfig(2, 2, geometry="cube", method="mfwq"))
+        assert solves == [2, 3]
+        # the median, 0.03 s, and neither the mean (0.107 s) nor the sum
+        assert 0.03 <= rec.apply_s < 0.08
+        assert 0 < rec.apply_s <= rec.solve_s
+        assert rec.solve_s >= sum(pauses)
+
+    def test_run_without_applies_leaves_apply_s_empty(self, monkeypatch):
+        # a solve may stop before its first apply (a zero right-hand side,
+        # say); the median of no times would warn, which is an error here
+        def no_apply(apply_A, b, apply_P, tol, maxit):
+            return np.zeros_like(b), KrylovReport(0, [1.0], True, 0)
+
+        monkeypatch.setattr(cli, "bicgstab", no_apply)
+        rec = run_solve(RunConfig(2, 2, geometry="cube", method="mfwq"))
+        assert rec.apply_s == ""
+        assert rec.row()[CSV_HEADER.index("apply_s")] == ""
+        assert rec.solve_s > 0
+
+    def test_record_fields(self):
+        # the cube's operator stores 3 of the 6 stiffness grids, and set-up
+        # is charged for evaluating all 6
+        rec = run_solve(RunConfig(2, 3, geometry="cube", method="mfwq"))
+        nq = igamf.build_tensor_rule(igamf.tensor_space(2, 8)).n_points
+        assert rec.coeff_scalars == 3 * nq
+        assert rec.setup_flops == 6 * nq * cli._COEFF_EVAL_FLOPS
+        assert 0 < rec.apply_s <= rec.solve_s
 
     @pytest.mark.parametrize("degree, mesh_exp, message", [
         ("0", "2", "run p=0 k=2 failed: degree must be >= 1"),
@@ -252,31 +308,6 @@ class TestConvergenceCommand:
         assert rows[0] == list(CSV_HEADER) and len(rows) == 2
 
 
-class TestProfileCommand:
-    def test_profile_schema(self, tmp_path):
-        out = tmp_path / "prof.csv"
-        rc = main(["profile", "--degree", "1,2", "--mesh-exp", "3",
-                   "--geometry", "cube", "--method", "mfwq",
-                   "--out", str(out)])
-        assert rc == 0
-        rows = read_csv(out)
-        assert rows[0] == CSV_HEADER
-        recs = [dict(zip(rows[0], r)) for r in rows[1:]]
-        assert all(int(r["matvec_flops"]) > 0 for r in recs)
-        assert all(r["iters"] == "" for r in recs)
-        assert all(r["converged"] == "" for r in recs)  # profile does not solve
-        assert int(recs[1]["matvec_flops"]) > int(recs[0]["matvec_flops"])
-
-    def test_profile_record_fields(self):
-        # the cube's operator stores 3 of the 6 stiffness grids, and set-up
-        # is charged for evaluating all 6
-        rec = run_profile(RunConfig(2, 3, geometry="cube", method="mfwq"))
-        nq = igamf.build_tensor_rule(igamf.tensor_space(2, 8)).n_points
-        assert rec.coeff_scalars == 3 * nq
-        assert rec.setup_flops == 6 * nq * cli._COEFF_EVAL_FLOPS
-        assert rec.solve_s > 0
-
-
 def exit_code(argv):
     """``main``'s return code, or the code of the SystemExit of an argparse error."""
     try:
@@ -306,7 +337,7 @@ def src_env():
 
 
 class TestSweepPath:
-    """``solve`` and ``profile`` take (p, k) lists; ``convergence`` is ``solve``."""
+    """``solve`` takes (p, k) lists; ``convergence`` is ``solve``."""
 
     def test_solve_sweeps_both_lists(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_solve", recording_runner(seen := []))
@@ -321,17 +352,6 @@ class TestSweepPath:
         assert seen == [RunConfig(p, k, geometry="cube", maxit=50)
                         for p in (1, 2) for k in (2, 3)]
 
-    def test_profile_sweeps_mesh_list(self, tmp_path):
-        out = tmp_path / "prof.csv"
-        rc = main(["profile", "--degree", "1", "--mesh-exp", "2,3",
-                   "--geometry", "cube", "--out", str(out)])
-        assert rc == 0
-        rows = read_csv(out)
-        recs = [dict(zip(rows[0], r)) for r in rows[1:]]
-        assert [(r["p"], r["k"]) for r in recs] == [("1", "2"), ("1", "3")]
-        assert int(recs[1]["N"]) > int(recs[0]["N"]) > 0
-        assert all(r["converged"] == "" for r in recs)
-
     def test_convergence_is_solve(self):
         flags = ["--degree", "2,3", "--mesh-exp", "4", "--method", "sgq",
                  "--eta", "0.2", "--out", "run.csv"]
@@ -341,7 +361,6 @@ class TestSweepPath:
         assert solve.pop("command") == "solve"
         assert convergence.pop("command") == "convergence"
         assert solve == convergence
-        assert solve["runner"] is cli.run_solve
 
 
 class TestConfigFile:
@@ -420,7 +439,7 @@ class TestConfigFile:
         assert ("argument --eta: invalid float value: 'small'"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("command", ["convergence", "profile"])
+    @pytest.mark.parametrize("command", ["convergence"])
     @pytest.mark.parametrize("file_text, flags, message", [
         ("--eta small\n", [], "argument --eta: invalid float value: 'small'"),
         ("--method foo\n", [], "argument --method: invalid choice: 'foo'"),
@@ -441,7 +460,7 @@ class TestConfigFile:
         assert "failed" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["solve", "convergence", "profile"])
+    @pytest.mark.parametrize("command", ["solve", "convergence"])
     @pytest.mark.parametrize("file_text, flags, message", [
         ("--allow-large=ture\n", [],
          "argument --allow-large: ignored explicit argument 'ture'"),
@@ -470,7 +489,7 @@ class TestConfigFile:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["convergence", "profile"])
+    @pytest.mark.parametrize("command", ["convergence"])
     @pytest.mark.parametrize("degrees", ["", ",", " , "])
     def test_empty_integer_list(self, tmp_path, capsys, monkeypatch, command,
                                 degrees):
@@ -493,7 +512,7 @@ class TestConfigFile:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["solve", "convergence", "profile"])
+    @pytest.mark.parametrize("command", ["solve", "convergence"])
     def test_unwritable_out(self, tmp_path, capsys, monkeypatch, command):
         # the path is opened before the first run: exit 2, one line, no run
         monkeypatch.setattr(cli, "_sweep", no_run)
@@ -506,7 +525,7 @@ class TestConfigFile:
         assert "No such file or directory" in err and str(out) in err
         assert not out.parent.exists()
 
-    @pytest.mark.parametrize("command", ["solve", "convergence", "profile"])
+    @pytest.mark.parametrize("command", ["solve", "convergence"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_nnz_guard_that_disables_the_guard(self, tmp_path, capsys, command,
@@ -561,15 +580,12 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_import_loads_only_sparse_of_scipy(self):
-        # a benchmark's peak_rss_mb is the process's maxrss, and importing
-        # the command line is over half of it: a further scipy subpackage
-        # (scipy.linalg or scipy.interpolate, say) would raise it for every run
-        code = ("import sys, igamf.cli; print(sorted("
-                "n for n, m in sys.modules.items() if n.count('.') == 1"
-                " and n.startswith('scipy.') and not n.startswith('scipy._')"
-                " and hasattr(m, '__path__')))")
+    def test_import_loads_no_scipy(self):
+        # a benchmark's peak_rss_mb is the process's maxrss, and scipy.sparse
+        # alone adds about 22 MB to it; only the assembled oracle needs it
+        code = ("import sys, igamf.cli; "
+                "print([n for n in sys.modules if n.startswith('scipy')])")
         proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "['scipy.sparse']"
+        assert proc.stdout.strip() == "[]"
