@@ -46,9 +46,10 @@ class TestRunConfig:
 
 
 class TestSolveCommand:
-    def test_csv_schema(self, tmp_path):
+    @pytest.mark.parametrize("command", ["solve", "convergence"])
+    def test_csv_schema(self, tmp_path, command):
         out = tmp_path / "run.csv"
-        rc = main(["solve", "--degree", "2", "--mesh-exp", "2",
+        rc = main([command, "--degree", "2", "--mesh-exp", "2",
                    "--geometry", "cube", "--method", "sgq",
                    "--out", str(out)])
         assert rc == 0
@@ -90,7 +91,22 @@ class TestSolveCommand:
         assert rec.solve_s >= 2 * pause
         assert rec.total_s == pytest.approx(rec.setup_s + rec.solve_s)
 
-    def test_apply_s_is_the_median_apply(self, monkeypatch):
+    @pytest.mark.parametrize("geometry", ["cube", "ring", "ring-polar"])
+    @pytest.mark.parametrize("method", ["mfwq", "wq", "sgq"])
+    def test_every_run_records_apply_s(self, method, geometry):
+        # each method's apply (operator or matrix) under its own Krylov solver
+        rec = run_solve(RunConfig(1, 2, geometry=geometry, method=method))
+        assert rec.converged is True and rec.iters > 0
+        assert 0 < rec.apply_s <= rec.solve_s
+        assert float(rec.row()[CSV_HEADER.index("apply_s")]) == pytest.approx(
+            rec.apply_s, rel=1e-6)
+
+    def test_apply_s_follows_solve_s(self):
+        i = CSV_HEADER.index("solve_s")
+        assert CSV_HEADER[i + 1] == "apply_s"
+
+    @pytest.mark.parametrize("method", ["mfwq", "wq", "sgq"])
+    def test_apply_s_is_the_median_apply(self, monkeypatch, method):
         # the cube has no tabulated error, so the stub solves twice: 2
         # applies, then 3, each pausing for the next of ``pauses``
         pauses = [0.001, 0.002, 0.03, 0.2, 0.3]
@@ -115,32 +131,44 @@ class TestSolveCommand:
         solves = []
         monkeypatch.setattr(cli, "_setup", slow_setup)
         monkeypatch.setattr(cli, "bicgstab", stub_krylov)
-        rec = run_solve(RunConfig(2, 2, geometry="cube", method="mfwq"))
+        monkeypatch.setattr(cli, "cg", stub_krylov)
+        rec = run_solve(RunConfig(2, 2, geometry="cube", method=method))
         assert solves == [2, 3]
         # the median, 0.03 s, and neither the mean (0.107 s) nor the sum
         assert 0.03 <= rec.apply_s < 0.08
         assert 0 < rec.apply_s <= rec.solve_s
         assert rec.solve_s >= sum(pauses)
 
-    def test_run_without_applies_leaves_apply_s_empty(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["mfwq", "wq", "sgq"])
+    def test_run_without_applies_leaves_apply_s_empty(self, monkeypatch,
+                                                      method):
         # a solve may stop before its first apply (a zero right-hand side,
         # say); the median of no times would warn, which is an error here
         def no_apply(apply_A, b, apply_P, tol, maxit):
             return np.zeros_like(b), KrylovReport(0, [1.0], True, 0)
 
         monkeypatch.setattr(cli, "bicgstab", no_apply)
-        rec = run_solve(RunConfig(2, 2, geometry="cube", method="mfwq"))
+        monkeypatch.setattr(cli, "cg", no_apply)
+        rec = run_solve(RunConfig(2, 2, geometry="cube", method=method))
         assert rec.apply_s == ""
         assert rec.row()[CSV_HEADER.index("apply_s")] == ""
         assert rec.solve_s > 0
 
-    def test_record_fields(self):
-        # the cube's operator stores 3 of the 6 stiffness grids, and set-up
-        # is charged for evaluating all 6
-        rec = run_solve(RunConfig(2, 3, geometry="cube", method="mfwq"))
-        nq = igamf.build_tensor_rule(igamf.tensor_space(2, 8)).n_points
-        assert rec.coeff_scalars == 3 * nq
-        assert rec.setup_flops == 6 * nq * cli._COEFF_EVAL_FLOPS
+    @pytest.mark.parametrize("method, rule, grids", [
+        ("mfwq", igamf.build_tensor_rule, 3),
+        ("wq", igamf.build_tensor_rule, 6),
+        ("sgq", igamf.gauss_tensor_rule, 6),
+    ])
+    def test_record_fields(self, method, rule, grids):
+        # the cube's operator stores 3 of the 6 stiffness grids; the
+        # assembled methods evaluate all 6 and free them with the matrix.
+        # Set-up is charged for evaluating all 6, plus 36 flops per nonzero
+        rec = run_solve(RunConfig(2, 3, geometry="cube", method=method))
+        nq = rule(igamf.tensor_space(2, 8)).n_points
+        assert rec.coeff_scalars == grids * nq
+        assert rec.setup_flops == (6 * nq * cli._COEFF_EVAL_FLOPS
+                                   + 9 * 4 * (rec.nnz or 0))
+        assert (rec.nnz == "") == (method == "mfwq")
         assert 0 < rec.apply_s <= rec.solve_s
 
     @pytest.mark.parametrize("degree, mesh_exp, message", [
@@ -352,6 +380,29 @@ class TestSweepPath:
         assert seen == [RunConfig(p, k, geometry="cube", maxit=50)
                         for p in (1, 2) for k in (2, 3)]
 
+    def test_solve_sweeps_mesh_list(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        rc = main(["solve", "--degree", "1", "--mesh-exp", "2,3",
+                   "--geometry", "cube", "--out", str(out)])
+        assert rc == 0
+        rows = read_csv(out)
+        recs = [dict(zip(rows[0], r)) for r in rows[1:]]
+        assert [(r["p"], r["k"]) for r in recs] == [("1", "2"), ("1", "3")]
+        assert int(recs[1]["N"]) > int(recs[0]["N"]) > 0
+        assert all(0 < float(r["apply_s"]) <= float(r["solve_s"])
+                   for r in recs)
+        assert all(r["converged"] == "True" for r in recs)
+
+    def test_failed_row_leaves_apply_s_empty(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main(["solve", "--degree", "0,1", "--mesh-exp", "2",
+                   "--geometry", "cube", "--out", str(out)])
+        assert rc == 2
+        assert "run p=0 k=2 failed" in capsys.readouterr().err
+        rows = read_csv(out)
+        recs = [dict(zip(rows[0], r)) for r in rows[1:]]
+        assert [r["apply_s"] == "" for r in recs] == [True, False]
+
     def test_convergence_is_solve(self):
         flags = ["--degree", "2,3", "--mesh-exp", "4", "--method", "sgq",
                  "--eta", "0.2", "--out", "run.csv"]
@@ -439,7 +490,7 @@ class TestConfigFile:
         assert ("argument --eta: invalid float value: 'small'"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("command", ["convergence"])
+    @pytest.mark.parametrize("command", ["solve", "convergence"])
     @pytest.mark.parametrize("file_text, flags, message", [
         ("--eta small\n", [], "argument --eta: invalid float value: 'small'"),
         ("--method foo\n", [], "argument --method: invalid choice: 'foo'"),
@@ -489,7 +540,7 @@ class TestConfigFile:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["convergence"])
+    @pytest.mark.parametrize("command", ["solve", "convergence"])
     @pytest.mark.parametrize("degrees", ["", ",", " , "])
     def test_empty_integer_list(self, tmp_path, capsys, monkeypatch, command,
                                 degrees):
