@@ -152,14 +152,16 @@ def _setup(cfg: RunConfig, geom, case):
         op = setup_stiffness(space, rule, geom)
         apply_A = op.apply
         rec.coeff_scalars = op.coeff_scalars
+        grid_points = op.grid_rule.n_points
     else:
         mat = assemble_wq_explicit(space, rule, geom, kind="stiffness",
                                    nnz_guard=cfg.nnz_guard)
         apply_A = lambda v: mat.matrix @ v
         rec.nnz = mat.nnz
         rec.coeff_scalars = 6 * rule.n_points
-    # set-up evaluates all 6 grids, whichever it keeps
-    rec.setup_flops = (6 * rule.n_points * _COEFF_EVAL_FLOPS
+        grid_points = rule.n_points
+    # set-up evaluates all 6 grids at its grid points, whichever it keeps
+    rec.setup_flops = (6 * grid_points * _COEFF_EVAL_FLOPS
                        + 9 * 4 * (rec.nnz or 0))
     rhs = wq_load_vector(rule, geom, case.f)
 

@@ -66,13 +66,15 @@ ROWS_PER_BLOCK = 8
 #: apply but slowed the p=8, k=5 error pass from 1.76-1.88 to 1.93-2.04 s,
 #: so both constants stay
 TILE_COLS = 4096
-#: quadrature points per row tile of the operators' fused apply
-#: (:meth:`~igamf.operators._WQOperator._tile_pass`); a tile's B values,
-#: its product with one coefficient grid and that grid's tile then stay in
-#: a 2 MB L2 cache.  Median apply as for :data:`ROWS_PER_BLOCK`, from
-#: two sweeps: p=8: 63-69 ms (2^12 points), 43-49 (2^13), 36-40 (2^14),
-#: 31-34 (2^15), 29-34 (2^16), 34-41 (2^17); p=3: 38-43, 28-32, 21-24,
-#: 19-21, 18-20, 20-26 ms.  Smaller tiles pay more Python calls.
+#: quadrature points per tile of the operators' fused apply
+#: (:meth:`~igamf.operators._WQOperator._tile_pass`), which cuts whole
+#: xi_d layers, at least one per tile; a tile's B values, its product with
+#: one coefficient grid and that grid's tile then stay in a 2 MB L2 cache.
+#: Median apply as for :data:`ROWS_PER_BLOCK`, from two sweeps of tiles of
+#: direction-1 rows over full grids: p=8: 63-69 ms (2^12 points), 43-49
+#: (2^13), 36-40 (2^14), 31-34 (2^15), 29-34 (2^16), 34-41 (2^17); p=3:
+#: 38-43, 28-32, 21-24, 19-21, 18-20, 20-26 ms.  Smaller tiles pay more
+#: Python calls.
 TILE_POINTS = 2**16
 
 

@@ -12,10 +12,14 @@ matrix-free operators drop at set-up each term whose grid is negligible
 against the diagonal ones (:func:`_negligible`: on both quarter rings
 C_12 is rounding noise and C_13 = C_23 = 0, so the stiffness keeps 3 of
 its 9 terms and stores 3 of its 6 grids); explicit assembly keeps every
-term.  Both operators apply in one fused pass per group of terms sharing
-their collocation factors: the products with the grids run tile by tile
-between the last collocation mode and the first weight mode, so no
-quadrature-point vector is formed.
+term.  On an extrusion with a constant coefficient (both rings and the
+cube) every grid is constant along xi_d, so the matrix-free operators
+evaluate and store it over one xi_d layer and fold direction d of each
+term into one N_d x N_d factor W_d B_d: exact Kronecker algebra, not a
+new approximation.  Both operators apply in one fused pass per group of
+terms sharing their collocation factors: the products with the grids run
+tile by tile of whole xi_d layers between the last collocation mode and
+the first weight mode, so no quadrature-point vector is formed.
 The load vector is the mass term's weight factors alone applied to a grid
 of source values, streamed chunk by chunk (:func:`wq_load_vector`).
 Factors are restricted to the Dirichlet-interior basis.  The operators,
@@ -25,6 +29,8 @@ the load vector and explicit assembly get a rule's grids chunk by chunk
 (:func:`~igamf.wq.gauss_tensor_rule`) all of this is standard Gauss
 quadrature.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -119,12 +125,14 @@ def _grid_chunks(kind: str, rule: TensorRule, geom, coeff):
     18.8-18.9 ms at p=3 and from 16.4-23.6 to 27.0-37.0 ms at p=8, and
     per-apply tile buffers on top did not recover it (17.3-17.5 and
     27.2-27.8 ms).  On the rational ring, which keeps 3 of the 6 grids, it
-    made no difference (4.8-6.7 ms at p=3, 7.6-8.4 ms at p=8 either way), so
-    the ring benchmark cannot see it.  k=5, medians of 20-30 applies in each
-    of 2-3 processes per side, one BLAS thread, shared 2-core x86 host.
+    made no difference (4.8-6.7 ms at p=3, 7.6-8.4 ms at p=8 either way,
+    measured while the ring's grids still covered every xi_d layer), so the
+    ring benchmark cannot see it.  k=5, medians of 20-30 applies in each of
+    2-3 processes per side, one BLAS thread, shared 2-core x86 host.
     The likely cause, unverified: freeing slab-sized arrays raises glibc's
     dynamic mmap threshold, so the apply's scratch comes from the heap, not
-    from fresh mmaps; on the ring, set-up also frees its 3 dropped grids.
+    from fresh mmaps.  An extrusion's operators walk one xi_d layer only
+    (:class:`_WQOperator`), so their set-up frees no slab-sized array.
     """
     *lower, last = [r.points for r in rule.rules]
     for s, chunks in grid_chunks(rule.n_points_per_dir):
@@ -212,24 +220,46 @@ def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
 class _WQOperator:
     """Term groups and stored coefficient grids of one WQ operator.
 
-    Set-up evaluates every grid over all ``rule.n_points`` points
+    Set-up evaluates every grid at the points of ``grid_rule``
     (:func:`_rule_grids`), one slab's points and one chunk's scratch.
+    ``grid_rule`` is ``rule`` itself, except on an extrusion
+    (``geom.planar``, d > 1) with a coefficient that is not callable:
+    there :func:`~igamf.geometry.pullback` ignores xi_d, every grid is
+    constant along it, and ``grid_rule`` keeps the first xi_d point only.
     ``groups`` is :func:`wq_terms` without the pairs whose grid is
-    :func:`_negligible` and without the groups left with no pair, each
-    distinct factor of the kept terms converted once by
-    :func:`~igamf.kron.banded`.  ``coeffs`` stores the kept grids only;
-    the dropped ones are freed at the end of set-up.
+    :func:`_negligible` and without the groups left with no pair.  When
+    ``grid_rule`` is one layer, each pair's direction-d W factor is the
+    N_d x N_d product W_d B_d of it and its group's B_d, built once per
+    distinct pair of factors, and each group's B_d is the identity: the
+    term kron(W) diag(1 x c) kron(B) equals kron(W_d B_d, kron(W')
+    diag(c) kron(B')) exactly.  Each distinct factor of the kept terms is
+    converted once by :func:`~igamf.kron.banded`.  ``coeffs`` stores the
+    kept grids only; the dropped ones are freed at the end of set-up.
     """
 
     def __init__(self, space, rule: TensorRule, geom, kind, coeff):
-        self.rule = rule
         self.n_dofs = space.n_dofs
         self.n1 = space.n_per_dir[0]
-        grids, kept = _rule_grids(kind, rule, geom, coeff)
+        # pullback ignores xi_d on an extrusion: one xi_d layer is every layer
+        fold = rule.dim > 1 and geom.planar is not None and not callable(coeff)
+        *lower, last = rule.rules
+        self.grid_rule = (TensorRule((*lower,
+                                      replace(last, points=last.points[:1])))
+                          if fold else rule)
+        grids, kept = _rule_grids(kind, self.grid_rule, geom, coeff)
         self.coeffs = {key: g for key, g in grids.items() if key in kept}
         groups = [(B, [(W, key) for W, key in pairs if key in kept])
                   for B, pairs in wq_terms(rule, kind)]
         groups = [(B, pairs) for B, pairs in groups if pairs]
+        if fold:
+            ends = {(id(W[-1]), id(B[-1])): (W[-1], B[-1])
+                    for B, pairs in groups for W, _ in pairs}
+            products = {ids: Wd @ Bd for ids, (Wd, Bd) in ends.items()}
+            eye = np.eye(space.n_per_dir[-1])
+            groups = [(B[:-1] + [eye],
+                       [(W[:-1] + [products[id(W[-1]), id(B[-1])]], key)
+                        for W, key in pairs])
+                      for B, pairs in groups]
         distinct = {id(f): f for B, pairs in groups
                     for F in [B] + [W for W, _ in pairs] for f in F}
         conv = {i: banded(f) for i, f in distinct.items()}
@@ -253,17 +283,19 @@ class _WQOperator:
         ``rule.n_points``-sized vector is formed.  The meter charges the
         term-by-term count of the kept terms: the
         :func:`~igamf.kron.kron_flops` of each kept group's B list and of
-        each kept term's W list (direction d first) plus nq + 2 n_dofs per
-        kept term; with no term kept, the result is zero and costs nothing.
+        each kept term's W list (direction d first), as applied (folded on
+        an extrusion), plus nq + 2 n_dofs per kept term, with nq the points
+        of the grid products (Q_1 ... Q_{d-1} N_d when folded); with no term
+        kept, the result is zero and costs nothing.
         """
         v = checked_vector(v, self.n_dofs)
-        nq = self.rule.n_points
         w = np.zeros(self.n_dofs)
         for B, pairs in self.groups:
             Y = self._tile_pass(B, pairs, v)
             for W, _ in pairs:
                 w += contract_modes(W[1:], Y.pop(0))
             if meter is not None:
+                nq = int(np.prod([f.shape[0] for f in B]))
                 meter.add_flops(kron_flops(B) + sum(
                     kron_flops(W) + nq + 2 * self.n_dofs for W, _ in pairs))
         return w.reshape(self.n1, -1).T.ravel()
@@ -273,22 +305,28 @@ class _WQOperator:
 
         The B modes of directions d..2 run as in
         :func:`~igamf.kron.kron_apply`, leaving rows of Q_1 points in grid
-        order.  The rows are cut into tiles of about
-        :data:`~igamf.kron.TILE_POINTS` points; per tile, the direction-1 B
-        mode, each term's product with its coefficient grid and that
-        term's direction-1 W mode, a contraction over the tile's fastest
-        axis, run while the tile is in cache.  Returns one
-        (Q_2 ... Q_d, N_1) array per term.
+        order, by xi_d layers (N_d of them when folded, else Q_d).  Each
+        stored grid is viewed as (layers, plane rows, Q_1), a one-layer grid
+        broadcast over every layer with zero stride.  The rows are cut into
+        tiles of whole layers, about :data:`~igamf.kron.TILE_POINTS` points
+        and at least one layer (:func:`~igamf.kron.grid_slabs`); per tile,
+        the direction-1 B mode, each term's product with its coefficient
+        grid and that term's direction-1 W mode, a contraction over the
+        tile's fastest axis, run while the tile is in cache.  Returns one
+        (Q_2 ... Q_{d-1} layers, N_1) array per term.
         """
         q1, n1 = B[0].shape
         X = contract_modes(B[1:], v).reshape(n1, -1)
-        rows = X.shape[1]
-        coeffs = [self.coeffs[key].reshape(rows, q1) for _, key in pairs]
-        Y = [np.empty((rows, W[0].shape[0])) for W, _ in pairs]
-        for t in grid_slabs((q1, rows), kron.TILE_POINTS):
-            vt = block_matmul(B[0], X[:, t].T)
+        plane = int(np.prod([f.shape[0] for f in B[1:-1]]))  # rows per layer
+        layers = X.shape[1] // plane
+        coeffs = [np.broadcast_to(self.coeffs[key].reshape(-1, plane, q1),
+                                  (layers, plane, q1)) for _, key in pairs]
+        Y = [np.empty((X.shape[1], W[0].shape[0])) for W, _ in pairs]
+        for s in grid_slabs((q1 * plane, layers), kron.TILE_POINTS):
+            t = slice(s.start * plane, s.stop * plane)
+            vt = block_matmul(B[0], X[:, t].T).reshape(-1, plane, q1)
             for (W, _), c, Yk in zip(pairs, coeffs, Y):
-                block_matmul(W[0], vt * c[t], Yk[t])
+                block_matmul(W[0], (vt * c[s]).reshape(-1, q1), Yk[t])
         return Y
 
 

@@ -160,11 +160,14 @@ class TestSolveCommand:
         ("sgq", igamf.gauss_tensor_rule, 6),
     ])
     def test_record_fields(self, method, rule, grids):
-        # the cube's operator stores 3 of the 6 stiffness grids; the
-        # assembled methods evaluate all 6 and free them with the matrix.
-        # Set-up is charged for evaluating all 6, plus 36 flops per nonzero
+        # the cube's operator stores 3 of the 6 stiffness grids, over the
+        # one xi_3 layer it evaluates them on (the cube is an extrusion);
+        # the assembled methods evaluate all 6 at every point and free them
+        # with the matrix.  Set-up is charged for evaluating all 6 where it
+        # evaluates them, plus 36 flops per nonzero
         rec = run_solve(RunConfig(2, 3, geometry="cube", method=method))
-        nq = rule(igamf.tensor_space(2, 8)).n_points
+        r = rule(igamf.tensor_space(2, 8))
+        nq = r.n_points // (r.n_points_per_dir[-1] if method == "mfwq" else 1)
         assert rec.coeff_scalars == grids * nq
         assert rec.setup_flops == (6 * nq * cli._COEFF_EVAL_FLOPS
                                    + 9 * 4 * (rec.nnz or 0))

@@ -69,7 +69,8 @@ class TestCoefficientGrids:
                                                 plane_parts, p):
         # pointwise values do not depend on the chunks: slabs of whole
         # layers, and with a chunk below the plane's size, parts of a layer;
-        # the operator stores the kept grids of these values
+        # the operator stores the kept grids of these values, on these
+        # extrusions over the first xi_3 layer only
         space, rule, _ = make(p, 6)
         geom = _GEOMETRIES[geometry][0]()
         split_into_slabs(monkeypatch, rule, 8)
@@ -83,7 +84,9 @@ class TestCoefficientGrids:
             assert all(np.array_equal(chunked[k], whole[k]) for k in whole)
             op = setup(space, rule, geom)
             assert op.coeffs.keys() == kept
-            assert all(np.array_equal(op.coeffs[k], whole[k]) for k in kept)
+            layer = rule.n_points // rule.n_points_per_dir[-1]
+            assert all(np.array_equal(op.coeffs[k], whole[k][:layer])
+                       for k in kept)
 
     def test_no_grid_identically_zero_on_a_general_map(self):
         # the ring, an extrusion, has C_13 = C_23 = 0; on the reparametrized
@@ -118,15 +121,16 @@ class TestCoefficientGrids:
 
     def test_symmetric_storage_count(self):
         # of the 6 symmetric grids the polar ring stores the 3 diagonal
-        # ones: C_12 is rounding noise and C_13 = C_23 = 0
+        # ones: C_12 is rounding noise and C_13 = C_23 = 0; an extrusion's
+        # grids are stored over one xi_3 layer
         space, rule, geom = make(2, 4, quarter_ring_map())
         op = setup_stiffness(space, rule, geom)
-        assert op.coeff_scalars == 3 * rule.n_points
+        assert op.coeff_scalars == 3 * rule.n_points // rule.n_points_per_dir[-1]
 
     def test_mass_storage_count(self):
         space, rule, geom = make(3, 4)
         op = setup_mass(space, rule, geom)
-        assert op.coeff_scalars == rule.n_points
+        assert op.coeff_scalars == rule.n_points // rule.n_points_per_dir[-1]
 
     def test_stiffness_coeff_spd_on_ring(self):
         space, rule, geom = make(1, 3, quarter_ring_map())
@@ -559,14 +563,32 @@ class TestFusedApply:
 
     @pytest.mark.parametrize("kind", ["mass", "stiffness"])
     def test_ragged_last_tile(self, monkeypatch, kind):
-        # tiles of 7 rows of Q_1 points; the last tile is shorter, and the
-        # NaN scratch shows any row the tiles fail to write
+        # tiles of 7 rows of Q_1 points, less than one xi_3 layer, so each
+        # tile is one layer; the NaN scratch shows any row the tiles fail
+        # to write
         space, rule, geom = make(3, 6, quarter_ring_rational_map())
         q1 = rule.n_points_per_dir[0]
         rows = rule.n_points // q1
         monkeypatch.setattr(kron, "TILE_POINTS", 7 * q1)
         assert rows % 7 != 0
         op = SETUPS[kind](space, rule, geom)
+        monkeypatch.setattr(operators, "np", NaNEmpty())
+        monkeypatch.setattr(kron, "np", NaNEmpty())
+        self.assert_matches_explicit(op, space, rule, geom, kind)
+
+    @pytest.mark.parametrize("kind", ["mass", "stiffness"])
+    @pytest.mark.parametrize("geometry", ["ring", "reparametrized-ring"])
+    def test_ragged_last_layer_tile(self, monkeypatch, geometry, kind):
+        # tiles of 3 whole xi_3 layers: N_3 folded layers on the ring, Q_3
+        # on the sheared map, neither a multiple of 3, so the last tile is
+        # thinner; the NaN scratch shows any row the tiles fail to write
+        space, rule, geom = make(3, 6, MAPS[geometry]())
+        op = SETUPS[kind](space, rule, geom)
+        layers = (space.n_per_dir[-1] if geom.planar is not None
+                  else rule.n_points_per_dir[-1])
+        assert layers % 3 != 0
+        monkeypatch.setattr(kron, "TILE_POINTS",
+                            3 * rule.n_points // rule.n_points_per_dir[-1])
         monkeypatch.setattr(operators, "np", NaNEmpty())
         monkeypatch.setattr(kron, "np", NaNEmpty())
         self.assert_matches_explicit(op, space, rule, geom, kind)
@@ -607,6 +629,34 @@ class TestFusedApply:
             assert flops[kind] == expected
         assert flops["stiffness"] == 1_397_601
 
+    def test_meter_charges_folded_factors(self):
+        # on the ring, an extrusion, the applied factors are the folded
+        # ones: the identity for each group's direction-3 B factor and
+        # W_3 B_3 (N_3 x N_3) for each term's direction-3 W factor, so each
+        # term's product with its grid runs at Q_1 Q_2 N_3 points; the meter
+        # charges what kron_apply charges for the lists actually applied:
+        # 387,261 for this stiffness, against 642,195 unfolded
+        space, rule, geom = make(3, 8, quarter_ring_rational_map())
+        n3, N = space.n_per_dir[-1], space.n_dofs
+        nq = rule.n_points // rule.n_points_per_dir[-1] * n3
+        flops = {}
+        for kind, setup in SETUPS.items():
+            op = setup(space, rule, geom)
+            expected = 0
+            for B, pairs in op.groups:
+                assert B[-1].shape == (n3, n3) and B[-1].nnz == n3
+                meter = CostMeter()
+                kron_apply(B, np.zeros(N), meter)
+                for W, _ in pairs:
+                    assert W[-1].shape == (n3, n3)
+                    kron_apply(W, np.zeros(nq), meter)
+                expected += meter.flops + len(pairs) * (nq + 2 * N)
+            meter = CostMeter()
+            op.apply(np.zeros(N), meter)
+            flops[kind] = meter.flops
+            assert flops[kind] == expected
+        assert flops["stiffness"] == 387_261
+
     def test_apply_scratch_peak(self):
         # one trial group's per-term grids after their direction-1 W mode
         # (N_1 Q_2 Q_3 each), its B grid, the result and two tiles: the
@@ -636,22 +686,24 @@ class TestZeroTermSkip:
     """Set-up keeps the terms whose grid is not negligible and stores only
     their grids; the term list of :func:`wq_terms` stays whole."""
 
-    @pytest.mark.parametrize("geom, sizes, keys", [
-        (quarter_ring_rational_map, [1, 1, 1], {(0, 0), (1, 1), (2, 2)}),
-        (quarter_ring_map, [1, 1, 1], {(0, 0), (1, 1), (2, 2)}),
-        (lambda: identity_map(3), [1, 1, 1], {(0, 0), (1, 1), (2, 2)}),
+    @pytest.mark.parametrize("geom, sizes, keys, extrusion", [
+        (quarter_ring_rational_map, [1, 1, 1], {(0, 0), (1, 1), (2, 2)}, True),
+        (quarter_ring_map, [1, 1, 1], {(0, 0), (1, 1), (2, 2)}, True),
+        (lambda: identity_map(3), [1, 1, 1], {(0, 0), (1, 1), (2, 2)}, True),
         (reparametrized_ring, [3, 3, 3],
-         {(a, b) for a in range(3) for b in range(a, 3)}),
+         {(a, b) for a in range(3) for b in range(a, 3)}, False),
     ], ids=["rational-ring", "polar-ring", "cube", "reparametrized-ring"])
-    def test_kept_terms(self, geom, sizes, keys):
+    def test_kept_terms(self, geom, sizes, keys, extrusion):
         # extrusions have C_13 = C_23 = 0; C_12 is 0 on the cube and
-        # rounding noise on both rings (<= 0.97 eps of sqrt(C_11 C_22))
+        # rounding noise on both rings (<= 0.97 eps of sqrt(C_11 C_22)).
+        # An extrusion stores its grids over one xi_3 layer
         space, rule, _ = make(3, 4)
         op = setup_stiffness(space, rule, geom())
         assert [len(pairs) for _, pairs in op.groups] == sizes
         assert {key for _, pairs in op.groups for _, key in pairs} == keys
         assert op.coeffs.keys() == keys
-        assert op.coeff_scalars == len(keys) * rule.n_points
+        points = rule.n_points // (rule.n_points_per_dir[-1] if extrusion else 1)
+        assert op.coeff_scalars == len(keys) * points
         assert [len(pairs) for _, pairs in wq_terms(rule, "stiffness")] == [
             3, 3, 3]
 
@@ -705,6 +757,76 @@ class TestZeroTermSkip:
         v = np.random.default_rng(3).standard_normal(space.n_dofs)
         assert np.array_equal(op.apply(v, meter), np.zeros(space.n_dofs))
         assert meter.flops == 0
+
+
+#: a constant K with K_13 = K_31 != 0: on the cube, the groups of trial
+#: directions 1 and 3 each hold two terms with different direction-3 W factors
+K_13 = np.array([[2.0, 0.0, 0.4], [0.0, 1.5, 0.0], [0.4, 0.0, 1.0]])
+
+
+class TestExtrusionFold:
+    """On an extrusion with a constant coefficient every grid is constant
+    along xi_3: set-up evaluates and stores it over one xi_3 layer and the
+    apply folds direction 3 into one factor W_3 B_3 per term."""
+
+    @pytest.mark.parametrize("geometry, kind, K", [
+        *((name, kind, None) for name in _GEOMETRIES for kind in SETUPS),
+        ("cube", "stiffness", K_13)],
+        ids=[*(f"{name}-{kind}" for name in _GEOMETRIES for kind in SETUPS),
+             "cube-stiffness-K13"])
+    def test_folded_apply_matches_explicit(self, geometry, kind, K):
+        space, rule, geom = make(3, 4, MAPS[geometry]())
+        op = (SETUPS[kind](space, rule, geom) if K is None
+              else setup_stiffness(space, rule, geom, K))
+        Q = rule.n_points_per_dir
+        assert op.grid_rule.n_points_per_dir == (*Q[:-1], 1)
+        n3 = space.n_per_dir[-1]
+        assert all(F[-1].shape == (n3, n3) for B, pairs in op.groups
+                   for F in [B] + [W for W, _ in pairs])
+        if K is not None:
+            # two different folded factors in one group
+            assert [len({id(W[-1]) for W, _ in pairs})
+                    for _, pairs in op.groups] == [2, 1, 2]
+        TestFusedApply.assert_matches_explicit(op, space, rule, geom, kind, K)
+
+    @pytest.mark.parametrize("kind", ["mass", "stiffness"])
+    def test_two_dimensional_extrusion(self, kind):
+        # in d = 2 the plane is one direction-1 row, broadcast over N_2
+        # layers; G(xi_1) = 1 + 2 xi_1 + xi_1^2 has G' > 0 on [0, 1]
+        planar = GeometryMap(dim=1, _map=lambda xi: 1 + 2 * xi + xi**2,
+                             _jacobian=lambda xi: (2 + 2 * xi)[:, :, None])
+        space, rule, geom = make(3, 6, extrude(planar), d=2)
+        op = SETUPS[kind](space, rule, geom)
+        assert op.grid_rule.n_points_per_dir == (rule.n_points_per_dir[0], 1)
+        TestFusedApply.assert_matches_explicit(op, space, rule, geom, kind)
+
+    @pytest.mark.parametrize("kind, coeff", [
+        ("stiffness", stiffness_field),
+        ("mass", lambda x: 1 + x[:, 0]**2 + x[:, 2]),
+    ], ids=["K-field", "alpha-field"])
+    def test_callable_coefficient_stores_full_grids(self, kind, coeff):
+        # a physical field varies along xi_3 on the ring, so nothing folds
+        space, rule, geom = make(2, 4, quarter_ring_rational_map())
+        op = SETUPS[kind](space, rule, geom, coeff)
+        assert op.grid_rule is rule
+        assert all(g.size == rule.n_points for g in op.coeffs.values())
+        assert op.coeff_scalars == len(op.coeffs) * rule.n_points
+        TestFusedApply.assert_matches_explicit(op, space, rule, geom, kind,
+                                               coeff)
+
+    def test_ring_stores_plane_grids(self):
+        # 3 stored grids of Q_1 Q_2 scalars, whatever the xi_3 point count
+        kv = make_uniform_knots(3, 4)
+        geom = quarter_ring_rational_map()
+        scalars = []
+        for n3 in (2, 9):
+            space = TensorSpace((kv, kv, make_uniform_knots(3, n3)))
+            rule = build_tensor_rule(space)
+            op = setup_stiffness(space, rule, geom)
+            q1, q2, q3 = rule.n_points_per_dir
+            assert op.coeff_scalars == 3 * q1 * q2
+            scalars.append((op.coeff_scalars, q3))
+        assert scalars[0][0] == scalars[1][0] and scalars[0][1] < scalars[1][1]
 
 
 class TestSetupMemory:
