@@ -23,8 +23,9 @@ collocation) factor then costs a few small dense products, a full one (an
 FD eigenvector matrix) one product (:func:`block_matmul`, the one loop
 over blocks).  Each mode reads the grid's slowest axis and writes its new
 axis as the fastest, so the grid is never transposed or copied between
-modes (:func:`contract_modes`; the WQ operators' fused apply and the load
-vector run their modes through the same two functions).  The flop meter
+modes (:func:`contract_modes`; the WQ operators' fused apply, the load
+vector and the error pass run their modes through the same two
+functions).  The flop meter
 charges 2 nnz per grid column and mode, with nnz the source factor's
 nonzero count, not the padded blocks (:func:`kron_flops`).
 """
@@ -34,11 +35,13 @@ import numpy as np
 #: quadrature points per slab of :func:`grid_slabs`; bounds the scratch
 #: memory of coefficient grids and error evaluation (on the ring, besides
 #: the grids it returns, a coefficient pass keeps the slab's 3 point
-#: arrays alive; the error pass peaks at 7.3-7.9 slab-sized float64 arrays,
-#: u_h, its 3 parametric derivatives and the contractions' scratch, and at
-#: 7.2-7.5 on the ring wrapped as a map that is not an extrusion
-#: (tracemalloc, p=3 on 16^3 and 32^3 elements); their pointwise work
-#: runs in the chunks of :func:`grid_chunks`, see
+#: arrays alive; the error pass peaks at 1.8-2.8 slab-sized float64 arrays,
+#: and at 2.7-3.4 on the ring wrapped as a map that is not an extrusion
+#: (tracemalloc, p=3 on 16^3 and 32^3 elements): a slab holds its 3 fields
+#: only before their direction-1 mode, 0.21 slab arrays each, and at 32^3
+#: the ring's peak is the pullback of its 25,600-point plane; their
+#: pointwise work and the error pass's direction-1 mode run in the chunks
+#: of :func:`grid_chunks`, see
 #: :func:`~igamf.geometry.pullback` and :func:`~igamf.problems.relative_errors`)
 SLAB_POINTS = 2**18
 #: points per chunk of :func:`grid_chunks`, and per batch of a geometry
@@ -63,8 +66,12 @@ ROWS_PER_BLOCK = 8
 #: Re-measured at k=6, removing them slowed the apply by about 4-8%: p=3
 #: 64.2-67.9 to 67.6-77.0 ms, p=8 86.9-101.6 to 93.7-103.1 ms.  One tile
 #: rule for both kernels (``TILE_POINTS // m`` columns) was neutral on that
-#: apply but slowed the p=8, k=5 error pass from 1.76-1.88 to 1.93-2.04 s,
-#: so both constants stay
+#: apply but slowed the p=8, k=5 error pass of the time from 1.76-1.88 to
+#: 1.93-2.04 s, by cutting its slab-wide direction-1 mode (640 columns,
+#: m = 320) into tiles of 204 columns.  The fused error pass runs that mode
+#: per chunk through :func:`block_matmul`, and neither rule splits its
+#: other modes at p=8, k=5 (1,444 columns at m = 2, 76 at m = 320), so that
+#: reason has lapsed; both constants stay until the one rule is re-timed
 TILE_COLS = 4096
 #: quadrature points per tile of the operators' fused apply
 #: (:meth:`~igamf.operators._WQOperator._tile_pass`), which cuts whole

@@ -18,8 +18,12 @@ derivation (with a test-only dependency) and against finite differences.
 The error norms (:func:`relative_errors`) walk a tensor Gauss grid in the
 chunks of :func:`~igamf.kron.grid_chunks`, as coefficient set-up does, so
 their pointwise work runs on about :data:`~igamf.kron.CHUNK_POINTS`
-points at a time.  A case's ``u_grad`` broadcasts, so on an extrusion
-its factors of (x1, x2) alone serve every xi_3 layer of a chunk.
+points at a time.  The pass is fused like the operators' apply: per slab
+the Kronecker modes of directions d..2 of u_h and its parametric gradient
+run once per distinct derivative pattern, and per chunk the direction-1
+mode writes the chunk's u_h and gradient, which its sums use at once, so
+no slab-sized field is formed.  A case's ``u_grad`` broadcasts, so on an
+extrusion its factors of (x1, x2) alone serve every xi_3 layer of a chunk.
 """
 
 import functools
@@ -28,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import _eval_rows, _sincos, pullback
-from .kron import (banded, checked_vector, grid_chunks, kron_apply,
-                   tensor_grid)
+from .kron import (banded, block_matmul, checked_vector, contract_modes,
+                   grid_chunks, tensor_grid)
 from .splines import collocation_matrix, map_distinct
 from .wq import gauss_points_weights
 
@@ -125,11 +129,15 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
 
     Returns ``(h1, l2)`` from one pass over the tensor Gauss grid with
     ``gauss_pts`` points per span and direction (default p+2); the L2 sums
-    are the value part of the H1 sums.  Per slab of
-    :func:`~igamf.kron.grid_chunks`, u_h and its parametric gradient are
-    Kronecker contractions; the pointwise work (:func:`_chunk_sums`) runs
-    per chunk of about :data:`~igamf.kron.CHUNK_POINTS` points.  On an
-    extrusion (:func:`~igamf.geometry.extrude`), det J_F, cof / det and F are
+    are the value part of the H1 sums.  The pass has the shape of the
+    operators' fused apply: per slab of :func:`~igamf.kron.grid_chunks`,
+    the modes of directions d..2 of u_h and its parametric gradient run
+    once per distinct derivative pattern (:func:`_lead_modes`); per chunk
+    of about :data:`~igamf.kron.CHUNK_POINTS` points, the direction-1 mode
+    of each field (:func:`_first_mode`) and the pointwise work
+    (:func:`_chunk_sums`) run while the chunk is in cache, so no
+    slab-sized u_h or gradient is formed.  On an extrusion
+    (:func:`~igamf.geometry.extrude`), det J_F, cof / det and F are
     evaluated once per plane point and reused for every layer
     (:func:`_plane_values`) and ``case.u_grad`` broadcasts over them; any
     other map is pulled back and evaluated on each chunk's points.
@@ -137,8 +145,6 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
     u_coeffs = checked_vector(u_coeffs, space.n_dofs)
     if gauss_pts is None:
         gauss_pts = max(kv.degree for kv in space.knotvectors) + 2
-
-    d = space.dim
 
     def factors(kv):
         x, w = gauss_points_weights(kv, gauss_pts)
@@ -149,22 +155,62 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
     # the banded factors of all but the last direction serve every slab
     lower = map_distinct(lambda Bl: [banded(f) for f in Bl], B[:-1])
     plane = _plane_values(geom, pts, wts)
+    # plane rows of q1 points per layer; in d = 1 the plane is one point
+    n_rows = int(np.prod([len(q) for q in pts[1:-1]]))
+    q1 = len(plane[0]) // n_rows
     sums = np.zeros(4)
     for s, chunks in grid_chunks([len(q) for q in pts]):
         B0_s, B1_s = ([f[b] for f in lower] + [banded(B[-1][b][s])]
                       for b in (0, 1))
+        heads = _lead_modes(B0_s[1:], B1_s[1:], u_coeffs)
         t, wt = pts[-1][s], wts[-1][s]
-        uh = kron_apply(B0_s, u_coeffs).reshape(len(t), -1)
-        grad_xi = [kron_apply([(B1_s if l == b else B0_s)[l] for l in range(d)],
-                              u_coeffs).reshape(len(t), -1) for b in range(d)]
         # per-slab totals first; another order moves h1 by an ulp
         slab = np.zeros(4)
         for l, p in chunks:
-            slab += _chunk_sums(geom, plane, case, t[l], wt[l], p, uh[l, p],
-                                [gx[l, p] for gx in grad_xi])
+            uh, *grad_xi = (f.reshape(len(t[l]), -1) for f in _first_mode(
+                B0_s[0], B1_s[0], heads, l, slice(p.start // q1, p.stop // q1),
+                n_rows))
+            slab += _chunk_sums(geom, plane, case, t[l], wt[l], p, uh,
+                                grad_xi)
         sums += slab
     h1_err2, h1_ref2, l2_err2, l2_ref2 = sums
     return float(np.sqrt(h1_err2 / h1_ref2)), float(np.sqrt(l2_err2 / l2_ref2))
+
+
+def _lead_modes(B0, B1, v):
+    """The modes of directions d..2 of u_h and its parametric gradient, run
+    as a tree from the coefficients ``v`` with the value and first
+    derivative factors ``B0``, ``B1`` of directions 2..d.
+
+    Fields share every mode up to their derivative's direction: u_h and
+    d_1 u_h share all of them, and d_l u_h branches off at direction l
+    (2 + 3 one-mode contractions in d = 3, not 8).  Returns the flat grids
+    ``[H, G_2, ..., G_d]`` of :func:`~igamf.kron.contract_modes`, each
+    (N_1, slab points / Q_1) in its order: H is shared by u_h and d_1 u_h,
+    G_l is d_l u_h before its direction-1 mode.
+    """
+    heads = [v]
+    for A0, A1 in zip(reversed(B0), reversed(B1)):
+        heads = ([contract_modes([A0], heads[0]), contract_modes([A1], heads[0])]
+                 + [contract_modes([A0], G) for G in heads[1:]])
+    return heads
+
+
+def _first_mode(A0, A1, heads, layers, rows, n_rows):
+    """u_h and its parametric gradient on one chunk: the direction-1 mode
+    (values ``A0``, first derivatives ``A1``) of the :func:`_lead_modes`
+    ``heads`` on the chunk's columns, the block ``layers`` of the slab's
+    layers times the plane rows ``rows`` (of ``n_rows`` per layer).  The
+    heads' columns are gathered into one array, so ``A0`` runs once for
+    u_h, d_2 u_h, ..., d_d u_h.  Returns ``[u_h, d_1 u_h, ..., d_d u_h]``
+    as (columns, Q_1) arrays in grid order.  In d = 1 a head is one
+    column, which every chunk takes.
+    """
+    n1 = A0.shape[1]
+    XT = np.concatenate([Y.reshape(n1, -1, n_rows)[:, layers, rows]
+                         .reshape(n1, -1) for Y in heads], axis=1).T
+    uh, *grad = block_matmul(A0, XT).reshape(len(heads), -1, A0.shape[0])
+    return [uh, block_matmul(A1, XT[:len(uh)])] + grad
 
 
 def _plane_values(geom, pts, wts):
@@ -197,34 +243,42 @@ def _chunk_sums(geom, plane, case, t, wt, p, uh, grad_xi):
     grad u_h = cof / det J_F grad_xi u_h and x = F(xi).  On an extrusion
     these take the plane's values: cof / det = blockdiag(inv, 1) and
     x = (G, t), handed to ``case.u_grad`` as the plane's (P,) rows and an
-    (L, 1) column of layers; any other map is pulled back and evaluated at
-    the chunk's points xi = (plane point, t), handed over as (L, P) rows.
-    The sums are taken one gradient component at a time.
+    (L, 1) column of layers, and a sum is ``wt @ (a @ w)``, with no
+    per-point measure; any other map is pulled back and evaluated at the
+    chunk's points xi = (plane point, t), handed over as (L, P) rows, and
+    weighted by its per-point measure.  The sums are taken one gradient
+    component at a time.
     """
     w, inv, rows = plane
     d, shape = len(rows) + 1, uh.shape
-    measure = np.multiply.outer(wt, w[p])
     if inv is None:
         xi = np.empty((d,) + shape)
         xi[:-1] = rows[:, None, p]
         xi[-1] = t[:, None]
         xi = xi.reshape(d, -1).T
         det, cof = pullback(geom, xi)
+        measure = np.multiply.outer(wt, w[p])
         measure *= det.reshape(shape)
         inv = cof.transpose(1, 2, 0).reshape((d, d) + shape)
         inv /= det.reshape(shape)
         x = geom.evaluate(xi).T.reshape((d,) + shape)
+
+        def wsum(a):
+            return np.vdot(measure, a)
     else:
-        inv, x = inv[..., p], (*rows[:, p], t[:, None])
+        inv, x, wp = inv[..., p], (*rows[:, p], t[:, None]), w[p]
+
+        def wsum(a):
+            return wt @ (a @ wp)
     ue, *ge = (np.broadcast_to(v, shape) for v in case.u_grad(*x))
-    l2_err2 = np.vdot(measure, (ue - uh)**2)
-    l2_ref2 = np.vdot(measure, ue * ue)
+    l2_err2 = wsum((ue - uh)**2)
+    l2_ref2 = wsum(ue * ue)
     h1_err2, h1_ref2 = l2_err2, l2_ref2
     for i, gi in enumerate(ge):
         gh = grad_xi[i] if i >= len(inv) else functools.reduce(
             np.add, (inv[i][j] * grad_xi[j] for j in range(len(inv))))
-        h1_err2 += np.vdot(measure, (gh - gi)**2)
-        h1_ref2 += np.vdot(measure, gi * gi)
+        h1_err2 += wsum((gh - gi)**2)
+        h1_ref2 += wsum(gi * gi)
     return h1_err2, h1_ref2, l2_err2, l2_ref2
 
 

@@ -244,6 +244,48 @@ class TestErrorNorms:
         assert h1 == pytest.approx(
             np.sqrt((err2 + semi_err2) / (ref2 + semi_ref2)), rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["ring", "ring-wrapped", "extruded-2d",
+                                      "line", "three-knot-vectors",
+                                      "gauss-p+3"])
+    def test_fused_walk_matches_dense_sums(self, monkeypatch, name):
+        # the slab's modes of directions d..2, each chunk's direction-1
+        # mode and its sums against one dense whole-grid sum, on slabs of
+        # 5 layers (the last may be thinner) cut into chunks of 3 and then 2
+        # layers; in d = 3 the chunks also cut the plane into parts of whole
+        # direction-1 rows.  The 2D plane is one row, and d = 1 is one chunk
+        ring = quarter_ring_rational_map()
+        geom, space, gauss_pts = {
+            "ring": (ring, tensor_space(2, 4, 3), 4),
+            "ring-wrapped": (not_extruded(ring), tensor_space(2, 4, 3), 4),
+            "extruded-2d": (extrude(identity_map(1)), tensor_space(3, 5, 2),
+                            5),
+            "line": (identity_map(1), tensor_space(3, 5, 1), 5),
+            "three-knot-vectors": (ring, TensorSpace((
+                make_uniform_knots(2, 3), make_uniform_knots(3, 4),
+                make_uniform_knots(2, 5))), 5),
+            "gauss-p+3": (ring, tensor_space(2, 4, 3), 5),
+        }[name]
+        case = oscillating_case() if geom.dim == 3 else self.in_space_case()
+        n = [gauss_pts * len(kv.breakpoints[1:]) for kv in space.knotvectors]
+        plane, q1 = int(np.prod(n[:-1])), n[0]
+        monkeypatch.setattr(kron, "SLAB_POINTS", 5 * plane)
+        monkeypatch.setattr(kron, "CHUNK_POINTS", 3 * q1 + q1 // 2)
+        walk = list(kron.grid_chunks(n))
+        if geom.dim > 1:
+            assert {(l.start, l.stop) for s, chunks in walk
+                    if s.stop - s.start == 5
+                    for l, _ in chunks} == {(0, 3), (3, 5)}
+        if geom.dim == 3:
+            assert all(0 < p.stop - p.start < plane
+                       for _, chunks in walk for _, p in chunks)
+        x = np.random.default_rng(len(name)).standard_normal(space.n_dofs)
+        h1, l2 = relative_errors(space, geom, x, case, gauss_pts)
+        err2, ref2, semi_err2, semi_ref2 = self.norm_sums(space, geom, x,
+                                                          case, gauss_pts)
+        assert l2 == pytest.approx(np.sqrt(err2 / ref2), rel=1e-13)
+        assert h1 == pytest.approx(
+            np.sqrt((err2 + semi_err2) / (ref2 + semi_ref2)), rel=1e-13)
+
     @pytest.mark.parametrize("wrapped", [False, True])
     @pytest.mark.parametrize("slab, chunk, n_slabs", [
         (500, None, 16),  # one layer per slab, whole-layer chunks
@@ -348,10 +390,10 @@ class TestErrorNorms:
         assert len(band) == 2 * n_lower + 2
 
     def test_peak_memory_tracks_slab(self):
-        # the pass peaks at 7.3 slab-sized float64 arrays on the ring (an
-        # extrusion; 7.2 on the same map wrapped as a generic one); at p=3
-        # on 16^3 elements the 80^3-point grid is two slabs.  The next test
-        # holds the chunked pointwise work to a tighter bound
+        # the pass peaks at 1.8 slab-sized float64 arrays on the ring (an
+        # extrusion; 2.7 on the same map wrapped as a generic one); at p=3
+        # on 16^3 elements the 80^3-point grid is two slabs.  The next
+        # tests hold the chunked pointwise work to tighter bounds
         space = tensor_space(3, 16, 3)
         geom = quarter_ring_rational_map()
         x = np.random.default_rng(0).standard_normal(space.n_dofs)
@@ -366,15 +408,16 @@ class TestErrorNorms:
 
     @pytest.mark.parametrize("wrapped", [False, True])
     def test_peak_memory_pointwise_work_chunked(self, wrapped):
-        # slab-sized arrays are only the Kronecker contractions' u_h and
-        # parametric gradient (a slab's points and weights are never laid
-        # out); the geometry, u_grad and the error arithmetic run in small
-        # chunks.  At p=3 on 32^3 elements the 160^3-point grid is 16
-        # slabs.  The peak was measured at 7.9x with the ring's geometry
-        # once per plane point and 7.5x on the ring wrapped as a generic
-        # map, pulled back per chunk (10.7x when a generic map's slab
-        # points were laid out, 36x with the pointwise work done per slab),
-        # so this also fails a pass over the whole grid
+        # a slab's points and weights are never laid out; the geometry,
+        # u_grad and the error arithmetic run in small chunks.  At p=3 on
+        # 32^3 elements the 160^3-point grid is 16 slabs.  The peak was
+        # measured at 2.8x with the ring's geometry once per plane point
+        # (reached while the plane is pulled back) and 3.4x on the ring
+        # wrapped as a generic map, pulled back per chunk (7.9x and 7.5x
+        # with slab-sized u_h and parametric gradient, 10.7x when a
+        # generic map's slab points were laid out, 36x with the pointwise
+        # work done per slab), so this also fails a pass over the whole
+        # grid
         space = tensor_space(3, 32, 3)
         geom = quarter_ring_rational_map()
         if wrapped:
@@ -388,6 +431,30 @@ class TestErrorNorms:
         finally:
             tracemalloc.stop()
         assert peak <= 20 * 8 * kron.SLAB_POINTS
+
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_peak_memory_no_slab_sized_fields(self, wrapped):
+        # u_h and its parametric gradient exist only per chunk: a slab
+        # holds 3 fields before their direction-1 mode, N_1 / Q_1 = 0.21
+        # slab arrays each.  At p=3 on 32^3 elements the peak was measured
+        # at 2.78 slab-sized float64 arrays on the ring (2.39 in the slab
+        # loop, the rest while the plane is pulled back) and 3.44 on the
+        # ring wrapped as a generic map, against 7.89 and 7.50 with four
+        # slab-sized fields; the bound leaves 0.56 slab arrays (1.2 MB) of
+        # margin over the larger
+        space = tensor_space(3, 32, 3)
+        geom = quarter_ring_rational_map()
+        if wrapped:
+            geom = not_extruded(geom)
+        x = np.random.default_rng(0).standard_normal(space.n_dofs)
+        case = oscillating_case()
+        tracemalloc.start()
+        try:
+            relative_errors(space, geom, x, case)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * kron.SLAB_POINTS
 
     def test_length_mismatch_rejected(self):
         space = tensor_space(2, 3, 3)
