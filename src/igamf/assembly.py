@@ -118,9 +118,11 @@ def assemble_wq_explicit(space, rule, geom, coeff=None, kind="mass",
 def assemble_rhs(space, geom, f) -> np.ndarray:
     """Load vector f_i = int det(J_F) b_i (f o F) dxi by tensor Gauss quadrature.
 
-    ``f`` is a physical-space field taking an (npts, d) coordinate array.
-    The rule is :func:`~igamf.wq.gauss_tensor_rule`'s default; for another
-    point count, pass ``gauss_tensor_rule(space, n)`` to
+    ``f(x_1, ..., x_d)`` is a physical-space row function of coordinate
+    arrays that broadcast, passed as is to
+    :func:`~igamf.operators.wq_load_vector`.  The rule is
+    :func:`~igamf.wq.gauss_tensor_rule`'s default; for another point count,
+    pass ``gauss_tensor_rule(space, n)`` to
     :func:`~igamf.operators.wq_load_vector`.
     """
     return wq_load_vector(gauss_tensor_rule(space), geom, f)

@@ -25,9 +25,10 @@ Every function here accepts either layout.
 :func:`pullback` is the one place where Jacobians are turned into the
 quantities integrals need (det J_F and its cofactors), and the one place
 where a degenerate map is detected.  On an extrusion it forms them from
-J_G alone, and they do not depend on xi_d, which
-:func:`~igamf.problems.relative_errors` uses to evaluate them once per
-point of the (xi_1, ..., xi_{d-1}) plane.
+J_G alone, and they do not depend on xi_d: :func:`plane_pullback`
+evaluates them and G once per point of the (xi_1, ..., xi_{d-1}) plane
+for the load vector (:func:`~igamf.operators.wq_load_vector`) and the
+error pass (:func:`~igamf.problems.relative_errors`).
 """
 
 from dataclasses import dataclass
@@ -153,6 +154,34 @@ def pullback(geom: GeometryMap, xi: np.ndarray):
     if geom.planar is not None:
         cof[:, -1, -1] = det
     return det, cof
+
+
+def plane_pullback(geom: GeometryMap, plane, t0):
+    """:func:`pullback` and G of the extrusion ``geom`` once per point of a
+    tensor (xi_1, ..., xi_{d-1}) plane, which serve every xi_d layer.
+
+    ``plane`` lists the plane's d-1 per-direction point arrays, direction 1
+    fastest, and ``t0`` is the xi_d point at which the plane is pulled
+    back.  Returns ``(det, cof, rows)``: det J_F (n_plane,), the planar
+    block of its cofactors (d-1, d-1, n_plane) and the coordinate rows of
+    G (d-1, n_plane).  They are filled whole plane rows at a time, about
+    :data:`~igamf.kron.CHUNK_POINTS` points per batch, so the plane's
+    scratch is one batch's.  A degenerate point raises
+    :class:`DegenerateGeometryError` with its full parametric point
+    (plane point, t0).
+    """
+    k = len(plane)
+    n = int(np.prod([len(q) for q in plane]))
+    det, cof, rows = np.empty(n), np.empty((k, k, n)), np.empty((k, n))
+    lower = n // len(plane[-1])  # points per step of the slowest direction
+    for s in kron.grid_slabs([len(q) for q in plane], kron.CHUNK_POINTS):
+        xi = kron.tensor_grid([*plane[:-1], plane[-1][s], [t0]])
+        b = slice(s.start * lower, s.stop * lower)
+        det[b], cf = pullback(geom, xi.T)
+        cof[..., b] = cf.transpose(1, 2, 0)[:k, :k]
+        del cf  # else the next batch's pullback runs beside it
+        rows[:, b] = geom.planar.evaluate(xi[:k].T).T
+    return det, cof, rows
 
 
 def extrude(planar: GeometryMap) -> GeometryMap:

@@ -11,10 +11,15 @@ and never forms the full matrix (the explicit one is
 :data:`SLAB_POINTS` points (:func:`grid_slabs`) cut into chunks of about
 :data:`CHUNK_POINTS` points, xi_d layers times a part of the
 (xi_1, ..., xi_{d-1}) plane that serves each of them.  Every pass over a
-tensor grid (coefficient grids, the load vector, error norms) takes it, so
-its scratch memory is a multiple of the slab, not the grid.  :data:`CHUNK_POINTS` also sizes the
-batches of the geometry's closed forms and Jacobians
-(:func:`~igamf.geometry.pullback`), so it is the one pointwise chunk size.
+tensor grid takes it, so its scratch memory is a multiple of the slab, not
+the grid: coefficient grids (over one xi_d layer on an extrusion), the
+load vector and the error norms.  On an extrusion the last two evaluate
+the geometry once per plane point
+(:func:`~igamf.geometry.plane_pullback`) and lay out no point arrays; on
+any other map they pull back each chunk's points.  :data:`CHUNK_POINTS`
+also sizes the batches of the geometry's closed forms and Jacobians
+(:func:`~igamf.geometry.pullback`, :func:`~igamf.geometry.plane_pullback`),
+so it is the one pointwise chunk size.
 
 Factors are dense arrays.  The apply holds each as a :class:`BandedFactor`:
 blocks of :data:`ROWS_PER_BLOCK` rows, each over the window of columns its
@@ -33,13 +38,13 @@ nonzero count, not the padded blocks (:func:`kron_flops`).
 import numpy as np
 
 #: quadrature points per slab of :func:`grid_slabs`; bounds the scratch
-#: memory of coefficient grids and error evaluation (on the ring, besides
-#: the grids it returns, a coefficient pass keeps the slab's 3 point
-#: arrays alive; the error pass peaks at 1.8-2.8 slab-sized float64 arrays,
+#: memory of coefficient grids and error evaluation (besides the grids it
+#: returns, a coefficient pass keeps the slab's 3 point arrays alive; the
+#: error pass peaks at 1.7-2.5 slab-sized float64 arrays on the ring,
 #: and at 2.7-3.4 on the ring wrapped as a map that is not an extrusion
 #: (tracemalloc, p=3 on 16^3 and 32^3 elements): a slab holds its 3 fields
-#: only before their direction-1 mode, 0.21 slab arrays each, and at 32^3
-#: the ring's peak is the pullback of its 25,600-point plane; their
+#: only before their direction-1 mode, 0.21 slab arrays each, and the
+#: ring's 25,600-point plane is pulled back in chunks; their
 #: pointwise work and the error pass's direction-1 mode run in the chunks
 #: of :func:`grid_chunks`, see
 #: :func:`~igamf.geometry.pullback` and :func:`~igamf.problems.relative_errors`)

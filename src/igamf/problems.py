@@ -22,8 +22,10 @@ points at a time.  The pass is fused like the operators' apply: per slab
 the Kronecker modes of directions d..2 of u_h and its parametric gradient
 run once per distinct derivative pattern, and per chunk the direction-1
 mode writes the chunk's u_h and gradient, which its sums use at once, so
-no slab-sized field is formed.  A case's ``u_grad`` broadcasts, so on an
-extrusion its factors of (x1, x2) alone serve every xi_3 layer of a chunk.
+no slab-sized field is formed.  A case's ``u_grad`` and ``f`` broadcast,
+so on an extrusion their factors of (x1, x2) alone serve every xi_3 layer
+of a chunk, in the error pass and in the load vector
+(:func:`~igamf.operators.wq_load_vector`).
 """
 
 import functools
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _eval_rows, _sincos, pullback
+from .geometry import _sincos, plane_pullback, pullback
 from .kron import (banded, block_matmul, checked_vector, contract_modes,
                    grid_chunks, tensor_grid)
 from .splines import collocation_matrix, map_distinct
@@ -57,24 +59,16 @@ QUARTER_RING_H1_REFERENCE = {
 class ManufacturedCase:
     """Exact solution with its gradient, and matching source term.
 
-    ``u_grad(x1, ..., xd)`` returns ``(u, d1 u, ..., dd u)`` at physical
-    coordinates that broadcast (a row may be a constant); ``f(x)`` takes
-    an (npts, d) point array.
+    Both are row functions of physical coordinates that broadcast (a row
+    may be a constant): ``u_grad(x1, ..., xd)`` returns
+    ``(u, d1 u, ..., dd u)`` and ``f(x1, ..., xd)`` the source values, so
+    on an extrusion each takes plane rows and a column of xi_d layers
+    (:func:`relative_errors`, :func:`~igamf.operators.wq_load_vector`).
     """
 
     u_grad: callable = field(repr=False)
     f: callable = field(repr=False)
     reference_h1_errors: dict = field(default_factory=dict, repr=False)
-
-
-def _case(u_grad, f_rows, reference):
-    """A case of ``u_grad`` and of f from the row function ``f_rows`` of
-    :func:`~igamf.geometry._eval_rows`."""
-
-    def f(x):
-        return _eval_rows(f_rows, np.atleast_2d(x), 1)[0]
-
-    return ManufacturedCase(u_grad, f, reference)
 
 
 def _oscillating_parts(x1, x2, x3):
@@ -99,7 +93,7 @@ def _oscillating_f(x1, x2, x3):
     (s1, s2, s3), (c1, c2, _), r2, g = _oscillating_parts(x1, x2, x3)
     S = s1 * s2 * s3
     x_dS = 5 * np.pi * s3 * (x1 * c1 * s2 + x2 * c2 * s1)  # x1 d1S + x2 d2S
-    return (75 * np.pi**2 * S * g - 2 * (4 * r2 - 10) * x_dS - S * (16 * r2 - 20),)
+    return 75 * np.pi**2 * S * g - 2 * (4 * r2 - 10) * x_dS - S * (16 * r2 - 20)
 
 
 def _cube_u_grad(x1, x2, x3):
@@ -111,17 +105,18 @@ def _cube_u_grad(x1, x2, x3):
 
 def _cube_f(x1, x2, x3):
     s1, s2, s3 = (_sincos(np.pi * x)[0] for x in (x1, x2, x3))
-    return (3 * np.pi**2 * s1 * s2 * s3,)
+    return 3 * np.pi**2 * s1 * s2 * s3
 
 
 def oscillating_case() -> ManufacturedCase:
     """Oscillating solution on the thick quarter ring (K = I, alpha = 0)."""
-    return _case(_oscillating_u_grad, _oscillating_f, dict(QUARTER_RING_H1_REFERENCE))
+    return ManufacturedCase(_oscillating_u_grad, _oscillating_f,
+                            dict(QUARTER_RING_H1_REFERENCE))
 
 
 def cube_sine_case() -> ManufacturedCase:
     """Smooth product-of-sines solution on the unit cube (K = I, alpha = 0)."""
-    return _case(_cube_u_grad, _cube_f, {})
+    return ManufacturedCase(_cube_u_grad, _cube_f, {})
 
 
 def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
@@ -218,21 +213,19 @@ def _plane_values(geom, pts, wts):
     xi_d layer: ``(w, inv, rows)`` with the plane weights w and the
     coordinate rows (d-1, n_plane).  On an extrusion, w carries the factor
     det J_F, inv holds the entries cof_ij / det J_F of the planar block
-    (i, j < d - 1) and the rows are G; on any other map, inv is None.
-
-    An extrusion is pulled back on the grid's first layer, so a degenerate
-    point is reported, with its full parametric point, where the grid meets
-    it first.
+    (i, j < d - 1) and the rows are G, all from
+    :func:`~igamf.geometry.plane_pullback` on the grid's first layer, so a
+    degenerate point is reported, with its full parametric point, where the
+    grid meets it first; on any other map, inv is None.
     """
-    xi = tensor_grid(pts[:-1] + (pts[-1][:1],)).T
-    k = len(pts) - 1
     w = functools.reduce(lambda acc, q: np.multiply.outer(q, acc), wts[:-1],
                          np.ones(1)).ravel()
     if geom.planar is None:
-        return w, None, xi[:, :k].T
-    det, cof = pullback(geom, xi)
-    inv = cof.transpose(1, 2, 0)[:k, :k] / det
-    return w * det, inv, geom.evaluate(xi)[:, :k].T
+        return w, None, tensor_grid(pts[:-1] + (pts[-1][:1],))[:-1]
+    det, inv, rows = plane_pullback(geom, pts[:-1], pts[-1][0])
+    inv /= det
+    w *= det
+    return w, inv, rows
 
 
 def _chunk_sums(geom, plane, case, t, wt, p, uh, grad_xi):

@@ -3,17 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (NaNEmpty, affine_map, perturbed_knots, point_arrays,
-                      reparametrized_ring, stiffness_field)
+from conftest import (NaNEmpty, affine_map, not_extruded, perturbed_knots,
+                      point_arrays, reparametrized_ring, stiffness_field)
 from igamf import (CostMeter, DegenerateGeometryError, GeometryMap,
                    TensorSpace, assemble_rhs, assemble_sgq,
                    assemble_wq_explicit, build_tensor_rule, coefficient_grids,
-                   cube_sine_case, extrude, gauss_tensor_rule,
-                   h1_relative_error, identity_map, kron_apply,
-                   make_uniform_knots, oscillating_case, pullback,
+                   cube_sine_case, extrude, gauss_points_weights,
+                   gauss_tensor_rule, h1_relative_error, identity_map,
+                   kron_apply, make_uniform_knots, oscillating_case, pullback,
                    quarter_ring_map, quarter_ring_rational_map, setup_mass,
                    setup_stiffness, tensor_space, wq_load_vector, wq_terms)
-from igamf import kron, operators
+from igamf import geometry, kron, operators
 from igamf.cli import _GEOMETRIES
 from igamf.kron import BandedFactor, banded, contract_modes
 from igamf.splines import collocation_matrix
@@ -59,6 +59,21 @@ def folded_map():
         _map=lambda xi: xi.copy(),
         _jacobian=lambda xi: np.broadcast_to(
             np.diag([1.0, -1.0, 1.0]), (len(xi), 3, 3)).copy())
+
+
+def folded_extrusion():
+    """The extrusion of G(xi) = (xi_1, -xi_2), with det J_G = -1 everywhere."""
+    return extrude(GeometryMap(
+        dim=2,
+        _map=lambda xi: xi * [1.0, -1.0],
+        _jacobian=lambda xi: np.broadcast_to(
+            np.diag([1.0, -1.0]), (len(xi), 2, 2)).copy()))
+
+
+def curve_extrusion():
+    """The 2D extrusion of G(xi_1) = 1 + 2 xi_1 + xi_1^2, G' > 0 on [0, 1]."""
+    return extrude(GeometryMap(dim=1, _map=lambda xi: 1 + 2 * xi + xi**2,
+                               _jacobian=lambda xi: (2 + 2 * xi)[:, :, None]))
 
 
 class TestCoefficientGrids:
@@ -266,9 +281,9 @@ class TestWQLoadVector:
         # identity map, where W^(0,0) integrates b_i f exactly
         space, rule, geom = make(p, 6)
 
-        def f(x):
-            return ((x[:, 0]**p - 0.3 * x[:, 0]) * (1 + x[:, 1])**p
-                    * (x[:, 2]**2 - x[:, 2]**(p - 1) + 0.5))
+        def f(x1, x2, x3):
+            return ((x1**p - 0.3 * x1) * (1 + x2)**p
+                    * (x3**2 - x3**(p - 1) + 0.5))
 
         b = wq_load_vector(rule, geom, f)
         ref = assemble_rhs(space, geom, f)
@@ -288,7 +303,8 @@ class TestWQLoadVector:
         g = (w * (x**2 - 0.3 * x)) @ collocation_matrix(kv, x)[:, 1:-1]
         ref = g if d == 1 else np.kron(g, g)
         b = wq_load_vector(rule, geom,
-                           lambda pts: np.prod(pts**2 - 0.3 * pts, axis=1))
+                           lambda *x: np.prod([xl**2 - 0.3 * xl for xl in x],
+                                              axis=0))
         assert np.abs(b - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("gauss", [False, True], ids=["wq", "gauss"])
@@ -308,8 +324,12 @@ class TestWQLoadVector:
                                and len(set(space.n_per_dir)) == 3)
         geom = quarter_ring_rational_map()
         f = oscillating_case().f
+
+        def alpha(x):  # f as a mass coefficient field of (npts, d) points
+            return f(*x.T)
+
         (_, [(W, _)]), = wq_terms(rule, "mass")
-        grid = operators._rule_grids("mass", rule, geom, f)[0][None]
+        grid = operators._rule_grids("mass", rule, geom, alpha)[0][None]
         whole = kron_apply(W, grid)
         default = wq_load_vector(rule, geom, f)
         modes = []
@@ -327,7 +347,7 @@ class TestWQLoadVector:
         assert np.abs(b - whole).max() <= 1e-13 * np.abs(whole).max()
         # the split changes no bit of the grid; a direction-1 product over
         # fewer rows may round differently in BLAS (half an ulp measured)
-        chunked, _ = operators._rule_grids("mass", rule, geom, f)
+        chunked, _ = operators._rule_grids("mass", rule, geom, alpha)
         assert np.array_equal(chunked[None], grid)
         assert np.abs(b - default).max() <= 1e-15 * np.abs(default).max()
 
@@ -351,6 +371,88 @@ class TestWQLoadVector:
         b = wq_load_vector(rule, quarter_ring_map(), oscillating_case().f)
         assert len(converted) == n_distinct
         assert b.shape == (space.n_dofs,)
+
+    @pytest.mark.parametrize("gauss", [False, True], ids=["wq", "gauss"])
+    @pytest.mark.parametrize("geometry", ["ring", "ring-polar", "cube",
+                                          "curve"])
+    @pytest.mark.parametrize("split", [False, True],
+                             ids=["default", "split"])
+    def test_plane_path_matches_pointwise_path(self, monkeypatch, gauss,
+                                               geometry, split):
+        # an extrusion is pulled back and mapped once per plane point and
+        # f gets plane rows and a column of layers; the same map wrapped
+        # by not_extruded is pulled back and mapped at every point.  Split:
+        # several slabs, and chunks of 3 layers times one direction-1 row,
+        # each a part of the plane (in 2D the plane is one row)
+        if geometry == "curve":
+            geom, d = curve_extrusion(), 2
+
+            def f(x1, x2):
+                return np.sin(3 * x1) * (1 + x2 * x2)
+        else:
+            make_map, make_case = _GEOMETRIES[geometry]
+            geom, f, d = make_map(), make_case().f, 3
+        space = tensor_space(3, 4, d)
+        rule = gauss_tensor_rule(space) if gauss else build_tensor_rule(space)
+        if split:
+            split_into_slabs(monkeypatch, rule, 3)
+            q1 = rule.n_points_per_dir[0]
+            monkeypatch.setattr(kron, "CHUNK_POINTS", 3 * q1)
+            chunks = [c for _, cs in kron.grid_chunks(rule.n_points_per_dir)
+                      for c in cs]
+            assert all(l.stop - l.start <= 3 for l, _ in chunks)
+            assert d == 2 or chunks[0][1] == slice(0, q1)
+        b = wq_load_vector(rule, geom, f)
+        ref = wq_load_vector(rule, not_extruded(geom), f)
+        assert np.abs(b - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("gauss", [False, True], ids=["wq", "gauss"])
+    def test_extrusion_maps_the_plane_once(self, monkeypatch, gauss):
+        # pullback, the Jacobian and F see the Q_1 Q_2 plane points only,
+        # also when slabs and chunks cut the grid into parts of the plane
+        space = tensor_space(3, 4)
+        rule = gauss_tensor_rule(space) if gauss else build_tensor_rule(space)
+        q1, q2, _ = rule.n_points_per_dir
+        split_into_slabs(monkeypatch, rule, 3)
+        monkeypatch.setattr(kron, "CHUNK_POINTS", 2 * q1)
+        seen = {"pullback": 0, "jacobian": 0, "evaluate": 0}
+
+        def counting(name, fn):
+            def wrapper(first, xi):
+                seen[name] += len(np.atleast_2d(xi))
+                return fn(first, xi)
+            return wrapper
+
+        monkeypatch.setattr(geometry, "pullback",
+                            counting("pullback", geometry.pullback))
+        monkeypatch.setattr(operators, "pullback",
+                            counting("pullback", operators.pullback))
+        for name in ("jacobian", "evaluate"):
+            monkeypatch.setattr(GeometryMap, name,
+                                counting(name, getattr(GeometryMap, name)))
+        wq_load_vector(rule, quarter_ring_rational_map(), oscillating_case().f)
+        assert seen == {name: q1 * q2 for name in seen}
+
+    @pytest.mark.parametrize("gauss", [False, True], ids=["wq", "gauss"])
+    def test_extrusion_peak_has_no_slab_term(self, gauss):
+        # on an extrusion no slab point array is laid out: the peak is the
+        # direction-1 buffer twice and the plane's and a chunk's arrays,
+        # measured at 5.9 (WQ) and 7.0 (Gauss) float64 arrays of
+        # CHUNK_POINTS points at p=8 on 16^3 elements (37.8 and 64.5 with
+        # the slab's points laid out)
+        space = tensor_space(8, 16)
+        rule = gauss_tensor_rule(space) if gauss else build_tensor_rule(space)
+        geom = quarter_ring_rational_map()
+        f = oscillating_case().f
+        buffer = 8 * rule.n_points // rule.n_points_per_dir[0] * space.n_per_dir[0]
+        bound = 2 * buffer + 16 * 8 * kron.CHUNK_POINTS
+        tracemalloc.start()
+        try:
+            wq_load_vector(rule, geom, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     @pytest.mark.parametrize("gauss", [False, True], ids=["wq", "gauss"])
     def test_peak_is_buffer_plus_chunk_scratch(self, gauss):
@@ -393,6 +495,35 @@ class TestDegenerateGeometry:
         for call in calls:
             with pytest.raises(DegenerateGeometryError):
                 call()
+
+    def test_extruded_map_reports_full_point(self):
+        # det J_G < 0: the stiffness and mass folds, the load vector and
+        # the error pass pull back one plane each and report the first
+        # point of their grid with its xi_3 coordinate
+        space, rule, _ = make(1, 2)
+        geom = folded_extrusion()
+        case = cube_sine_case()
+        kv = space.knotvectors[0]
+
+        def first(points):
+            return (float(points[0]),) * 3
+
+        wq = first(rule.rules[0].points)
+        calls = [
+            (lambda: setup_stiffness(space, rule, geom), wq),
+            (lambda: setup_mass(space, rule, geom), wq),
+            (lambda: wq_load_vector(rule, geom, case.f), wq),
+            (lambda: assemble_rhs(space, geom, case.f),
+             first(gauss_points_weights(kv, 2)[0])),
+            (lambda: h1_relative_error(space, geom, np.zeros(space.n_dofs),
+                                       case),
+             first(gauss_points_weights(kv, 3)[0])),
+        ]
+        for call, point in calls:
+            with pytest.raises(DegenerateGeometryError) as err:
+                call()
+            assert err.value.point == point
+            assert err.value.det == -1.0
 
 
 class TestMassApply:
@@ -792,10 +923,8 @@ class TestExtrusionFold:
     @pytest.mark.parametrize("kind", ["mass", "stiffness"])
     def test_two_dimensional_extrusion(self, kind):
         # in d = 2 the plane is one direction-1 row, broadcast over N_2
-        # layers; G(xi_1) = 1 + 2 xi_1 + xi_1^2 has G' > 0 on [0, 1]
-        planar = GeometryMap(dim=1, _map=lambda xi: 1 + 2 * xi + xi**2,
-                             _jacobian=lambda xi: (2 + 2 * xi)[:, :, None])
-        space, rule, geom = make(3, 6, extrude(planar), d=2)
+        # layers
+        space, rule, geom = make(3, 6, curve_extrusion(), d=2)
         op = SETUPS[kind](space, rule, geom)
         assert op.grid_rule.n_points_per_dir == (rule.n_points_per_dir[0], 1)
         TestFusedApply.assert_matches_explicit(op, space, rule, geom, kind)

@@ -8,7 +8,7 @@ from conftest import affine_map, not_extruded, reparametrized_ring
 from igamf import (QUARTER_RING_H1_REFERENCE, TensorSpace, assemble_rhs,
                    assemble_sgq, bicgstab, build_tensor_rule, cg,
                    cube_sine_case, extrude, FDPreconditioner,
-                   h1_relative_error, identity_map, l2_relative_error,
+                   gauss_points_weights, h1_relative_error, identity_map, l2_relative_error,
                    make_uniform_knots, oscillating_case,
                    quarter_ring_map, quarter_ring_rational_map,
                    relative_errors, setup_stiffness, tensor_space,
@@ -56,7 +56,7 @@ class TestOscillatingCase:
             e[d] = h
             lap += (u(x + e) - 2 * u(x) + u(x - e)) / h**2
         f_fd = -lap
-        f = case.f(x)
+        f = case.f(*x.T)
         assert np.abs(f - f_fd).max() <= 1e-5 * max(1.0, np.abs(f).max())
 
     def test_gradient_matches_fd(self):
@@ -411,8 +411,8 @@ class TestErrorNorms:
         # a slab's points and weights are never laid out; the geometry,
         # u_grad and the error arithmetic run in small chunks.  At p=3 on
         # 32^3 elements the 160^3-point grid is 16 slabs.  The peak was
-        # measured at 2.8x with the ring's geometry once per plane point
-        # (reached while the plane is pulled back) and 3.4x on the ring
+        # measured at 2.5x with the ring's geometry once per plane point
+        # (2.8x with the plane pulled back whole) and 3.4x on the ring
         # wrapped as a generic map, pulled back per chunk (7.9x and 7.5x
         # with slab-sized u_h and parametric gradient, 10.7x when a
         # generic map's slab points were laid out, 36x with the pointwise
@@ -437,11 +437,10 @@ class TestErrorNorms:
         # u_h and its parametric gradient exist only per chunk: a slab
         # holds 3 fields before their direction-1 mode, N_1 / Q_1 = 0.21
         # slab arrays each.  At p=3 on 32^3 elements the peak was measured
-        # at 2.78 slab-sized float64 arrays on the ring (2.39 in the slab
-        # loop, the rest while the plane is pulled back) and 3.44 on the
-        # ring wrapped as a generic map, against 7.89 and 7.50 with four
-        # slab-sized fields; the bound leaves 0.56 slab arrays (1.2 MB) of
-        # margin over the larger
+        # at 2.46 slab-sized float64 arrays on the ring (2.78 with its plane
+        # pulled back whole) and 3.44 on the ring wrapped as a generic
+        # map, against 7.89 and 7.50 with four slab-sized fields; the bound
+        # leaves 0.56 slab arrays (1.2 MB) of margin over the larger
         space = tensor_space(3, 32, 3)
         geom = quarter_ring_rational_map()
         if wrapped:
@@ -455,6 +454,24 @@ class TestErrorNorms:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 8 * kron.SLAB_POINTS
+
+    def test_plane_values_peak_is_outputs_plus_batch(self):
+        # the extrusion's plane is pulled back and mapped about
+        # CHUNK_POINTS points at a time into its outputs (w, det, the 4
+        # entries of inv and the 2 rows of G).  On the 320^2-point Gauss
+        # plane of p=8 on 32^2 elements the peak was measured at these 8
+        # plane-sized float64 arrays plus 26 arrays of CHUNK_POINTS points,
+        # against 8 plus 107 with the whole plane pulled back at once
+        x, w = gauss_points_weights(make_uniform_knots(8, 32), 10)
+        geom = quarter_ring_rational_map()
+        bound = 8 * (8 * len(x)**2 + 32 * kron.CHUNK_POINTS)
+        tracemalloc.start()
+        try:
+            problems._plane_values(geom, (x, x, x), (w, w, w))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_length_mismatch_rejected(self):
         space = tensor_space(2, 3, 3)
@@ -472,4 +489,4 @@ class TestCubeSineCase:
     def test_source_value(self):
         case = cube_sine_case()
         x = np.array([[0.5, 0.5, 0.5]])
-        assert case.f(x)[0] == pytest.approx(3 * np.pi**2, rel=1e-12)
+        assert case.f(*x.T)[0] == pytest.approx(3 * np.pi**2, rel=1e-12)

@@ -55,7 +55,7 @@ def test_manufactured_case(make_case, u_expr, points):
     assert rel_diff(ue, ref[0]) <= TOL
     for l in range(3):
         assert rel_diff(ge[l], ref[1 + l]) <= TOL
-    assert rel_diff(case.f(x), ref[4]) <= TOL
+    assert rel_diff(case.f(*x.T), ref[4]) <= TOL
 
 
 def test_rational_ring_map_and_jacobian():
