@@ -268,17 +268,6 @@ def _split_arg_line(line):
             None, f"bad argument-file line {line!r}: {exc}") from None
 
 
-def _add_common(sub):
-    sub.add_argument("--geometry", choices=_GEOMETRIES)
-    sub.add_argument("--method", choices=list(_METHOD_SOLVER))
-    sub.add_argument("--eta", type=_positive(float))
-    sub.add_argument("--maxit", type=_positive(int))
-    sub.add_argument("--allow-large", action="store_true")
-    sub.add_argument("--nnz-guard", type=_positive(float))
-    sub.add_argument("--out")
-    sub.set_defaults(**_OPTION_DEFAULTS)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="igamf-bench", fromfile_prefix_chars="@",
@@ -289,7 +278,14 @@ def build_parser():
         "solve", aliases=["convergence"], help="solve each (p, k) instance")
     sub.add_argument("--degree", type=_parse_int_list, required=True)
     sub.add_argument("--mesh-exp", type=_parse_int_list, required=True)
-    _add_common(sub)
+    sub.add_argument("--geometry", choices=_GEOMETRIES)
+    sub.add_argument("--method", choices=list(_METHOD_SOLVER))
+    sub.add_argument("--eta", type=_positive(float))
+    sub.add_argument("--maxit", type=_positive(int))
+    sub.add_argument("--allow-large", action="store_true")
+    sub.add_argument("--nnz-guard", type=_positive(float))
+    sub.add_argument("--out")
+    sub.set_defaults(**_OPTION_DEFAULTS)
     return parser
 
 

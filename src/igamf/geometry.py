@@ -25,10 +25,16 @@ Every function here accepts either layout.
 :func:`pullback` is the one place where Jacobians are turned into the
 quantities integrals need (det J_F and its cofactors), and the one place
 where a degenerate map is detected.  On an extrusion it forms them from
-J_G alone, and they do not depend on xi_d: :func:`plane_pullback`
-evaluates them and G once per point of the (xi_1, ..., xi_{d-1}) plane
-for the load vector (:func:`~igamf.operators.wq_load_vector`) and the
-error pass (:func:`~igamf.problems.relative_errors`).
+J_G alone, and they do not depend on xi_d.  The two passes that need the
+geometry at a tensor grid's points, the load vector
+(:func:`~igamf.operators.wq_load_vector`) and the error pass
+(:func:`~igamf.problems.relative_errors`), take it from one pair:
+:func:`grid_plane` returns the grid's (xi_1, ..., xi_{d-1}) plane and
+:func:`chunk_pullback` det J_F, J_F^-T and F on one chunk of layers times
+plane points, as values that broadcast.  Only these two ask which map
+they have: on an extrusion the plane holds det J_F, J_F^-T and G once per
+plane point and a chunk slices them; any other map is pulled back and
+mapped at each chunk's points.
 """
 
 from dataclasses import dataclass
@@ -156,32 +162,66 @@ def pullback(geom: GeometryMap, xi: np.ndarray):
     return det, cof
 
 
-def plane_pullback(geom: GeometryMap, plane, t0):
-    """:func:`pullback` and G of the extrusion ``geom`` once per point of a
-    tensor (xi_1, ..., xi_{d-1}) plane, which serve every xi_d layer.
+def grid_plane(geom: GeometryMap, pts):
+    """The (xi_1, ..., xi_{d-1}) plane of the tensor grid with the d
+    per-direction point arrays ``pts`` (direction 1 fastest), which serves
+    every xi_d layer of the grid in :func:`chunk_pullback`.
 
-    ``plane`` lists the plane's d-1 per-direction point arrays, direction 1
-    fastest, and ``t0`` is the xi_d point at which the plane is pulled
-    back.  Returns ``(det, cof, rows)``: det J_F (n_plane,), the planar
-    block of its cofactors (d-1, d-1, n_plane) and the coordinate rows of
-    G (d-1, n_plane).  They are filled whole plane rows at a time, about
+    Returns ``(det, inv, rows)``.  On an extrusion (:func:`extrude`) the
+    geometry is evaluated here, once per plane point, at the grid's first
+    xi_d point: det J_F (n_plane,), the planar block of J_F^-T = cof / det
+    (d-1, d-1, n_plane) and the coordinate rows of G (d-1, n_plane),
+    filled whole plane rows at a time, about
     :data:`~igamf.kron.CHUNK_POINTS` points per batch, so the plane's
-    scratch is one batch's.  A degenerate point raises
-    :class:`DegenerateGeometryError` with its full parametric point
-    (plane point, t0).
+    scratch is one batch's; a degenerate point raises
+    :class:`DegenerateGeometryError` with its full parametric point.  On
+    any other map det and inv are None and the rows are the plane's
+    parametric coordinates (d-1, n_plane); in d = 1 the plane is one point.
     """
-    k = len(plane)
-    n = int(np.prod([len(q) for q in plane]))
-    det, cof, rows = np.empty(n), np.empty((k, k, n)), np.empty((k, n))
-    lower = n // len(plane[-1])  # points per step of the slowest direction
-    for s in kron.grid_slabs([len(q) for q in plane], kron.CHUNK_POINTS):
-        xi = kron.tensor_grid([*plane[:-1], plane[-1][s], [t0]])
-        b = slice(s.start * lower, s.stop * lower)
-        det[b], cf = pullback(geom, xi.T)
-        cof[..., b] = cf.transpose(1, 2, 0)[:k, :k]
-        del cf  # else the next batch's pullback runs beside it
+    *lower, last = pts
+    if geom.planar is None:
+        return None, None, kron.tensor_grid([*lower, last[:1]])[:-1]
+    k = len(lower)
+    n = int(np.prod([len(q) for q in lower]))
+    det, inv, rows = np.empty(n), np.empty((k, k, n)), np.empty((k, n))
+    step = n // len(lower[-1])  # points per step of the slowest direction
+    for s in kron.grid_slabs([len(q) for q in lower], kron.CHUNK_POINTS):
+        xi = kron.tensor_grid([*lower[:-1], lower[-1][s], last[:1]])
+        b = slice(s.start * step, s.stop * step)
+        det[b], cof = pullback(geom, xi.T)
+        np.divide(cof.transpose(1, 2, 0)[:k, :k], det[b], out=inv[..., b])
+        del cof  # else the next batch's pullback runs beside it
         rows[:, b] = geom.planar.evaluate(xi[:k].T).T
-    return det, cof, rows
+    return det, inv, rows
+
+
+def chunk_pullback(geom: GeometryMap, plane, t, part):
+    """det J_F, J_F^-T and F on one chunk of a tensor grid: the xi_d layers
+    ``t`` (L of them) times the points ``part`` (a slice, P points) of the
+    :func:`grid_plane` ``plane``.
+
+    Returns ``(det, inv, x)``, each value broadcasting to (L, P): ``inv``
+    lists the leading k x k block of J_F^-T = cof / det, whose other rows
+    and columns are those of the identity, and ``x`` the d coordinate
+    arrays of F.  On an extrusion these are the plane's (P,) slices, k =
+    d - 1, and x_d = t as an (L, 1) column, so nothing of layer size is
+    formed; on any other map the chunk's points are pulled back
+    (:func:`pullback`) and mapped, k = d and every value is (L, P).
+    """
+    det, inv, rows = plane
+    if geom.planar is not None:
+        return det[part], inv[..., part], (*rows[:, part], t[:, None])
+    d = len(rows) + 1
+    xi = np.empty((d, len(t), part.stop - part.start))
+    xi[:-1] = rows[:, None, part]
+    xi[-1] = t[:, None]
+    xi = xi.reshape(d, -1).T
+    det, cof = pullback(geom, xi)
+    inv = cof.transpose(1, 2, 0)  # the (d, d, npts) storage
+    inv /= det
+    shape = (len(t), -1)
+    return (det.reshape(shape), inv.reshape((d, d) + shape),
+            tuple(geom.evaluate(xi).T.reshape((d,) + shape)))
 
 
 def extrude(planar: GeometryMap) -> GeometryMap:

@@ -13,12 +13,13 @@ and never forms the full matrix (the explicit one is
 (xi_1, ..., xi_{d-1}) plane that serves each of them.  Every pass over a
 tensor grid takes it, so its scratch memory is a multiple of the slab, not
 the grid: coefficient grids (over one xi_d layer on an extrusion), the
-load vector and the error norms.  On an extrusion the last two evaluate
-the geometry once per plane point
-(:func:`~igamf.geometry.plane_pullback`) and lay out no point arrays; on
-any other map they pull back each chunk's points.  :data:`CHUNK_POINTS`
-also sizes the batches of the geometry's closed forms and Jacobians
-(:func:`~igamf.geometry.pullback`, :func:`~igamf.geometry.plane_pullback`),
+load vector and the error norms.  The last two take each chunk's
+geometry from :func:`~igamf.geometry.chunk_pullback` on the grid's
+:func:`~igamf.geometry.grid_plane`: on an extrusion it is evaluated once
+per plane point and no point arrays are laid out; any other map is
+pulled back at each chunk's points.  :data:`CHUNK_POINTS` also sizes the
+batches of the geometry's closed forms and Jacobians
+(:func:`~igamf.geometry.pullback`, :func:`~igamf.geometry.grid_plane`),
 so it is the one pointwise chunk size.
 
 Factors are dense arrays.  The apply holds each as a :class:`BandedFactor`:

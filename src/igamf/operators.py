@@ -21,15 +21,15 @@ terms sharing their collocation factors: the products with the grids run
 tile by tile of whole xi_d layers between the last collocation mode and
 the first weight mode, so no quadrature-point vector is formed.
 The load vector is the mass term's weight factors alone applied to a grid
-of source values, streamed chunk by chunk (:func:`wq_load_vector`).  On
-an extrusion it too evaluates the geometry over one xi_d layer, once per
-point of the (xi_1, ..., xi_{d-1}) plane, and hands the source, a
-broadcasting row function, each chunk's plane rows and a column of its
-layers, so it lays out no point arrays (:func:`_source_chunks`).
-Factors are restricted to the Dirichlet-interior basis.  The operators,
-explicit assembly and the load vector on any other map get a rule's grids
-chunk by chunk (:func:`_grid_chunks`), on the walk the error pass takes
-too (:func:`~igamf.kron.grid_chunks`).  On a Gauss rule
+of source values, streamed chunk by chunk (:func:`wq_load_vector`).  It
+takes each chunk's geometry from :func:`~igamf.geometry.chunk_pullback`,
+as the error pass does, so on an extrusion the geometry is evaluated
+once per point of the (xi_1, ..., xi_{d-1}) plane and the source, a
+broadcasting row function, gets each chunk's plane rows and a column of
+its layers.  Factors are restricted to the Dirichlet-interior basis.  The
+operators and explicit assembly get a rule's coefficient grids chunk by
+chunk (:func:`_grid_chunks`), on the walk the load vector and the error
+pass take too (:func:`~igamf.kron.grid_chunks`).  On a Gauss rule
 (:func:`~igamf.wq.gauss_tensor_rule`) all of this is standard Gauss
 quadrature.
 """
@@ -38,7 +38,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .geometry import plane_pullback, pullback
+from .geometry import chunk_pullback, grid_plane, pullback
 from . import kron
 from .kron import (CostMeter, banded, block_matmul, checked_vector,
                    contract_modes, grid_chunks, grid_slabs, kron_flops,
@@ -136,8 +136,9 @@ def _grid_chunks(kind: str, rule: TensorRule, geom, coeff):
     The likely cause, unverified: freeing slab-sized arrays raises glibc's
     dynamic mmap threshold, so the apply's scratch comes from the heap, not
     from fresh mmaps.  On an extrusion the operators walk one xi_d layer
-    only (:class:`_WQOperator`) and the load vector does not come here
-    (:func:`_source_chunks`), so neither frees a slab-sized array.
+    only (:class:`_WQOperator`), so they free no slab-sized array; the load
+    vector and the error pass do not come here on any map
+    (:func:`~igamf.geometry.chunk_pullback`).
     """
     *lower, last = [r.points for r in rule.rules]
     for s, chunks in grid_chunks(rule.n_points_per_dir):
@@ -198,58 +199,42 @@ def _rule_grids(kind: str, rule: TensorRule, geom, coeff):
     return grids, kept
 
 
-def _source_chunks(rule: TensorRule, geom, f):
-    """Yield ``(block, values)``: (f o F) det J_F on each chunk of
-    :func:`~igamf.kron.grid_chunks`, as (layer, plane point) arrays, with
-    ``block`` as in :func:`_grid_chunks`.
-
-    On an extrusion (``geom.planar``, d > 1), det J_F and the rows of G are
-    evaluated once per point of the (xi_1, ..., xi_{d-1}) plane
-    (:func:`~igamf.geometry.plane_pullback`) and ``f`` is handed a chunk's
-    plane part as (P,) rows and its xi_d layers as an (L, 1) column, so no
-    slab point array is laid out.  Any other map goes through
-    :func:`_grid_chunks`, with ``f`` handed each chunk's coordinate rows.
-    """
-    if geom.planar is None:
-        for block, grids in _grid_chunks("mass", rule, geom,
-                                         lambda x: f(*x.T)):
-            yield block, grids[None]
-        return
-    *lower, last = [r.points for r in rule.rules]
-    det, _, G = plane_pullback(geom, lower, last[0])
-    for s, chunks in grid_chunks(rule.n_points_per_dir):
-        t = last[s]
-        for layers, part in chunks:
-            shape = (len(t[layers]), part.stop - part.start)
-            values = np.broadcast_to(f(*G[:, part], t[layers, None]), shape)
-            yield ((slice(s.start + layers.start, s.start + layers.stop), part),
-                   values * det[part])
-
-
 def wq_load_vector(rule: TensorRule, geom, f) -> np.ndarray:
     """Load vector f_i = int det(J_F) b_i (f o F) dxi by weighted quadrature.
 
     The mass term's weight factors W^(0,0) applied to the grid
     (f o F) det J_F (on a Gauss rule, the Gauss load vector), which is never
     held whole: as in the fused apply, the direction-1 mode runs per chunk
-    of :func:`_source_chunks` into one (Q_2 ... Q_d, N_1) array, the other
-    modes once after.  ``f(x_1, ..., x_d)`` is a physical-space row
-    function: it takes coordinate arrays that broadcast and returns values
-    that broadcast to their shape.  On an extrusion the geometry is
+    of :func:`~igamf.kron.grid_chunks` into one (Q_2 ... Q_d, N_1) array,
+    the other modes once after.  ``f(x_1, ..., x_d)`` is a physical-space
+    row function: it takes coordinate arrays that broadcast and returns
+    values that broadcast to their shape.  Each chunk's det J_F and F come
+    from :func:`~igamf.geometry.chunk_pullback` on the rule's
+    :func:`~igamf.geometry.grid_plane`, so on an extrusion the geometry is
     evaluated once per plane point and ``f`` gets plane rows and a column
-    of layers; on any other map, each chunk's points.  Raises
-    :class:`~igamf.geometry.DegenerateGeometryError` where det J_F <= 0.
+    of layers.  Raises :class:`~igamf.geometry.DegenerateGeometryError`
+    where det J_F <= 0.
     """
     (_, [(W, _)]), = wq_terms(rule, "mass")
     W = map_distinct(banded, W)
+    pts = [r.points for r in rule.rules]
     q1, n_last = rule.n_points_per_dir[0], rule.n_points_per_dir[-1]
     Y = np.empty((rule.n_points // q1, W[0].shape[0]))
     # (xi_d layer, plane row) view of the rows; in d = 1 one row is the grid
     rows = Y.reshape(n_last, -1, Y.shape[1]) if rule.dim > 1 else Y[None]
-    for (layers, part), values in _source_chunks(rule, geom, f):
-        block = rows[layers, part.start // q1:-(-part.stop // q1)]
-        block[...] = block_matmul(W[0], values.reshape(-1, q1)).reshape(
-            block.shape)
+    plane = grid_plane(geom, pts)
+    for s, chunks in grid_chunks(rule.n_points_per_dir):
+        for layers, part in chunks:
+            layers = slice(s.start + layers.start, s.start + layers.stop)
+            det, _, x = chunk_pullback(geom, plane, pts[-1][layers], part)
+            # f's values live on until the next chunk's f has returned:
+            # freed before, they let glibc trim the heap top every chunk,
+            # and a first call at p=3, k=5 took 4,569 page faults, not 818
+            source = np.broadcast_to(f(*x), (layers.stop - layers.start,
+                                             part.stop - part.start))
+            block = rows[layers, part.start // q1:-(-part.stop // q1)]
+            block[...] = block_matmul(
+                W[0], (source * det).reshape(-1, q1)).reshape(block.shape)
     return contract_modes(W[1:], Y).reshape(W[0].shape[0], -1).T.ravel()
 
 

@@ -22,10 +22,12 @@ points at a time.  The pass is fused like the operators' apply: per slab
 the Kronecker modes of directions d..2 of u_h and its parametric gradient
 run once per distinct derivative pattern, and per chunk the direction-1
 mode writes the chunk's u_h and gradient, which its sums use at once, so
-no slab-sized field is formed.  A case's ``u_grad`` and ``f`` broadcast,
-so on an extrusion their factors of (x1, x2) alone serve every xi_3 layer
-of a chunk, in the error pass and in the load vector
-(:func:`~igamf.operators.wq_load_vector`).
+no slab-sized field is formed.  Each chunk's det J_F, J_F^-T and F come
+from :func:`~igamf.geometry.chunk_pullback`, as in the load vector
+(:func:`~igamf.operators.wq_load_vector`), as values that broadcast.  A
+case's ``u_grad`` and ``f`` broadcast too, so on an extrusion, where the
+geometry is the plane's, their factors of (x1, x2) alone serve every xi_3
+layer of a chunk.
 """
 
 import functools
@@ -33,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _sincos, plane_pullback, pullback
+from .geometry import _sincos, chunk_pullback, grid_plane
 from .kron import (banded, block_matmul, checked_vector, contract_modes,
-                   grid_chunks, tensor_grid)
+                   grid_chunks)
 from .splines import collocation_matrix, map_distinct
 from .wq import gauss_points_weights
 
@@ -131,11 +133,13 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
     of about :data:`~igamf.kron.CHUNK_POINTS` points, the direction-1 mode
     of each field (:func:`_first_mode`) and the pointwise work
     (:func:`_chunk_sums`) run while the chunk is in cache, so no
-    slab-sized u_h or gradient is formed.  On an extrusion
-    (:func:`~igamf.geometry.extrude`), det J_F, cof / det and F are
-    evaluated once per plane point and reused for every layer
-    (:func:`_plane_values`) and ``case.u_grad`` broadcasts over them; any
-    other map is pulled back and evaluated on each chunk's points.
+    slab-sized u_h or gradient is formed.  The geometry comes from
+    :func:`~igamf.geometry.chunk_pullback` on the Gauss grid's
+    :func:`~igamf.geometry.grid_plane`: on an extrusion
+    (:func:`~igamf.geometry.extrude`) det J_F, J_F^-T and F are evaluated
+    once per plane point and reused for every layer, and ``case.u_grad``
+    broadcasts over them; any other map is pulled back and evaluated on
+    each chunk's points.
     """
     u_coeffs = checked_vector(u_coeffs, space.n_dofs)
     if gauss_pts is None:
@@ -149,10 +153,13 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
     pts, wts, B = zip(*map_distinct(factors, space.knotvectors))
     # the banded factors of all but the last direction serve every slab
     lower = map_distinct(lambda Bl: [banded(f) for f in Bl], B[:-1])
-    plane = _plane_values(geom, pts, wts)
-    # plane rows of q1 points per layer; in d = 1 the plane is one point
+    plane = grid_plane(geom, pts)
+    # plane weights; in d = 1 the plane is one point
+    w = functools.reduce(lambda acc, q: np.multiply.outer(q, acc), wts[:-1],
+                         np.ones(1)).ravel()
+    # plane rows of q1 points per layer
     n_rows = int(np.prod([len(q) for q in pts[1:-1]]))
-    q1 = len(plane[0]) // n_rows
+    q1 = len(w) // n_rows
     sums = np.zeros(4)
     for s, chunks in grid_chunks([len(q) for q in pts]):
         B0_s, B1_s = ([f[b] for f in lower] + [banded(B[-1][b][s])]
@@ -165,8 +172,8 @@ def relative_errors(space, geom, u_coeffs, case, gauss_pts=None):
             uh, *grad_xi = (f.reshape(len(t[l]), -1) for f in _first_mode(
                 B0_s[0], B1_s[0], heads, l, slice(p.start // q1, p.stop // q1),
                 n_rows))
-            slab += _chunk_sums(geom, plane, case, t[l], wt[l], p, uh,
-                                grad_xi)
+            slab += _chunk_sums(chunk_pullback(geom, plane, t[l], p), case,
+                                wt[l], w[p], uh, grad_xi)
         sums += slab
     h1_err2, h1_ref2, l2_err2, l2_ref2 = sums
     return float(np.sqrt(h1_err2 / h1_ref2)), float(np.sqrt(l2_err2 / l2_ref2))
@@ -208,61 +215,25 @@ def _first_mode(A0, A1, heads, layers, rows, n_rows):
     return [uh, block_matmul(A1, XT[:len(uh)])] + grad
 
 
-def _plane_values(geom, pts, wts):
-    """The Gauss grid's (xi_1, ..., xi_{d-1}) plane, which serves every
-    xi_d layer: ``(w, inv, rows)`` with the plane weights w and the
-    coordinate rows (d-1, n_plane).  On an extrusion, w carries the factor
-    det J_F, inv holds the entries cof_ij / det J_F of the planar block
-    (i, j < d - 1) and the rows are G, all from
-    :func:`~igamf.geometry.plane_pullback` on the grid's first layer, so a
-    degenerate point is reported, with its full parametric point, where the
-    grid meets it first; on any other map, inv is None.
+def _chunk_sums(pulled, case, wt, w, uh, grad_xi):
+    """The (H1 error, H1 reference, L2 error, L2 reference) sums over one
+    chunk of layers (weights wt) times plane points (weights w), from u_h
+    and its parametric gradient there as (layer, plane point) arrays and
+    the chunk's :func:`~igamf.geometry.chunk_pullback` ``(det, inv, x)``:
+    the measure is wt (w det J_F), grad u_h = J_F^-T grad_xi u_h and
+    ``case.u_grad`` gets x.  Each value broadcasts to the chunk, so on an
+    extrusion det, inv and the rows of x are (P,) plane rows and x_d an
+    (L, 1) column: w det is one plane row, each layer's row of a field is
+    dotted with it, and nothing of the chunk's size is formed for the
+    geometry.  The sums are taken one gradient component at a time.
     """
-    w = functools.reduce(lambda acc, q: np.multiply.outer(q, acc), wts[:-1],
-                         np.ones(1)).ravel()
-    if geom.planar is None:
-        return w, None, tensor_grid(pts[:-1] + (pts[-1][:1],))[:-1]
-    det, inv, rows = plane_pullback(geom, pts[:-1], pts[-1][0])
-    inv /= det
-    w *= det
-    return w, inv, rows
+    det, inv, x = pulled
+    shape = uh.shape
+    measure = w * det
 
-
-def _chunk_sums(geom, plane, case, t, wt, p, uh, grad_xi):
-    """The (H1 error, H1 reference, L2 error, L2 reference) sums over the
-    chunk of layers t (weights wt) and points p of the
-    :func:`_plane_values` ``plane``, from u_h and its parametric gradient
-    there as (layer, plane point) arrays: measure = wt (w det J_F),
-    grad u_h = cof / det J_F grad_xi u_h and x = F(xi).  On an extrusion
-    these take the plane's values: cof / det = blockdiag(inv, 1) and
-    x = (G, t), handed to ``case.u_grad`` as the plane's (P,) rows and an
-    (L, 1) column of layers, and a sum is ``wt @ (a @ w)``, with no
-    per-point measure; any other map is pulled back and evaluated at the
-    chunk's points xi = (plane point, t), handed over as (L, P) rows, and
-    weighted by its per-point measure.  The sums are taken one gradient
-    component at a time.
-    """
-    w, inv, rows = plane
-    d, shape = len(rows) + 1, uh.shape
-    if inv is None:
-        xi = np.empty((d,) + shape)
-        xi[:-1] = rows[:, None, p]
-        xi[-1] = t[:, None]
-        xi = xi.reshape(d, -1).T
-        det, cof = pullback(geom, xi)
-        measure = np.multiply.outer(wt, w[p])
-        measure *= det.reshape(shape)
-        inv = cof.transpose(1, 2, 0).reshape((d, d) + shape)
-        inv /= det.reshape(shape)
-        x = geom.evaluate(xi).T.reshape((d,) + shape)
-
-        def wsum(a):
-            return np.vdot(measure, a)
-    else:
-        inv, x, wp = inv[..., p], (*rows[:, p], t[:, None]), w[p]
-
-        def wsum(a):
-            return wt @ (a @ wp)
+    def wsum(a):
+        # a dot product per layer, against a measure row that broadcasts
+        return wt @ np.matmul(a[:, None], measure[..., None]).ravel()
     ue, *ge = (np.broadcast_to(v, shape) for v in case.u_grad(*x))
     l2_err2 = wsum((ue - uh)**2)
     l2_ref2 = wsum(ue * ue)

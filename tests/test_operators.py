@@ -406,14 +406,24 @@ class TestWQLoadVector:
         ref = wq_load_vector(rule, not_extruded(geom), f)
         assert np.abs(b - ref).max() <= 1e-15 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("gauss", [False, True], ids=["wq", "gauss"])
-    def test_extrusion_maps_the_plane_once(self, monkeypatch, gauss):
-        # pullback, the Jacobian and F see the Q_1 Q_2 plane points only,
-        # also when slabs and chunks cut the grid into parts of the plane
+    @pytest.mark.parametrize("grid", ["wq", "gauss", "error"])
+    def test_extrusion_maps_the_plane_once(self, monkeypatch, grid):
+        # the load vector (WQ and Gauss rules) and the error pass: pullback,
+        # the Jacobian and F see the Q_1 Q_2 plane points only, also when
+        # slabs and chunks cut the grid into parts of the plane
         space = tensor_space(3, 4)
-        rule = gauss_tensor_rule(space) if gauss else build_tensor_rule(space)
-        q1, q2, _ = rule.n_points_per_dir
-        split_into_slabs(monkeypatch, rule, 3)
+        geom, case = quarter_ring_rational_map(), oscillating_case()
+        if grid == "error":
+            # the error pass's Gauss grid, p + 2 points per span
+            n_per_dir = [len(gauss_points_weights(kv, 5)[0])
+                         for kv in space.knotvectors]
+        else:
+            rule = (gauss_tensor_rule(space) if grid == "gauss"
+                    else build_tensor_rule(space))
+            n_per_dir = rule.n_points_per_dir
+        q1, q2, q3 = n_per_dir
+        monkeypatch.setattr(kron, "SLAB_POINTS", q1 * q2 * q3 // 4)
+        assert len(kron.grid_slabs(n_per_dir)) >= 3
         monkeypatch.setattr(kron, "CHUNK_POINTS", 2 * q1)
         seen = {"pullback": 0, "jacobian": 0, "evaluate": 0}
 
@@ -430,7 +440,11 @@ class TestWQLoadVector:
         for name in ("jacobian", "evaluate"):
             monkeypatch.setattr(GeometryMap, name,
                                 counting(name, getattr(GeometryMap, name)))
-        wq_load_vector(rule, quarter_ring_rational_map(), oscillating_case().f)
+        if grid == "error":
+            x = np.random.default_rng(0).standard_normal(space.n_dofs)
+            h1_relative_error(space, geom, x, case)
+        else:
+            wq_load_vector(rule, geom, case.f)
         assert seen == {name: q1 * q2 for name in seen}
 
     @pytest.mark.parametrize("gauss", [False, True], ids=["wq", "gauss"])

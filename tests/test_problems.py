@@ -15,6 +15,7 @@ from igamf import (QUARTER_RING_H1_REFERENCE, TensorSpace, assemble_rhs,
                    wq_load_vector)
 from igamf import kron, problems
 from igamf.cli import _GEOMETRIES
+from igamf.geometry import grid_plane
 from igamf.splines import collocation_matrix
 
 
@@ -455,19 +456,19 @@ class TestErrorNorms:
             tracemalloc.stop()
         assert peak <= 4 * 8 * kron.SLAB_POINTS
 
-    def test_plane_values_peak_is_outputs_plus_batch(self):
-        # the extrusion's plane is pulled back and mapped about
-        # CHUNK_POINTS points at a time into its outputs (w, det, the 4
-        # entries of inv and the 2 rows of G).  On the 320^2-point Gauss
-        # plane of p=8 on 32^2 elements the peak was measured at these 8
+    def test_grid_plane_peak_is_outputs_plus_batch(self):
+        # the error pass's extruded plane is pulled back and mapped about
+        # CHUNK_POINTS points at a time into its outputs (det, the 4
+        # entries of J_F^-T and the 2 rows of G).  On the 320^2-point Gauss
+        # plane of p=8 on 32^2 elements the peak was measured at these 7
         # plane-sized float64 arrays plus 26 arrays of CHUNK_POINTS points,
         # against 8 plus 107 with the whole plane pulled back at once
-        x, w = gauss_points_weights(make_uniform_knots(8, 32), 10)
+        x = gauss_points_weights(make_uniform_knots(8, 32), 10)[0]
         geom = quarter_ring_rational_map()
-        bound = 8 * (8 * len(x)**2 + 32 * kron.CHUNK_POINTS)
+        bound = 8 * (7 * len(x)**2 + 32 * kron.CHUNK_POINTS)
         tracemalloc.start()
         try:
-            problems._plane_values(geom, (x, x, x), (w, w, w))
+            grid_plane(geom, (x, x, x))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
